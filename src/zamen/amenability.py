@@ -159,7 +159,7 @@ def verify_diagonal(
     failing: list[int] = []
     module_residual = 0.0
     basis = [ClassFunction(table.group_hash, table.values[p].copy()) for p in range(k)]
-    indicators = [indicator_from_table(table, j) for j in range(k)]
+    indicators = [indicator(table, j) for j in range(k)]
     for p, f in enumerate(basis):
         leg = np.empty((k, k), dtype=np.complex128)
         for j, one_c in enumerate(indicators):
@@ -189,12 +189,6 @@ def verify_diagonal(
         failing=tuple(sorted(failing)),
         tol=tol,
     )
-
-
-def indicator_from_table(table: CharacterTable, class_index: int) -> ClassFunction:
-    coeffs = np.zeros(table.num_classes, dtype=np.complex128)
-    coeffs[class_index] = 1.0
-    return ClassFunction(group_hash=table.group_hash, coeffs=coeffs)
 
 
 @dataclass(frozen=True)

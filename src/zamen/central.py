@@ -57,11 +57,11 @@ def _check_binding(f: ClassFunction, holder_hash: str, what: str) -> None:
         raise ValueError(f"group mismatch: class function is not bound to this {what}")
 
 
-def indicator(cs: ConjugacyStructure, class_index: int) -> ClassFunction:
-    """The indicator function of one conjugacy class."""
-    coeffs = np.zeros(cs.num_classes, dtype=np.complex128)
-    coeffs[class_index] = 1.0
-    return ClassFunction(group_hash=cs.group_hash, coeffs=coeffs)
+def indicator(holder: ConjugacyStructure | CharacterTable, cls: int) -> ClassFunction:
+    """The indicator function of class ``cls`` of a conjugacy structure or character table."""
+    coeffs = np.zeros(holder.num_classes, dtype=np.complex128)
+    coeffs[cls] = 1.0
+    return ClassFunction(group_hash=holder.group_hash, coeffs=coeffs)
 
 
 def convolution_unit(table: CharacterTable) -> ClassFunction:
@@ -143,8 +143,6 @@ def convolve_direct(
     """
     fe = expand_to_elements(f, cs)
     ge = expand_to_elements(g, cs)
-    if group.table is None:
-        raise ValueError("direct convolution requires a table-backed group")
     out = np.zeros(group.order, dtype=np.complex128)
     invs = group.inverses
     for t in range(group.order):

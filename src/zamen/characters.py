@@ -107,15 +107,9 @@ def class_constants(group: FiniteGroup, cs: ConjugacyStructure | None = None) ->
     k = cs.num_classes
     a = np.zeros((k, k, k), dtype=np.int64)
     invs = group.inverses
-    if group.table is not None:
-        for kk, z in enumerate(cs.reps):
-            ys = group.table[invs, int(z)]
-            np.add.at(a[:, :, kk], (cs.class_of, cs.class_of[ys]), 1)
-    else:
-        for kk, z in enumerate(cs.reps):
-            for x in range(group.order):
-                y = group.mul(group.inv(x), int(z))
-                a[cs.class_of[x], cs.class_of[y], kk] += 1
+    for kk, z in enumerate(cs.reps):
+        ys = group.table[invs, int(z)]
+        np.add.at(a[:, :, kk], (cs.class_of, cs.class_of[ys]), 1)
     return a
 
 

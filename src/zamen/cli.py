@@ -14,8 +14,9 @@ Commands:
 
 GROUP arguments are either names from the built-in zoo (``zamen group
 amconst --zoo`` lists results for all of them) or paths to group spec JSON
-files.  Exit codes: 0 on success, 1 when a verification or check fails,
-2 on usage or input errors.
+files.  Exit codes: 0 on success, 1 when a verification or check fails
+(a character table that misses its certification tolerance included), 2 on
+usage, input or size errors.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .amenability import (
     nonabelian_gap_check,
 )
 from .cache import cached_character_table, resolve_cache_dir
+from .characters import CertificationError, DegeneracyError
 from .groups import FiniteGroup, SizeLimitError, ValidationError, center, conjugacy_structure
 from .hypergroups import run_experiment
 from .specio import (
@@ -390,10 +392,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (SpecError, ValidationError, SizeLimitError) as exc:
+    except (CertificationError, DegeneracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return 1
+    except (SpecError, ValidationError, SizeLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,13 @@
 """Finite groups on integer indices, with the structure needed downstream.
 
-Elements of a group of order n are the indices 0..n-1.  Multiplication is
-realized either as a dense Cayley table (always built for order <= 4096) or,
-for larger closures, by composing the stored permutation representatives.
-Everything downstream (conjugacy data, characters, class functions) works in
-terms of these indices, so construction order fixes all later orderings.
+Elements of a group of order n are the indices 0..n-1 and multiplication is
+a dense int32 Cayley table, ``table[a, b] = a*b``, whatever the construction.
+Groups closed from permutation generators build that table from the Schreier
+graph of the closure (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, ch. 4): each generator's left-multiplication row costs n lookups and
+every other row is one gather of an earlier row.  Everything downstream
+(conjugacy data, characters, class functions) works in terms of these indices,
+so construction order fixes all later orderings.
 """
 
 from __future__ import annotations
@@ -36,15 +39,15 @@ __all__ = [
     "quotient_group",
 ]
 
-# Dense tables above this order would dominate memory; fall back to
-# permutation composition there.
-TABLE_ORDER_CAP = 4096
-
 # Exhaustive associativity checking is cubic; above this order sample triples.
 EXHAUSTIVE_ASSOC_CAP = 512
 ASSOC_SAMPLE_TRIPLES = 10_000
 
 DEFAULT_CLOSURE_CAP = 20_000
+
+# Every Cayley table is stored with this dtype: half the memory of int64, and
+# indices up to DEFAULT_CLOSURE_CAP fit with room to spare.
+TABLE_DTYPE = np.int32
 
 
 class ValidationError(ValueError):
@@ -98,10 +101,13 @@ def parse_permutation(spec: Sequence[int] | str, degree: int | None = None) -> n
 
 
 def _hash_table(order: int, table: np.ndarray) -> str:
+    """sha256 of the table as int64 bytes, fed in row chunks of about 2^20 entries."""
     digest = hashlib.sha256()
     digest.update(b"group-v1")
     digest.update(int(order).to_bytes(8, "little"))
-    digest.update(np.ascontiguousarray(table, dtype=np.int64).tobytes())
+    rows = max(1, (1 << 20) // order)
+    for start in range(0, order, rows):
+        digest.update(table[start : start + rows].astype(np.int64).tobytes())
     return digest.hexdigest()
 
 
@@ -109,25 +115,24 @@ def _hash_table(order: int, table: np.ndarray) -> str:
 class FiniteGroup:
     """A finite group on indices 0..order-1.
 
-    ``table`` is the Cayley table (``table[a, b] = a*b``) when the order is
-    small enough to store one; otherwise ``perms`` holds one permutation per
-    element and products are composed on demand.
+    ``table`` is the Cayley table, ``table[a, b] = a*b``, stored as
+    ``TABLE_DTYPE``.  Groups closed from permutation generators also keep
+    ``perms``, one permutation per element in index order.
     """
 
     order: int
     identity: int
     label: str
-    table: np.ndarray | None = None
+    table: np.ndarray
     perms: np.ndarray | None = None
-    _index: dict[bytes, int] | None = field(default=None, repr=False)
     _inv: np.ndarray | None = field(default=None, repr=False)
     _hash: str | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        self.table = np.ascontiguousarray(self.table, dtype=TABLE_DTYPE)
+
     def mul(self, a: int, b: int) -> int:
-        if self.table is not None:
-            return int(self.table[a, b])
-        assert self.perms is not None and self._index is not None
-        return self._index[self.perms[a][self.perms[b]].tobytes()]
+        return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
@@ -135,35 +140,18 @@ class FiniteGroup:
     @property
     def inverses(self) -> np.ndarray:
         if self._inv is None:
-            if self.table is not None:
-                self._inv = np.argmax(self.table == self.identity, axis=1).astype(np.int64)
-            else:
-                assert self.perms is not None and self._index is not None
-                inv = np.empty(self.order, dtype=np.int64)
-                for a in range(self.order):
-                    inv[a] = self._index[np.argsort(self.perms[a]).tobytes()]
-                self._inv = inv
+            self._inv = np.argmax(self.table == self.identity, axis=1).astype(np.int64)
         return self._inv
 
     @property
     def is_abelian(self) -> bool:
-        if self.table is not None:
-            return bool(np.array_equal(self.table, self.table.T))
-        return all(
-            self.mul(a, b) == self.mul(b, a)
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        return bool(np.array_equal(self.table, self.table.T))
 
     @property
     def content_hash(self) -> str:
         """sha256 of the multiplication structure; labels do not enter."""
         if self._hash is None:
-            if self.table is not None:
-                self._hash = _hash_table(self.order, self.table)
-            else:
-                assert self.perms is not None
-                self._hash = _hash_table(self.order, self.perms)
+            self._hash = _hash_table(self.order, self.table)
         return self._hash
 
     def elements(self) -> range:
@@ -231,16 +219,6 @@ def from_cayley_table(table: Iterable[Iterable[int]], label: str = "G", *, seed:
     return FiniteGroup(order=arr.shape[0], identity=identity, label=label, table=arr)
 
 
-def _table_from_perms(perms: np.ndarray, index: dict[bytes, int]) -> np.ndarray:
-    n = perms.shape[0]
-    table = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        composed = perms[a][perms[:, :]]  # (n, d): row b is perms[a] o perms[b]
-        for b in range(n):
-            table[a, b] = index[composed[b].tobytes()]
-    return table
-
-
 def from_permutation_generators(
     generators: Sequence[Sequence[int] | str],
     label: str = "G",
@@ -253,6 +231,10 @@ def from_permutation_generators(
     products ``word * generator`` in word-then-generator order), which makes
     every downstream ordering reproducible.  Raises SizeLimitError when the
     closure exceeds ``max_order``.
+
+    The BFS records each new element as x = w*g (its Schreier-graph edge).
+    Since (w*g)*b = w*(g*b), row x of the Cayley table is row w gathered at
+    the left-multiplication map of g, so only those maps need lookups.
     """
     if not generators:
         raise ValidationError("at least one generator is required")
@@ -263,11 +245,12 @@ def from_permutation_generators(
     ident = np.arange(degree, dtype=np.int64)
     elements: list[np.ndarray] = [ident]
     index: dict[bytes, int] = {ident.tobytes(): 0}
+    edges: list[tuple[int, int]] = []  # edges[x - 1] = (w, i): element x was found as w * gens[i]
     frontier = [0]
     while frontier:
         next_frontier: list[int] = []
         for w in frontier:
-            for g in gens:
+            for i, g in enumerate(gens):
                 p = elements[w][g]
                 key = p.tobytes()
                 if key not in index:
@@ -277,22 +260,26 @@ def from_permutation_generators(
                         )
                     index[key] = len(elements)
                     elements.append(p)
+                    edges.append((w, i))
                     next_frontier.append(index[key])
         frontier = next_frontier
 
     perms = np.array(elements, dtype=np.int64)
     n = perms.shape[0]
-    if n <= TABLE_ORDER_CAP:
-        table = _table_from_perms(perms, index)
-        return FiniteGroup(order=n, identity=0, label=label, table=table, perms=perms, _index=index)
-    return FiniteGroup(order=n, identity=0, label=label, perms=perms, _index=index)
+    # left[i][b] = index of gens[i] * b.
+    left = [np.array([index[p.tobytes()] for p in g[perms]], dtype=np.intp) for g in gens]
+    table = np.empty((n, n), dtype=TABLE_DTYPE)
+    table[0] = np.arange(n)
+    for x, (w, i) in enumerate(edges, start=1):
+        table[x] = table[w][left[i]]
+    return FiniteGroup(order=n, identity=0, label=label, table=table, perms=perms)
 
 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError(f"cyclic group order must be >= 1, got {n}")
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return FiniteGroup(order=n, identity=0, label=f"Z{n}", table=table.astype(np.int64))
+    return FiniteGroup(order=n, identity=0, label=f"Z{n}", table=table)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -346,10 +333,18 @@ def quaternion_group() -> FiniteGroup:
     return from_cayley_table(table, label="Q8")
 
 
+def _check_product_order(left: FiniteGroup, right: FiniteGroup) -> None:
+    order = left.order * right.order
+    if order > DEFAULT_CLOSURE_CAP:
+        raise SizeLimitError(
+            f"product of {left.label!r} and {right.label!r} has order {order}, "
+            f"above the cap of {DEFAULT_CLOSURE_CAP} elements"
+        )
+
+
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with index packing (a, b) -> a*|H| + b."""
-    if g.table is None or h.table is None:
-        raise ValidationError("direct products require table-backed factors")
+    _check_product_order(g, h)
     m = h.order
     table = (g.table[:, None, :, None] * m + h.table[None, :, None, :]).reshape(
         g.order * m, g.order * m
@@ -358,7 +353,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         order=g.order * m,
         identity=g.identity * m + h.identity,
         label=f"{g.label}x{h.label}",
-        table=table.astype(np.int64),
+        table=table,
     )
 
 
@@ -373,10 +368,10 @@ def semidirect_product(
     ``action`` gives, for each element h of ``acting``, the permutation of
     N's indices implementing the automorphism n -> h(n).  Both the
     automorphism property of each map and the homomorphism property of the
-    assignment are verified.
+    assignment are verified; together they make the product associative, so
+    its table is not validated again.
     """
-    if normal.table is None or acting.table is None:
-        raise ValidationError("semidirect products require table-backed factors")
+    _check_product_order(normal, acting)
     if callable(action):
         maps = [np.asarray(action(h), dtype=np.int64) for h in range(acting.order)]
     else:
@@ -401,14 +396,18 @@ def semidirect_product(
 
     m = acting.order
     n = normal.order
-    table = np.empty((n * m, n * m), dtype=np.int64)
+    table = np.empty((n * m, n * m), dtype=TABLE_DTYPE)
     # Index packing (a, h) -> a*m + h; product rule (a, h)(b, k) = (a*phi_h(b), hk).
     for a in range(n):
         for h in range(m):
             row = tn[a, maps[h]][:, None] * m + acting.table[h][None, :]
             table[a * m + h, :] = row.reshape(-1)
-    lab = label or f"{normal.label}:{acting.label}"
-    return from_cayley_table(table, label=lab)
+    return FiniteGroup(
+        order=n * m,
+        identity=normal.identity * m + acting.identity,
+        label=label or f"{normal.label}:{acting.label}",
+        table=table,
+    )
 
 
 def conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
@@ -416,23 +415,14 @@ def conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
     n = group.order
     class_of = np.full(n, -1, dtype=np.int64)
     classes: list[np.ndarray] = []
-    if group.table is not None:
-        table = group.table
-        invs = group.inverses
-        for s in range(n):
-            if class_of[s] >= 0:
-                continue
-            orbit = np.unique(table[table[:, s], invs])
-            class_of[orbit] = len(classes)
-            classes.append(orbit)
-    else:
-        for s in range(n):
-            if class_of[s] >= 0:
-                continue
-            orbit = sorted({group.mul(group.mul(t, s), group.inv(t)) for t in range(n)})
-            arr = np.asarray(orbit, dtype=np.int64)
-            class_of[arr] = len(classes)
-            classes.append(arr)
+    table = group.table
+    invs = group.inverses
+    for s in range(n):
+        if class_of[s] >= 0:
+            continue
+        orbit = np.unique(table[table[:, s], invs]).astype(np.int64)
+        class_of[orbit] = len(classes)
+        classes.append(orbit)
 
     sizes = np.array([c.size for c in classes], dtype=np.int64)
     reps = np.array([int(c[0]) for c in classes], dtype=np.int64)
@@ -476,14 +466,7 @@ class ConjugacyStructure:
 
 def center(group: FiniteGroup) -> np.ndarray:
     """Indices of the central elements, ascending."""
-    if group.table is not None:
-        return np.nonzero((group.table == group.table.T).all(axis=1))[0].astype(np.int64)
-    out = [
-        z
-        for z in range(group.order)
-        if all(group.mul(z, x) == group.mul(x, z) for x in range(group.order))
-    ]
-    return np.asarray(out, dtype=np.int64)
+    return np.nonzero((group.table == group.table.T).all(axis=1))[0].astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -501,8 +484,6 @@ def quotient_group(group: FiniteGroup, subgroup: Iterable[int]) -> Quotient:
     Raises ValidationError if the indices are not a subgroup, or name the
     violating conjugation when the subgroup is not normal.
     """
-    if group.table is None:
-        raise ValidationError("quotients require a table-backed group")
     nset = np.unique(np.asarray(list(subgroup), dtype=np.int64))
     if nset.size == 0 or group.identity not in nset:
         raise ValidationError("subgroup must contain the identity")

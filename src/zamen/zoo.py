@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 from .groups import (
@@ -18,9 +19,7 @@ __all__ = ["ZOO_BUILDERS", "zoo_names", "abelian_zoo_names", "nonabelian_zoo_nam
 
 
 def _z2_cube() -> FiniteGroup:
-    g = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
-    g.label = "Z2xZ2xZ2"
-    return g
+    return replace(direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2)), label="Z2xZ2xZ2")
 
 
 ZOO_BUILDERS: dict[str, Callable[[], FiniteGroup]] = {

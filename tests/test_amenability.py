@@ -236,6 +236,13 @@ def test_nonabelian_gap():
         assert (abs(am - 1.0) <= 1e-9) == (name in abelian_zoo_names())
 
 
+def test_s7_above_the_old_table_cap():
+    g = symmetric(7)
+    table = character_table(g)
+    assert table.num_classes == 15
+    assert amenability_constant(table).value == pytest.approx(842.9821428571445, rel=1e-9)
+
+
 def test_snap_rational():
     assert snap_rational(7.0 / 3.0) == Fraction(7, 3)
     assert snap_rational(1.75) == Fraction(7, 4)

@@ -80,6 +80,19 @@ class TestGroupInfo:
         assert run_cli("group", "info", str(path)) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_product_above_the_cap_exits_2(self, tmp_path, capsys):
+        # S7 x S3 has order 30240; the S7 factor builds, the product is refused.
+        s7 = {"kind": "perm", "degree": 7, "generators": ["(1 2)", "(1 2 3 4 5 6 7)"]}
+        s3 = {"kind": "perm", "degree": 3, "generators": ["(1 2)", "(1 2 3)"]}
+        path = tmp_path / "s7xs3.json"
+        path.write_text(
+            json.dumps({"format": "zamen-group", "version": 1, "kind": "product", "factors": [s7, s3]})
+        )
+        assert run_cli("group", "info", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "30240" in err
+        assert "Traceback" not in err
+
 
 class TestChartable:
     def test_text_output(self, tmp_path, capsys):
@@ -107,6 +120,12 @@ class TestChartable:
             docs[name] = json.loads(capsys.readouterr().out)
         assert stable_json(docs["D4"]["canonical"]) == stable_json(docs["Q8"]["canonical"])
         assert docs["D4"]["group_hash"] != docs["Q8"]["group_hash"]
+
+    def test_failed_certification_exits_1(self, tmp_path, capsys):
+        assert run_cli("group", "chartable", "D8", "--tol", "1e-300", "--cache-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "certification residual" in err
+        assert "Traceback" not in err
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "table.json"

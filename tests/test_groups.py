@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from zamen.groups import (
+    DEFAULT_CLOSURE_CAP,
     SizeLimitError,
     ValidationError,
     alternating,
@@ -29,6 +30,7 @@ from zamen.groups import (
     semidirect_product,
     symmetric,
 )
+from zamen.zoo import build as zoo_build
 
 
 def brute_classes(group):
@@ -77,6 +79,80 @@ def test_s3_matches_itertools_multiplication():
     for a, b in itertools.product(range(6), repeat=2):
         composed = tuple(perms[a][perms[b][i]] for i in range(3))
         assert perms[g.mul(a, b)] == composed
+
+
+def composition_table(group):
+    """Independent Cayley table: compose the stored permutations and look each product up."""
+    index = {tuple(p): i for i, p in enumerate(group.perms.tolist())}
+    return np.array(
+        [[index[tuple(pa[j] for j in pb)] for pb in group.perms.tolist()] for pa in group.perms.tolist()]
+    )
+
+
+@pytest.mark.parametrize(
+    "builder", [lambda: symmetric(4), lambda: alternating(5), lambda: dihedral(6), lambda: alternating(4)]
+)
+def test_schreier_table_matches_composition(builder):
+    g = builder()
+    assert np.array_equal(g.table, composition_table(g))
+
+
+def test_s7_table_matches_permutation_composition():
+    # Order 5040 gets a dense table too; sample pairs against composing the perms.
+    g = symmetric(7)
+    assert g.order == 5040
+    assert g.table.shape == (5040, 5040)
+    index = {p.tobytes(): i for i, p in enumerate(g.perms)}
+    rng = np.random.default_rng(2024)
+    for a, b in rng.integers(0, g.order, size=(2000, 2)):
+        assert g.mul(int(a), int(b)) == index[g.perms[a][g.perms[b]].tobytes()]
+
+
+def test_tables_are_int32_for_every_construction():
+    z3 = cyclic(3)
+    groups = [
+        z3,
+        dihedral(4),
+        quaternion_group(),
+        from_cayley_table([[0, 1], [1, 0]]),
+        direct_product(z3, cyclic(2)),
+        semidirect_product(z3, cyclic(2), [[0, 1, 2], [0, 2, 1]]),
+        quotient_group(dihedral(4), center(dihedral(4))).group,
+        zoo_build("Z2xZ2xZ2"),
+    ]
+    for g in groups:
+        assert g.table.dtype == np.int32, g.label
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("S3", "8e2c5db18d39b2faa9ff682e57b287d4c30be31b903ebc006a2b3dbb098c4169"),
+        ("Q8", "0f990edc1ff27e2851bc5517ae922e51968df050bddd6986ae2c511194703782"),
+        ("S4", "43b7b9733ab4cdc19f34ca7d1ab179203fd3dddb2442af3d1ab978babadedcc2"),
+        ("Z2xZ2xZ2", "0b497894362cf89fb2529de1eff6642be14f66142c29afa695a251b1abb77c81"),
+    ],
+)
+def test_content_hash_is_pinned(name, digest):
+    # Cache files are keyed by these digests; they must not drift.
+    g = zoo_build(name)
+    assert g.content_hash == digest
+    assert g.label == name
+
+
+def test_content_hash_is_pinned_a5xa5():
+    # Order 3600 is hashed across several row chunks.
+    g = direct_product(alternating(5), alternating(5))
+    assert g.content_hash == "c6520d73c7dee2c9217b6b2e661395b0521e50ead929f16681c873310339fb8b"
+
+
+def test_products_above_the_cap_are_refused_before_allocation():
+    with pytest.raises(SizeLimitError, match="30240"):
+        direct_product(symmetric(7), symmetric(3))
+    big, small = cyclic(200), cyclic(101)
+    assert big.order * small.order > DEFAULT_CLOSURE_CAP
+    with pytest.raises(SizeLimitError):
+        semidirect_product(big, small, lambda h: range(200))
 
 
 @pytest.mark.parametrize(
@@ -151,6 +227,7 @@ def test_semidirect_z3_z2_is_s3():
     inversion = [0, 2, 1]
     g = semidirect_product(z3, z2, [[0, 1, 2], inversion])
     assert g.order == 6
+    assert from_cayley_table(g.table).identity == g.identity  # the table passes the axioms
     assert not g.is_abelian
     cs = conjugacy_structure(g)
     # Same invariants as S3: class sizes and abelianization.
