@@ -20,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .central import ClassFunction, convolve, gelfand_transform, indicator
 from .characters import CharacterTable, character_table, tensor_table
 from .groups import FiniteGroup, Quotient, conjugacy_structure, quotient_group
 
@@ -147,46 +146,49 @@ def verify_diagonal(
     (ii) Unit property: m(mu) * f = f, with m(mu) = sum c_fun(C,C') 1_C * 1_C'
         the image of mu under the multiplication map.
 
+    Convolution is pointwise in the Gelfand basis: with T[pi, C] the
+    transform of 1_C (``central.gelfand_transform``), V the value matrix and
+    d the degrees, f * g = V^T (d . Tf . Tg).  So the leg matrix of chi_p,
+    L_p[D, C] = (chi_p * 1_C)(D), is V^T diag(w_p) T with w_p = d . T chi_p,
+    and the two actions are
+
+        f.mu = L_p c_fun = (V^T diag(w_p)) (T c_fun),
+        mu.f = c_fun L_p^T = (c_fun T^T) (diag(w_p) V),
+
+    two k x k products per basis character.  Likewise m(mu) = V^T (d . s)
+    with s the row sums of (T c_fun) . T, and m(mu) * chi_p - chi_p is
+    column p of V^T diag(T m(mu)) W - V^T, W having columns w_p.
+
     Residuals are absolute max differences of class-function values.
     """
     dc = dc or diagonal(table)
     if dc.group_hash != table.group_hash:
         raise ValueError("group mismatch: coefficients were built from a different table")
-    k = table.num_classes
     c_fun = dc.function_matrix
+    values = table.values
+    d = table.degrees.astype(np.float64)
+    transform = np.conj(table.normalized_values) * (table.class_sizes / table.order)[None, :]
+    # w[:, p] = d . T chi_p, the Gelfand weights of convolving by chi_p.
+    w = d[:, None] * (transform @ values.T)
 
-    # leg[p][D, C] = (chi_p * 1_C)(D), one spectral convolution per (p, C).
-    failing: list[int] = []
-    module_residual = 0.0
-    basis = [ClassFunction(table.group_hash, table.values[p].copy()) for p in range(k)]
-    indicators = [indicator(table, j) for j in range(k)]
-    for p, f in enumerate(basis):
-        leg = np.empty((k, k), dtype=np.complex128)
-        for j, one_c in enumerate(indicators):
-            leg[:, j] = convolve(f, one_c, table).coeffs
-        left_action = leg @ c_fun          # f.mu at class pair (D, D')
-        right_action = c_fun @ leg.T       # mu.f at class pair (D, D')
-        residual = float(np.abs(left_action - right_action).max())
-        if residual > tol:
-            failing.append(p)
-        module_residual = max(module_residual, residual)
+    t_c = transform @ c_fun
+    c_t = c_fun @ transform.T
+    module = np.empty(table.num_classes)
+    for p in range(table.num_classes):
+        left_action = (values.T * w[:, p]) @ t_c
+        right_action = c_t @ (w[:, p, None] * values)
+        module[p] = np.abs(left_action - right_action).max()
 
-    m_mu = np.zeros(k, dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            m_mu += c_fun[i, j] * convolve(indicators[i], indicators[j], table).coeffs
-    m_fun = ClassFunction(table.group_hash, m_mu)
-    unit_residual = float(np.abs(gelfand_transform(m_fun, table) - 1.0).max())
-    for p, f in enumerate(basis):
-        diff = float(np.abs(convolve(m_fun, f, table).coeffs - f.coeffs).max())
-        if diff > tol and p not in failing:
-            failing.append(p)
-        unit_residual = max(unit_residual, diff)
+    m_mu = values.T @ (d * (t_c * transform).sum(axis=1))
+    m_transform = transform @ m_mu
+    unit = np.abs(values.T @ (m_transform[:, None] * w) - values.T).max(axis=0)
+    unit_residual = max(float(np.abs(m_transform - 1.0).max()), float(unit.max()))
+    failing = np.flatnonzero((module > tol) | (unit > tol))
 
     return DiagonalReport(
-        module_residual=module_residual,
+        module_residual=float(module.max()),
         unit_residual=unit_residual,
-        failing=tuple(sorted(failing)),
+        failing=tuple(int(p) for p in failing),
         tol=tol,
     )
 

@@ -11,12 +11,13 @@ always a complete document.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
 from pathlib import Path
 
-from .characters import CharacterTable, character_table
+from .characters import DEFAULT_CERT_TOL, CharacterTable, _certification_residual, character_table
 from .groups import ConjugacyStructure, FiniteGroup, conjugacy_structure
 from .specio import SpecError, character_table_payload, load_character_table, stable_json
 
@@ -44,17 +45,28 @@ def cached_character_table(
     """Return the group's character table and whether it came from cache.
 
     A readable entry that fails validation (different group, truncated
-    file) is recomputed and overwritten rather than trusted.
+    file) is recomputed and overwritten rather than trusted.  So is an entry
+    whose stored values miss the caller's ``certification_tol``: on a hit the
+    row, column and conjugation residuals are recomputed from the loaded
+    values, and the table carries the larger of that and the stored residual.
     """
     cs = cs or conjugacy_structure(group)
     directory = resolve_cache_dir(cache_dir)
     path = directory / f"{group.content_hash}.json"
     if path.exists():
         try:
-            payload = json.loads(path.read_text())
-            return load_character_table(payload, cs), True
-        except (json.JSONDecodeError, SpecError, KeyError, TypeError, ValueError):
+            loaded = load_character_table(json.loads(path.read_text()), cs)
+            residual = max(
+                loaded.residual,
+                _certification_residual(
+                    loaded.values, loaded.class_sizes, loaded.order, loaded.inverse_class
+                ),
+            )
+        except (json.JSONDecodeError, SpecError, KeyError, TypeError, ValueError, IndexError):
             pass
+        else:
+            if residual <= table_kwargs.get("certification_tol", DEFAULT_CERT_TOL):
+                return dataclasses.replace(loaded, residual=residual), True
     table = character_table(group, cs, **table_kwargs)
     directory.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

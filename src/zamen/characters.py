@@ -1,23 +1,30 @@
 """Character tables of finite groups from class-sum structure constants.
 
 Nothing here uses explicit irreducible representations.  The table comes out
-of the classical class-algebra method: the class sums span the centre of the
-group algebra, their structure constants give k commuting k x k integer
-matrices, and the simultaneous eigenvectors of that family are (up to the
-normalizations applied below) the columns sqrt(|C|/|G|) * chi_pi(C) of the
-character table.
+of the classical class-algebra method (Dixon, "High speed computation of
+group characters", Numer. Math. 10, 1967): the class sums span the centre of
+the group algebra, and the characters are the simultaneous eigenvectors of
+its multiplication operators.  After the normalizations applied below, the
+eigenvectors are the columns sqrt(|C|/|G|) * chi_pi(C) of the table.
 
-A diagonal similarity by sqrt(class sizes) turns each structure-constant
-matrix M_i into a matrix whose transpose is the matrix of the inverse class,
-so a random linear combination with conjugation-paired coefficients is
-Hermitian and can be diagonalized with orthonormal eigenvectors (numpy eigh).
-That keeps the recovery well conditioned without changing the spectrum.
+One random combination of those operators suffices when its spectrum is
+simple.  With conjugation-paired coefficients and a diagonal similarity by
+sqrt(class sizes), the combination is a Hermitian k x k matrix h, so numpy
+eigh gives orthonormal eigenvectors and the recovery stays well conditioned.
+h is accumulated straight from the Cayley table: for each class
+representative z and each element x, the coefficient of x's class lands on
+the class of x^{-1} z.  That is O(k |G|) work per attempt, and the k x k x k
+tensor of structure constants (``class_constants``) is never formed.
+
+Rows and columns are ordered by rounded value keys with ``np.lexsort``;
+``_round_array`` rounds a whole array exactly as Python's ``round`` does.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -101,7 +108,9 @@ def class_constants(group: FiniteGroup, cs: ConjugacyStructure | None = None) ->
     """Structure constants a[i, j, k] = #{(x, y) in C_i x C_j : x*y = z_k}.
 
     z_k is the stored representative of class k; the count is independent of
-    that choice.  Cost is O(num_classes * |G|).
+    that choice.  Cost is O(num_classes * |G|) time and O(num_classes^3)
+    memory.  ``character_table`` never forms this tensor; it is the reference
+    that ``_class_combination`` is checked against.
     """
     cs = cs or conjugacy_structure(group)
     k = cs.num_classes
@@ -128,6 +137,31 @@ def _paired_coefficients(rng: np.random.Generator, inverse_class: np.ndarray) ->
     return c
 
 
+def _class_combination(
+    group: FiniteGroup, cs: ConjugacyStructure
+) -> Callable[[np.ndarray], np.ndarray]:
+    """c -> sum_i c[i] D^{-1/2} M_i D^{1/2}, without the structure-constant tensor.
+
+    (M_i)[j, m] = a[i, j, m] from ``class_constants`` and D = diag(sizes).  An
+    element x of class i adds c[i] to entry (j, m) where j is the class of
+    x^{-1} z_m, so one k x |G| index array turns each combination into a
+    pair of bincounts (real and imaginary weights): O(k |G|) per call.
+    """
+    k, n = cs.num_classes, group.order
+    pair_class = cs.class_of[group.table[group.inverses[None, :], cs.reps[:, None]]]
+    index = (pair_class * k + np.arange(k)[:, None]).ravel()
+    root = np.sqrt(cs.sizes.astype(np.float64))
+    scale = root[None, :] / root[:, None]
+
+    def combine(c: np.ndarray) -> np.ndarray:
+        w = np.broadcast_to(c[cs.class_of], (k, n)).ravel()
+        real = np.bincount(index, weights=w.real, minlength=k * k)
+        imag = np.bincount(index, weights=w.imag, minlength=k * k)
+        return (real + 1j * imag).reshape(k, k) * scale
+
+    return combine
+
+
 def _measure_orthogonality(values: np.ndarray, sizes: np.ndarray, order: int) -> OrthogonalityReport:
     u = values * np.sqrt(sizes / order)[None, :]
     eye = np.eye(u.shape[0])
@@ -141,14 +175,55 @@ def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
     return _measure_orthogonality(table.values, table.class_sizes, table.order)
 
 
-def _canonical_row_order(values: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    def key(p: int):
-        row = values[p]
-        return (int(degrees[p]),) + tuple(
-            (-round(float(v.real), 9), -round(float(v.imag), 9)) for v in row
-        )
+def _round_array(x: np.ndarray, ndigits: int) -> np.ndarray:
+    """Python's ``round(v, ndigits)`` applied to every entry of a float array.
 
-    return np.array(sorted(range(values.shape[0]), key=key), dtype=np.int64)
+    rint(x * 10^ndigits) / 10^ndigits agrees with ``round`` except where the
+    scaled product's own rounding error may cross a half-integer, or where the
+    scaled value is too large for its integer part to be exact; those entries
+    go through ``round`` itself.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    scale = 10.0**ndigits
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * scale
+        out = np.rint(y, out=np.empty_like(x))
+        out /= scale
+        ay = np.abs(y)
+        risky = ~(ay < 2.0**52) | (np.abs(ay - np.floor(ay) - 0.5) <= 4 * np.spacing(ay))
+    for i in np.flatnonzero(risky):
+        out.flat[i] = round(float(x.flat[i]), ndigits)
+    return out
+
+
+def _value_order(primary: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Stable order of items by (primary, -re[., 0], -im[., 0], -re[., 1], ...).
+
+    ``re`` and ``im`` hold one item per row, already rounded; this is the
+    order that sorting tuple keys of those values would give.
+    """
+    keys = np.empty((2 * re.shape[1], re.shape[0]), dtype=np.float64)
+    keys[0::2] = -re.T
+    keys[1::2] = -im.T
+    return np.lexsort((*keys[::-1], primary))
+
+
+def _rounded_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return _round_array(values.real, 9), _round_array(values.imag, 9)
+
+
+def _canonical_row_order(values: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Rows by degree, then by descending (real, imag) values rounded to 9 digits."""
+    return _value_order(degrees, *_rounded_keys(values))
+
+
+def _certification_residual(
+    values: np.ndarray, sizes: np.ndarray, order: int, inverse_class: np.ndarray
+) -> float:
+    """Largest of the row, column and conjugation residuals of a table."""
+    report = _measure_orthogonality(values, sizes, order)
+    conj_residual = float(np.abs(values[:, inverse_class] - np.conj(values)).max())
+    return max(report.max_residual, conj_residual)
 
 
 def character_table(
@@ -170,19 +245,15 @@ def character_table(
     cs = cs or conjugacy_structure(group)
     n = group.order
     k = cs.num_classes
-    a = class_constants(group, cs)
     sizes = cs.sizes.astype(np.float64)
-
-    # mt[i] = D^{-1/2} M_i D^{1/2} with (M_i)[j, k] = a[i, j, k], D = diag(sizes).
-    scale = np.sqrt(sizes[None, None, :] / sizes[None, :, None])
-    mt = a.astype(np.float64) * scale
+    combine = _class_combination(group, cs)
 
     e_class = int(cs.class_of[group.identity])
     last_error: Exception | None = None
     for attempt in range(max_retries):
         rng = np.random.default_rng([seed, attempt])
         c = _paired_coefficients(rng, cs.inverse_class)
-        h = np.einsum("i,ijk->jk", c, mt)
+        h = combine(c)
         h = (h + h.conj().T) / 2.0  # symmetrize away fp asymmetry
 
         eigvals, eigvecs = np.linalg.eigh(h)
@@ -219,11 +290,10 @@ def character_table(
         rows = rows[order_idx]
         degrees = degrees[order_idx]
 
-        report = _measure_orthogonality(rows, sizes, n)
-        conj_residual = float(np.abs(rows[:, cs.inverse_class] - np.conj(rows)).max())
-        if report.max_residual > certification_tol or conj_residual > certification_tol:
+        residual = _certification_residual(rows, sizes, n, cs.inverse_class)
+        if residual > certification_tol:
             last_error = CertificationError(
-                f"certification residual {max(report.max_residual, conj_residual):.3e} "
+                f"certification residual {residual:.3e} "
                 f"above {certification_tol:.1e} on attempt {attempt + 1}"
             )
             continue
@@ -236,7 +306,7 @@ def character_table(
             class_sizes=cs.sizes.copy(),
             class_reps=cs.reps.copy(),
             inverse_class=cs.inverse_class.copy(),
-            residual=max(report.max_residual, conj_residual),
+            residual=residual,
         )
 
     assert last_error is not None
@@ -254,37 +324,19 @@ def canonical_form(table: CharacterTable) -> tuple[np.ndarray, np.ndarray, np.nd
     with equal character tables, such as the two nonabelian groups of
     order 8, canonicalize to the same value matrix.
     """
-    values = table.values.copy()
-    degrees = table.degrees.copy()
-    sizes = table.class_sizes.copy()
-    k = table.num_classes
-
-    def row_key(values_now: np.ndarray):
-        def key(p: int):
-            return (int(degrees_now[p]),) + tuple(
-                (-round(float(v.real), 9), -round(float(v.imag), 9)) for v in values_now[p]
-            )
-
-        return key
-
-    degrees_now = degrees
-    sizes_now = sizes
+    re, im = _rounded_keys(table.values)
+    identity = np.arange(table.num_classes)
+    rows, cols = identity, identity
     for _ in range(20):
-        rows = sorted(range(k), key=row_key(values))
-        values = values[rows]
-        degrees_now = degrees_now[rows]
-
-        def col_key(j: int):
-            return (int(sizes_now[j]),) + tuple(
-                (-round(float(v.real), 9), -round(float(v.imag), 9)) for v in values[:, j]
-            )
-
-        cols = sorted(range(k), key=col_key)
-        values = values[:, cols]
-        sizes_now = sizes_now[cols]
-        if rows == list(range(k)) and cols == list(range(k)):
+        row_step = _value_order(table.degrees[rows], re[np.ix_(rows, cols)], im[np.ix_(rows, cols)])
+        rows = rows[row_step]
+        col_step = _value_order(
+            table.class_sizes[cols], re[np.ix_(rows, cols)].T, im[np.ix_(rows, cols)].T
+        )
+        cols = cols[col_step]
+        if np.array_equal(row_step, identity) and np.array_equal(col_step, identity):
             break
-    return values, degrees_now, sizes_now
+    return table.values[np.ix_(rows, cols)], table.degrees[rows], table.class_sizes[cols]
 
 
 def tensor_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:

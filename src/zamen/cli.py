@@ -16,7 +16,7 @@ GROUP arguments are either names from the built-in zoo (``zamen group
 amconst --zoo`` lists results for all of them) or paths to group spec JSON
 files.  Exit codes: 0 on success, 1 when a verification or check fails
 (a character table that misses its certification tolerance included), 2 on
-usage, input or size errors.
+usage, input or size errors, running out of memory included.
 """
 
 from __future__ import annotations
@@ -397,6 +397,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (SpecError, ValidationError, SizeLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -117,7 +117,8 @@ class FiniteGroup:
 
     ``table`` is the Cayley table, ``table[a, b] = a*b``, stored as
     ``TABLE_DTYPE``.  Groups closed from permutation generators also keep
-    ``perms``, one permutation per element in index order.
+    ``perms``, one permutation per element in index order.  Inverses, the
+    content hash and the conjugacy classes are computed on first use and kept.
     """
 
     order: int
@@ -127,6 +128,7 @@ class FiniteGroup:
     perms: np.ndarray | None = None
     _inv: np.ndarray | None = field(default=None, repr=False)
     _hash: str | None = field(default=None, repr=False)
+    _classes: ConjugacyStructure | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.table = np.ascontiguousarray(self.table, dtype=TABLE_DTYPE)
@@ -145,7 +147,8 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        """True when every conjugacy class is a single element."""
+        return conjugacy_structure(self).num_classes == self.order
 
     @property
     def content_hash(self) -> str:
@@ -411,7 +414,17 @@ def semidirect_product(
 
 
 def conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
-    """Partition the group into conjugacy classes, ordered by least element."""
+    """Partition the group into conjugacy classes, ordered by least element.
+
+    The result is kept on the group and shared by later calls, so its arrays
+    are read-only.
+    """
+    if group._classes is None:
+        group._classes = _conjugacy_structure(group)
+    return group._classes
+
+
+def _conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
     n = group.order
     class_of = np.full(n, -1, dtype=np.int64)
     classes: list[np.ndarray] = []
@@ -434,6 +447,8 @@ def conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
     inverse_class = np.array([class_of[group.inv(int(r))] for r in reps], dtype=np.int64)
     if not np.array_equal(inverse_class[inverse_class], np.arange(len(classes))):
         raise ValidationError("inverse-class map is not an involution")
+    for array in (class_of, sizes, reps, inverse_class, *classes):
+        array.flags.writeable = False
     return ConjugacyStructure(
         group_hash=group.content_hash,
         class_of=class_of,
@@ -465,8 +480,12 @@ class ConjugacyStructure:
 
 
 def center(group: FiniteGroup) -> np.ndarray:
-    """Indices of the central elements, ascending."""
-    return np.nonzero((group.table == group.table.T).all(axis=1))[0].astype(np.int64)
+    """Indices of the central elements, ascending: the singleton classes.
+
+    Classes are in least-element order, so their representatives ascend.
+    """
+    cs = conjugacy_structure(group)
+    return cs.reps[cs.sizes == 1]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .characters import CharacterTable, canonical_form
+from .characters import CharacterTable, _round_array, canonical_form
 from .groups import (
     ConjugacyStructure,
     FiniteGroup,
@@ -138,16 +138,12 @@ def group_from_json(text: str) -> FiniteGroup:
     return load_group_spec(payload)
 
 
-def _round_value(x: float) -> float:
-    r = round(float(x), 12)
-    return 0.0 if r == 0 else r
-
-
 def _complex_rows(values: np.ndarray) -> list[list[list[float]]]:
-    return [
-        [[_round_value(v.real), _round_value(v.imag)] for v in row]
-        for row in np.asarray(values)
-    ]
+    """[real, imag] pairs rounded to 12 decimals, with negative zero made positive."""
+    values = np.asarray(values)
+    pairs = np.stack([_round_array(values.real, 12), _round_array(values.imag, 12)], axis=-1)
+    pairs[pairs == 0] = 0.0
+    return pairs.tolist()
 
 
 def character_table_payload(table: CharacterTable) -> dict:
@@ -202,9 +198,10 @@ def load_character_table(payload: dict, cs: ConjugacyStructure) -> CharacterTabl
     sizes = np.array([c["size"] for c in classes])
     if not np.array_equal(reps, cs.reps) or not np.array_equal(sizes, cs.sizes):
         raise SpecError("character table document classes do not match the group")
-    values = np.array(
-        [[complex(re, im) for re, im in row["values"]] for row in rows]
-    )
+    pairs = np.array([row["values"] for row in rows], dtype=np.float64)
+    if pairs.shape != (len(rows), len(rows), 2):
+        raise SpecError("character table document rows have the wrong shape")
+    values = pairs.view(np.complex128)[..., 0]
     degrees = np.array([row["degree"] for row in rows])
     return CharacterTable(
         group_hash=cs.group_hash,

@@ -30,6 +30,7 @@ from zamen.amenability import (
     snap_rational,
     verify_diagonal,
 )
+from zamen.central import ClassFunction, convolve, gelfand_transform, indicator
 from zamen.characters import character_table, tensor_table
 from zamen.groups import (
     center,
@@ -154,6 +155,73 @@ def test_verify_diagonal_detects_perturbation():
             )
             assert not report.passed, (name, entry)
             assert report.max_residual >= 1e-3, (name, entry, report.max_residual)
+
+
+def loop_verify_diagonal(table, dc, tol=1e-9):
+    """verify_diagonal by O(k^2) spectral convolutions per check (the oracle)."""
+    k = table.num_classes
+    c_fun = dc.function_matrix
+    failing = []
+    module_residual = 0.0
+    basis = [ClassFunction(table.group_hash, table.values[p].copy()) for p in range(k)]
+    indicators = [indicator(table, j) for j in range(k)]
+    for p, f in enumerate(basis):
+        leg = np.empty((k, k), dtype=np.complex128)
+        for j, one_c in enumerate(indicators):
+            leg[:, j] = convolve(f, one_c, table).coeffs
+        residual = float(np.abs(leg @ c_fun - c_fun @ leg.T).max())
+        if residual > tol:
+            failing.append(p)
+        module_residual = max(module_residual, residual)
+
+    m_mu = np.zeros(k, dtype=np.complex128)
+    for i in range(k):
+        for j in range(k):
+            m_mu += c_fun[i, j] * convolve(indicators[i], indicators[j], table).coeffs
+    m_fun = ClassFunction(table.group_hash, m_mu)
+    unit_residual = float(np.abs(gelfand_transform(m_fun, table) - 1.0).max())
+    for p, f in enumerate(basis):
+        diff = float(np.abs(convolve(m_fun, f, table).coeffs - f.coeffs).max())
+        if diff > tol and p not in failing:
+            failing.append(p)
+        unit_residual = max(unit_residual, diff)
+    return module_residual, unit_residual, tuple(sorted(failing))
+
+
+def corrupted(dc, matrix):
+    return type(dc)(group_hash=dc.group_hash, matrix=matrix, inverse_class=dc.inverse_class)
+
+
+@pytest.mark.parametrize(
+    "make_group",
+    [lambda: build("Q8"), lambda: build("Z12"), lambda: dihedral(60), lambda: dihedral(120)],
+    ids=["Q8", "Z12", "D60", "D120"],
+)
+def test_verify_diagonal_matches_the_loop_oracle(make_group):
+    t = character_table(make_group())
+    dc = diagonal(t)
+    values = t.values
+    k = t.num_classes
+    q, r = k - 1, k // 2
+    cases = {
+        # A clean diagonal passes everywhere.
+        "clean": dc.matrix,
+        # Changing one Gelfand coefficient breaks only the unit property at q.
+        "weight": dc.matrix + 1e-3 * np.outer(values[q].conj(), values[q]),
+        # A cross term between q and r breaks only the module property there.
+        "cross": dc.matrix + 1e-3 * np.outer(values[q].conj(), values[r]),
+        # One entry off breaks both properties broadly.
+        "entry": dc.matrix + 1e-2 * (np.arange(k * k).reshape(k, k) == 1),
+    }
+    expected = {"clean": (), "weight": (q,), "cross": tuple(sorted({q, r}))}
+    for name, matrix in cases.items():
+        report = verify_diagonal(t, corrupted(dc, matrix))
+        module, unit, failing = loop_verify_diagonal(t, corrupted(dc, matrix))
+        assert abs(report.module_residual - module) <= 1e-12, name
+        assert abs(report.unit_residual - unit) <= 1e-12, name
+        assert report.failing == failing, name
+        if name in expected:
+            assert failing == expected[name], name
 
 
 def test_hilbert_schmidt_bound():

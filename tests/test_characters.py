@@ -11,7 +11,12 @@ import pytest
 
 from zamen.characters import (
     CertificationError,
+    CharacterTable,
     DegeneracyError,
+    _canonical_row_order,
+    _class_combination,
+    _paired_coefficients,
+    _round_array,
     canonical_form,
     character_table,
     class_constants,
@@ -27,6 +32,7 @@ from zamen.groups import (
     quaternion_group,
     symmetric,
 )
+from zamen.zoo import build, zoo_names
 
 S3_TABLE = np.array(
     [
@@ -37,15 +43,34 @@ S3_TABLE = np.array(
 )
 
 
-def sort_rows(values, degrees):
-    """The same canonical row key the package uses, reimplemented for tests."""
-    def key(p):
-        return (int(degrees[p]),) + tuple(
-            (-round(float(v.real), 9), -round(float(v.imag), 9)) for v in values[p]
-        )
+def value_key(primary, entries):
+    """Tuple sort key: primary, then each entry's (-real, -imag) rounded to 9 digits."""
+    return (int(primary),) + tuple(
+        (-round(float(v.real), 9), -round(float(v.imag), 9)) for v in entries
+    )
 
-    idx = sorted(range(values.shape[0]), key=key)
-    return np.asarray(values)[idx]
+
+def sort_key_row_order(values, degrees):
+    """Canonical row order by per-row Python sort keys (the oracle for lexsort)."""
+    return sorted(range(values.shape[0]), key=lambda p: value_key(degrees[p], values[p]))
+
+
+def sort_key_canonical_form(table):
+    """Joint row/column canonical form by per-row and per-column sort keys."""
+    values, degrees, sizes = table.values.copy(), table.degrees.copy(), table.class_sizes.copy()
+    k = table.num_classes
+    for _ in range(20):
+        rows = sorted(range(k), key=lambda p: value_key(degrees[p], values[p]))
+        values, degrees = values[rows], degrees[rows]
+        cols = sorted(range(k), key=lambda j: value_key(sizes[j], values[:, j]))
+        values, sizes = values[:, cols], sizes[cols]
+        if rows == list(range(k)) and cols == list(range(k)):
+            break
+    return values, degrees, sizes
+
+
+def sort_rows(values, degrees):
+    return np.asarray(values)[sort_key_row_order(values, degrees)]
 
 
 def brute_class_constants(group, cs):
@@ -208,3 +233,91 @@ def test_trivial_group():
     t = character_table(cyclic(1))
     assert t.values.tolist() == [[1.0 + 0.0j]]
     assert t.degrees.tolist() == [1]
+
+
+def zoo_tables():
+    return [character_table(build(name)) for name in zoo_names()]
+
+
+def tied_random_tables(count=200, seed=7):
+    """Small complex matrices with repeated rows and columns and entries at
+    (or one ulp beside) 9-digit half-way points, so sort keys tie often."""
+    rng = np.random.default_rng(seed)
+    halfway = np.array([0.5e-9, 1.5e-9, -2.5e-9, 0.1234567885, 0.1234567895, -0.7777777775])
+    pool = np.concatenate(
+        [[0.0, -0.0, 1.0, -1.0, 2.0, 1e-10], halfway,
+         np.nextafter(halfway, np.inf), np.nextafter(halfway, -np.inf)]
+    )
+    tables = []
+    for _ in range(count):
+        k = int(rng.integers(1, 9))
+        values = rng.choice(pool, size=(k, k)) + 1j * rng.choice(pool[:8], size=(k, k))
+        values[rng.integers(0, k)] = values[0]
+        values[:, rng.integers(0, k)] = values[:, 0]
+        tables.append(
+            CharacterTable(
+                group_hash="random",
+                order=1,
+                values=values,
+                degrees=rng.integers(1, 3, size=k),
+                class_sizes=rng.integers(1, 3, size=k),
+                class_reps=np.zeros(k, dtype=np.int64),
+                inverse_class=np.arange(k),
+                residual=0.0,
+            )
+        )
+    return tables
+
+
+def test_canonical_orders_match_the_sort_key_oracle():
+    for t in zoo_tables() + tied_random_tables():
+        assert _canonical_row_order(t.values, t.degrees).tolist() == sort_key_row_order(
+            t.values, t.degrees
+        )
+        got = canonical_form(t)
+        want = sort_key_canonical_form(t)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tolist() == want[1].tolist()
+        assert got[2].tolist() == want[2].tolist()
+
+
+@pytest.mark.parametrize("ndigits", [9, 12])
+def test_round_array_is_python_round(ndigits):
+    rng = np.random.default_rng(ndigits)
+    halfway = (np.arange(-3000, 3000) + 0.5) / 10.0**ndigits
+    big = 2.0**52 / 10.0**ndigits * np.array([0.999, 1.0, 1.5, 7.0, 1e3, 1e12, 1e300])
+    x = np.concatenate(
+        [
+            halfway,
+            np.nextafter(halfway, np.inf),
+            np.nextafter(halfway, -np.inf),
+            big,
+            -big,
+            np.nextafter(big, 0.0),
+            big[1] * rng.uniform(0.5, 64.0, size=5000),
+            [0.0, -0.0, 1e-300, -1e-300, 0.4e-12, -0.4e-12, np.inf, -np.inf],
+            rng.standard_normal(20000) * 10.0 ** rng.integers(-14, 6, size=20000),
+        ]
+    )
+    want = np.array([round(float(v), ndigits) for v in x])
+    assert _round_array(x, ndigits).tobytes() == want.tobytes()
+    even = x.size // 2 * 2
+    assert _round_array(x[:even].reshape(-1, 2), ndigits).tobytes() == want[:even].tobytes()
+
+
+@pytest.mark.parametrize(
+    "make_group",
+    [*(lambda name=name: build(name) for name in zoo_names()),
+     lambda: direct_product(dihedral(10), cyclic(16))],
+    ids=[*zoo_names(), "D10xZ16"],
+)
+def test_direct_combination_matches_the_tensor_contraction(make_group):
+    g = make_group()
+    cs = conjugacy_structure(g)
+    sizes = cs.sizes.astype(np.float64)
+    scale = np.sqrt(sizes[None, None, :] / sizes[None, :, None])
+    combine = _class_combination(g, cs)
+    for attempt in range(2):
+        c = _paired_coefficients(np.random.default_rng([3, attempt]), cs.inverse_class)
+        want = np.einsum("i,ijk->jk", c, class_constants(g, cs) * scale)
+        assert np.abs(combine(c) - want).max() <= 1e-12

@@ -80,6 +80,16 @@ class TestGroupInfo:
         assert run_cli("group", "info", str(path)) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_memory_error_exits_2(self, monkeypatch, capsys):
+        def exhausted(name):
+            raise MemoryError()
+
+        monkeypatch.setattr("zamen.cli.zoo_build", exhausted)
+        assert run_cli("group", "info", "S3") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+        assert "Traceback" not in err
+
     def test_product_above_the_cap_exits_2(self, tmp_path, capsys):
         # S7 x S3 has order 30240; the S7 factor builds, the product is refused.
         s7 = {"kind": "perm", "degree": 7, "generators": ["(1 2)", "(1 2 3 4 5 6 7)"]}
@@ -126,6 +136,16 @@ class TestChartable:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "certification residual" in err
         assert "Traceback" not in err
+
+    def test_cached_table_is_held_to_the_callers_tolerance(self, tmp_path, capsys):
+        cache = str(tmp_path)
+        assert run_cli("group", "chartable", "D8", "--tol", "1e-2", "--cache-dir", cache) == 0
+        assert run_cli("group", "chartable", "D8", "--cache-dir", cache) == 0
+        assert "(cached)" in capsys.readouterr().out
+        assert run_cli("group", "chartable", "D8", "--tol", "1e-300", "--cache-dir", cache) == 1
+        captured = capsys.readouterr()
+        assert "(cached)" not in captured.out
+        assert captured.err.startswith("error:") and "certification residual" in captured.err
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "table.json"

@@ -31,6 +31,7 @@ from zamen.groups import (
     symmetric,
 )
 from zamen.zoo import build as zoo_build
+from zamen.zoo import zoo_names
 
 
 def brute_classes(group):
@@ -203,6 +204,35 @@ def test_center_examples():
     assert len(zq8) == 2
     zd4 = center(dihedral(4))
     assert len(zd4) == 2
+
+
+def transpose_center(group):
+    """The table-transpose definition of the centre, kept as the oracle."""
+    return np.nonzero((group.table == group.table.T).all(axis=1))[0]
+
+
+@pytest.mark.parametrize(
+    "make_group",
+    [*(lambda name=name: zoo_build(name) for name in zoo_names()),
+     lambda: symmetric(5),
+     lambda: direct_product(alternating(5), alternating(5))],
+    ids=[*zoo_names(), "S5", "A5xA5"],
+)
+def test_center_and_abelian_match_the_transpose_oracle(make_group):
+    g = make_group()
+    z = center(g)
+    assert z.dtype == np.int64
+    assert z.tolist() == transpose_center(g).tolist()
+    assert g.is_abelian == bool(np.array_equal(g.table, g.table.T))
+
+
+def test_conjugacy_structure_is_kept_and_read_only():
+    g = symmetric(4)
+    cs = conjugacy_structure(g)
+    assert conjugacy_structure(g) is cs
+    for array in (cs.class_of, cs.sizes, cs.reps, cs.inverse_class, *cs.classes):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_direct_product_structure():

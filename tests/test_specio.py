@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zamen.cache import CACHE_ENV_VAR, cached_character_table, resolve_cache_dir
-from zamen.characters import character_table
+from zamen.characters import character_table, verify_orthogonality
 from zamen.groups import conjugacy_structure, dihedral, quaternion_group, symmetric
 from zamen.specio import (
     SpecError,
@@ -175,6 +175,29 @@ class TestCache:
         table, hit = cached_character_table(group, cache_dir=tmp_path)
         assert not hit
         assert json.loads(path.read_text())["order"] == 6
+
+    def test_hit_carries_the_recomputed_residual(self, tmp_path):
+        group = dihedral(8)
+        table, _ = cached_character_table(group, cache_dir=tmp_path)
+        loaded, hit = cached_character_table(group, cache_dir=tmp_path)
+        assert hit
+        report = verify_orthogonality(loaded)
+        conj = float(np.abs(loaded.values[:, loaded.inverse_class] - np.conj(loaded.values)).max())
+        assert loaded.residual == max(table.residual, report.max_residual, conj)
+        assert loaded.residual <= 1e-9
+
+    def test_hit_that_misses_the_tolerance_is_recomputed(self, tmp_path):
+        group = dihedral(8)
+        cached_character_table(group, cache_dir=tmp_path, certification_tol=1e-2)
+        path = tmp_path / f"{group.content_hash}.json"
+        doc = json.loads(path.read_text())
+        doc["rows"][-1]["values"][0][0] += 1e-4  # the stored values now fail 1e-9
+        path.write_text(json.dumps(doc))
+        _, hit = cached_character_table(group, cache_dir=tmp_path, certification_tol=1e-2)
+        assert hit
+        table, hit = cached_character_table(group, cache_dir=tmp_path)
+        assert not hit and table.residual <= 1e-9
+        assert cached_character_table(group, cache_dir=tmp_path)[1]
 
     def test_relabeled_group_shares_entry(self, tmp_path):
         a = symmetric(3)
