@@ -12,6 +12,12 @@ Models (both on theta in [0, pi], Haar mass 1):
   integral cos^2(k theta) dlambda = 1/dimension_weight(k)
   (character_sq_norm = 1/weight), the convention recorded per model.
 
+Both character families come from one three-term recurrence,
+chi_0 = 1, chi_1 = a cos(theta), chi_{k+1} = 2 cos(theta) chi_k - chi_{k-1}:
+a = 2 gives the second-kind Chebyshev polynomials U_k(cos theta), which are
+the SU(2) characters (finite at theta in {0, pi}, where the sine ratio is
+0/0), and a = 1 gives cos(k theta).
+
 Norms of kernels sum_k a(k,n) chi_k and of tensor diagonals
 sum_k coef(k,n) chi_k (x) chi_k are integrated with composite
 Gauss-Legendre rules.  The integrands carry absolute values and are only
@@ -40,6 +46,7 @@ __all__ = [
     "dirichlet_scheme",
     "fejer_smoothed_scheme",
     "fejer_scheme",
+    "model_by_name",
     "scheme_by_name",
     "haar_mass",
     "orthogonality_residual",
@@ -54,11 +61,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HypergroupModel:
+    """A hypergroup on [0, pi] whose characters satisfy chi_1 = chi1_scale cos(theta)."""
+
     label: str
     weight: Callable[[np.ndarray], np.ndarray]
-    character: Callable[[int, np.ndarray], np.ndarray]
+    chi1_scale: float
     dimension_weight: Callable[[int], float]
     character_sq_norm: Callable[[int], float]
+
+    def character(self, k: int, theta):
+        """chi_k at theta: a float for a scalar theta, an array otherwise."""
+        theta = np.asarray(theta, dtype=np.float64)
+        row = _character_rows(self, k, theta.reshape(-1))[k]
+        return float(row[0]) if theta.ndim == 0 else row.reshape(theta.shape)
 
 
 @dataclass(frozen=True)
@@ -81,10 +96,22 @@ class CoefficientScheme:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Composite Gauss-Legendre settings; the refined grid has refinement_factor x panels."""
+
     panels: int = 64
     nodes_per_panel: int = 16
     refinement_factor: int = 2
     tolerance: float = 1e-6
+
+    def __post_init__(self) -> None:
+        # A refinement factor of 1 would make the error estimate 0 by construction.
+        for name, minimum in (("panels", 1), ("nodes_per_panel", 1), ("refinement_factor", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+                raise ValueError(f"quadrature {name} must be an integer >= {minimum}, got {value!r}")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol < np.inf:
+            raise ValueError(f"quadrature tolerance must be a positive finite number, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -95,29 +122,19 @@ class QuadratureResult:
     config_hash: str
 
 
-def _chebyshev_u(k: int, x: np.ndarray) -> np.ndarray:
-    """Second-kind Chebyshev polynomial U_k(x) by forward recurrence."""
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev
-    cur = 2.0 * x
-    for _ in range(k - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
-
-
-def _su2_character(k: int, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    scalar = theta.ndim == 0
-    t = np.atleast_1d(theta)
-    s = np.sin(t)
-    out = np.empty_like(t)
-    safe = np.abs(s) > 1e-8
-    out[safe] = np.sin((k + 1) * t[safe]) / s[safe]
-    if not safe.all():
-        # Removable singularities at theta in {0, pi}: chi_k = U_k(cos theta).
-        out[~safe] = _chebyshev_u(k, np.cos(t[~safe]))
-    return float(out[0]) if scalar else out
+def _character_rows(model: HypergroupModel, kmax: int, theta: np.ndarray) -> np.ndarray:
+    """The (kmax+1) x len(theta) matrix of chi_0..chi_kmax, by the three-term recurrence."""
+    rows = np.empty((kmax + 1, theta.size))
+    rows[0] = 1.0
+    if kmax == 0:
+        return rows
+    cos = np.cos(theta)
+    rows[1] = model.chi1_scale * cos
+    two_cos = 2.0 * cos
+    for k in range(1, kmax):
+        np.multiply(two_cos, rows[k], out=rows[k + 1])
+        rows[k + 1] -= rows[k - 1]
+    return rows
 
 
 def su2_model() -> HypergroupModel:
@@ -125,7 +142,7 @@ def su2_model() -> HypergroupModel:
     return HypergroupModel(
         label="su2",
         weight=lambda theta: (2.0 / np.pi) * np.sin(theta) ** 2,
-        character=_su2_character,
+        chi1_scale=2.0,
         dimension_weight=lambda k: float(k + 1),
         character_sq_norm=lambda k: 1.0,
     )
@@ -136,7 +153,7 @@ def chebyshev_model() -> HypergroupModel:
     return HypergroupModel(
         label="chebyshev",
         weight=lambda theta: np.full_like(np.asarray(theta, dtype=np.float64), 1.0 / np.pi),
-        character=lambda k, theta: np.cos(k * np.asarray(theta, dtype=np.float64)),
+        chi1_scale=1.0,
         dimension_weight=lambda k: 1.0 if k == 0 else 2.0,
         character_sq_norm=lambda k: 1.0 if k == 0 else 0.5,
     )
@@ -215,16 +232,12 @@ def _config_hash(model: HypergroupModel, scheme_name: str, n: int, quad: Quadrat
             "panels": quad.panels,
             "nodes_per_panel": quad.nodes_per_panel,
             "refinement_factor": quad.refinement_factor,
-            "tolerance": quad.tolerance,
+            "tolerance": float(quad.tolerance),  # 1 and 1.0 are one setting
         },
         sort_keys=True,
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _character_matrix(model: HypergroupModel, kmax: int, points: np.ndarray) -> np.ndarray:
-    return np.vstack([model.character(k, points) for k in range(kmax + 1)])
 
 
 def haar_mass(model: HypergroupModel, quad: QuadratureConfig | None = None) -> float:
@@ -239,20 +252,40 @@ def orthogonality_residual(
     """Max deviation of integral chi_j chi_k dlambda from the model's convention."""
     quad = quad or QuadratureConfig()
     points, weights = _grid(quad.panels, quad.nodes_per_panel)
-    v = _character_matrix(model, kmax, points)
+    v = _character_rows(model, kmax, points)
     u = weights * model.weight(points)
     gram = (v * u[None, :]) @ v.T
     expected = np.diag([model.character_sq_norm(k) for k in range(kmax + 1)])
     return float(np.abs(gram - expected).max())
 
 
-def _diagonal_norm_on_grid(
-    model: HypergroupModel, coefs: np.ndarray, points: np.ndarray, weights: np.ndarray
-) -> float:
-    v = _character_matrix(model, coefs.size - 1, points)
-    kernel = v.T @ (coefs[:, None] * v)
-    u = weights * model.weight(points)
-    return float(u @ np.abs(kernel) @ u)
+def _two_grid(
+    model: HypergroupModel,
+    scheme: CoefficientScheme,
+    n: int,
+    quad: QuadratureConfig,
+    integral: Callable[[np.ndarray, np.ndarray], float],
+) -> QuadratureResult:
+    """Integrate on the configured grid and on the refined one.
+
+    ``integral(v, u)`` gets the character matrix chi_0..chi_n at the grid
+    points and the Haar quadrature weights there.  The refined value is
+    reported with |refined - base| as the error estimate; a result whose
+    estimate exceeds the configured tolerance is flagged as non-converged
+    rather than rejected.
+    """
+    values = []
+    for panels in (quad.panels, quad.panels * quad.refinement_factor):
+        points, weights = _grid(panels, quad.nodes_per_panel)
+        values.append(integral(_character_rows(model, n, points), weights * model.weight(points)))
+    base, refined = values
+    err = abs(refined - base)
+    return QuadratureResult(
+        value=refined,
+        error_estimate=err,
+        converged=err <= quad.tolerance * max(1.0, abs(refined)),
+        config_hash=_config_hash(model, scheme.name, n, quad),
+    )
 
 
 def diagonal_norm(
@@ -261,36 +294,14 @@ def diagonal_norm(
     n: int,
     quad: QuadratureConfig | None = None,
 ) -> QuadratureResult:
-    """L1(lambda x lambda) norm of sum_k coef(k,n) chi_k (x) chi_k.
-
-    Evaluated at the configured panel count and once more at the refined
-    count; the refined value is reported with |refined - base| as the error
-    estimate.  A result whose estimate exceeds the configured tolerance is
-    flagged as non-converged rather than rejected.
-    """
-    quad = quad or QuadratureConfig()
+    """L1(lambda x lambda) norm of sum_k coef(k,n) chi_k (x) chi_k, on two grids."""
     coefs = np.array([scheme.tensor_coefficient(k, n) for k in range(n + 1)])
-    base = _diagonal_norm_on_grid(model, coefs, *_grid(quad.panels, quad.nodes_per_panel))
-    refined_points, refined_weights = _grid(
-        quad.panels * quad.refinement_factor, quad.nodes_per_panel
-    )
-    refined = _diagonal_norm_on_grid(model, coefs, refined_points, refined_weights)
-    err = abs(refined - base)
-    return QuadratureResult(
-        value=refined,
-        error_estimate=err,
-        converged=err <= quad.tolerance * max(1.0, abs(refined)),
-        config_hash=_config_hash(model, scheme.name, n, quad),
-    )
 
+    def integral(v: np.ndarray, u: np.ndarray) -> float:
+        kernel = v.T @ (coefs[:, None] * v)
+        return float(u @ np.abs(kernel) @ u)
 
-def _bai_norm_on_grid(
-    model: HypergroupModel, coefs: np.ndarray, points: np.ndarray, weights: np.ndarray
-) -> float:
-    v = _character_matrix(model, coefs.size - 1, points)
-    kernel = coefs @ v
-    u = weights * model.weight(points)
-    return float(u @ np.abs(kernel))
+    return _two_grid(model, scheme, n, quad or QuadratureConfig(), integral)
 
 
 def bai_norm(
@@ -299,19 +310,10 @@ def bai_norm(
     n: int,
     quad: QuadratureConfig | None = None,
 ) -> QuadratureResult:
-    """L1(lambda) norm of the level-n kernel sum_k a(k,n) chi_k."""
-    quad = quad or QuadratureConfig()
+    """L1(lambda) norm of the level-n kernel sum_k a(k,n) chi_k, on two grids."""
     coefs = np.array([scheme.coefficient(k, n) for k in range(n + 1)])
-    base = _bai_norm_on_grid(model, coefs, *_grid(quad.panels, quad.nodes_per_panel))
-    refined = _bai_norm_on_grid(
-        model, coefs, *_grid(quad.panels * quad.refinement_factor, quad.nodes_per_panel)
-    )
-    err = abs(refined - base)
-    return QuadratureResult(
-        value=refined,
-        error_estimate=err,
-        converged=err <= quad.tolerance * max(1.0, abs(refined)),
-        config_hash=_config_hash(model, scheme.name, n, quad),
+    return _two_grid(
+        model, scheme, n, quad or QuadratureConfig(), lambda v, u: float(u @ np.abs(coefs @ v))
     )
 
 
@@ -382,9 +384,8 @@ def character_decay_probe(
         raise ValueError("thetas must be a nonempty 1-d array")
     if (thetas < 1e-3).any() or (thetas > np.pi - 1e-3).any():
         raise ValueError("theta values must stay 1e-3 away from 0 and pi")
-    values = np.empty((thetas.size, kmax + 1))
-    for k in range(kmax + 1):
-        values[:, k] = np.abs(model.character(k, thetas)) / model.dimension_weight(k)
+    dims = np.array([model.dimension_weight(k) for k in range(kmax + 1)])
+    values = np.abs(_character_rows(model, kmax, thetas)).T / dims
     half = kmax // 2
     tail_max = float(values[:, half:].max())
     bound = 2.0 / ((half + 1) * np.sin(thetas.min()))
@@ -393,7 +394,7 @@ def character_decay_probe(
     )
 
 
-def _model_by_name(name: str) -> HypergroupModel:
+def model_by_name(name: str) -> HypergroupModel:
     if name == "su2":
         return su2_model()
     if name == "chebyshev":
@@ -401,44 +402,32 @@ def _model_by_name(name: str) -> HypergroupModel:
     raise ValueError(f"unknown hypergroup model {name!r}")
 
 
-def run_experiment(spec: dict, jobs: int = 1) -> list[dict]:
+def run_experiment(spec: dict) -> list[dict]:
     """Run one experiment spec: a model, a scheme, and a list of levels.
 
-    Returns one row per level with the diagonal norm, the kernel norm, the
-    SU(2) lower bound where applicable, and reproducibility metadata.  Rows
-    come back in the order of the requested levels regardless of ``jobs``.
+    Returns one row per level, in the order of the requested levels, with
+    the diagonal norm, the kernel norm, the SU(2) lower bound where
+    applicable, and reproducibility metadata.
     """
-    model = _model_by_name(spec["model"])
+    model = model_by_name(spec["model"])
     scheme = scheme_by_name(model, spec["scheme"])
-    qspec = spec.get("quadrature", {})
-    quad = QuadratureConfig(
-        panels=int(qspec.get("panels", 64)),
-        nodes_per_panel=int(qspec.get("nodes_per_panel", 16)),
-        refinement_factor=int(qspec.get("refinement_factor", 2)),
-        tolerance=float(qspec.get("tolerance", 1e-6)),
-    )
-    levels = [int(n) for n in spec["n"]]
-
-    def one(n: int) -> dict:
+    quad = QuadratureConfig(**spec.get("quadrature", {}))
+    rows = []
+    for n in map(int, spec["n"]):
         dn = diagonal_norm(model, scheme, n, quad)
         bn = bai_norm(model, scheme, n, quad)
-        row = {
-            "model": model.label,
-            "scheme": scheme.name,
-            "n": n,
-            "diagonal_norm": dn.value,
-            "diagonal_error_estimate": dn.error_estimate,
-            "diagonal_converged": dn.converged,
-            "bai_norm": bn.value,
-            "bai_error_estimate": bn.error_estimate,
-            "lower_bound": su2_divergence_lower_bound(scheme, n) if model.label == "su2" else "",
-            "config_hash": dn.config_hash,
-        }
-        return row
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, levels))
-    return [one(n) for n in levels]
+        rows.append(
+            {
+                "model": model.label,
+                "scheme": scheme.name,
+                "n": n,
+                "diagonal_norm": dn.value,
+                "diagonal_error_estimate": dn.error_estimate,
+                "diagonal_converged": dn.converged,
+                "bai_norm": bn.value,
+                "bai_error_estimate": bn.error_estimate,
+                "lower_bound": su2_divergence_lower_bound(scheme, n) if model.label == "su2" else "",
+                "config_hash": dn.config_hash,
+            }
+        )
+    return rows

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from typing import Any
 
 import numpy as np
@@ -34,6 +35,7 @@ from .groups import (
     parse_permutation,
     semidirect_product,
 )
+from .hypergroups import QuadratureConfig, model_by_name, scheme_by_name
 
 __all__ = [
     "SpecError",
@@ -215,26 +217,34 @@ def load_character_table(payload: dict, cs: ConjugacyStructure) -> CharacterTabl
     )
 
 
-_SCHEME_NAMES = ("dirichlet", "fejer-smoothed", "fejer", "fejer-signed")
-
-
 def load_experiment_spec(payload: dict) -> dict:
-    """Validate a ``zamen-experiment`` document and fill quadrature defaults."""
+    """Validate a ``zamen-experiment`` document.
+
+    Model and scheme names are resolved by ``zamen.hypergroups``; the
+    quadrature settings must be accepted by ``QuadratureConfig``.
+    """
     _check_header(payload, EXPERIMENT_FORMAT)
     model = payload.get("model")
-    if model not in ("su2", "chebyshev"):
-        raise SpecError(f"unknown hypergroup model {model!r}")
     scheme = payload.get("scheme")
-    if scheme not in _SCHEME_NAMES:
-        raise SpecError(f"unknown coefficient scheme {scheme!r}")
+    try:
+        scheme_by_name(model_by_name(model), scheme)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
     levels = payload.get("n")
     if not isinstance(levels, list) or not levels:
         raise SpecError("experiment specs need a nonempty list of levels n")
-    if any((not isinstance(n, int)) or n < 0 for n in levels):
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in levels):
         raise SpecError("levels must be nonnegative integers")
     quadrature = payload.get("quadrature", {})
     if not isinstance(quadrature, dict):
         raise SpecError("quadrature settings must be an object")
+    unknown = sorted(set(quadrature) - {f.name for f in fields(QuadratureConfig)})
+    if unknown:
+        raise SpecError(f"unknown quadrature settings {unknown}")
+    try:
+        QuadratureConfig(**quadrature)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
     return {
         "model": model,
         "scheme": scheme,

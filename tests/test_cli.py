@@ -9,7 +9,6 @@ import pytest
 
 from zamen.cli import CSV_COLUMNS, main
 from zamen.specio import stable_json
-from zamen.zoo import zoo_names
 
 
 def run_cli(*argv):
@@ -178,23 +177,6 @@ class TestAmconst:
         assert all(r["gap_ok"] for r in doc["results"])
         assert doc["manifest"]["result_summary"]["all_gap_ok"] is True
 
-    def test_zoo_parallel_matches_serial(self, tmp_path, capsys):
-        # Warm the cache first: cache entries round values to 12 decimals,
-        # so a fresh table and a reloaded one differ in the last ulp.
-        assert run_cli("group", "amconst", "--zoo", "--json", "--cache-dir", str(tmp_path)) == 0
-        capsys.readouterr()
-        assert run_cli("group", "amconst", "--zoo", "--json", "--cache-dir", str(tmp_path)) == 0
-        serial = json.loads(capsys.readouterr().out)["results"]
-        assert (
-            run_cli(
-                "group", "amconst", "--zoo", "--jobs", "4", "--json", "--cache-dir", str(tmp_path)
-            )
-            == 0
-        )
-        parallel = json.loads(capsys.readouterr().out)["results"]
-        assert [r["group"] for r in serial] == list(zoo_names())
-        assert serial == parallel
-
     def test_no_groups_exits_2(self, capsys):
         assert run_cli("group", "amconst") == 2
         assert "at least one group" in capsys.readouterr().err
@@ -238,9 +220,54 @@ class TestHypergroupRun:
 
     def test_parallel_rows_in_input_order(self, tmp_path, capsys):
         spec = self.make_spec(tmp_path, n=[8, 2, 4])
-        assert run_cli("hypergroup", "run", str(spec), "--json", "--jobs", "3") == 0
+        assert run_cli("hypergroup", "run", str(spec), "--json") == 0
         doc = json.loads(capsys.readouterr().out)
         assert [r["n"] for r in doc["rows"]] == [8, 2, 4]
+        assert "jobs" not in doc["manifest"]["config"]
+
+    def test_unconverged_rows_warn_on_stderr(self, tmp_path, capsys):
+        # The default grid does not converge for SU(2) Dirichlet at n = 50.
+        spec = self.make_spec(tmp_path, model="su2", scheme="dirichlet", n=[2, 50], quadrature={})
+        assert run_cli("hypergroup", "run", str(spec)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: 1 of 2 rows unconverged\n"
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert [r["diagonal_converged"] for r in rows] == ["True", "False"]
+
+    def test_converged_rows_print_no_warning(self, tmp_path, capsys):
+        assert run_cli("hypergroup", "run", str(self.make_spec(tmp_path))) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "quadrature, message",
+        [
+            ({"panels": 0}, "panels must be an integer >= 1"),
+            ({"panels": "abc"}, "panels must be an integer >= 1"),
+            ({"panels": True}, "panels must be an integer >= 1"),
+            ({"panels": 32.0}, "panels must be an integer >= 1"),
+            ({"nodes_per_panel": 0}, "nodes_per_panel must be an integer >= 1"),
+            ({"refinement_factor": 0}, "refinement_factor must be an integer >= 2"),
+            ({"refinement_factor": 1}, "refinement_factor must be an integer >= 2"),
+            ({"tolerance": -1}, "tolerance must be a positive finite number"),
+            ({"tolerance": 0}, "tolerance must be a positive finite number"),
+            ({"tolerance": float("inf")}, "tolerance must be a positive finite number"),
+            ({"tolerance": float("nan")}, "tolerance must be a positive finite number"),
+            ({"tolerance": "1e-6"}, "tolerance must be a positive finite number"),
+            ({"panel": 32}, "unknown quadrature settings ['panel']"),
+        ],
+    )
+    def test_bad_quadrature_exits_2(self, tmp_path, capsys, quadrature, message):
+        spec = self.make_spec(tmp_path, quadrature=quadrature)
+        assert run_cli("hypergroup", "run", str(spec)) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_scheme_of_the_other_model_exits_2(self, tmp_path, capsys):
+        spec = self.make_spec(tmp_path, model="su2", scheme="fejer")
+        assert run_cli("hypergroup", "run", str(spec)) == 2
+        assert "specific to the chebyshev model" in capsys.readouterr().err
 
     def test_su2_rows_include_bound(self, tmp_path, capsys):
         spec = self.make_spec(tmp_path, model="su2", scheme="dirichlet", n=[2])
@@ -288,6 +315,19 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["group", "amconst", "--zoo", "--jobs", "2"],
+            ["hypergroup", "run", "spec.json", "--jobs", "2"],
+        ],
+    )
+    def test_jobs_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         result = subprocess.run(

@@ -7,6 +7,9 @@ Oracles:
 - The circle-quotient Fejer kernel is nonnegative with unit mass, so its
   diagonal norm is exactly 1 at every level.
 - The SU(2) lower bound at n = 1 is (2/pi)^2 (4/3)^2 by hand.
+- The characters come from one three-term recurrence; the sine ratio
+  sin((k+1) theta)/sin(theta) (with U_k(cos theta) at the removable
+  singularities) and cos(k theta) are the closed-form oracles.
 """
 
 import numpy as np
@@ -15,6 +18,8 @@ import pytest
 from zamen.hypergroups import (
     CoefficientScheme,
     QuadratureConfig,
+    _character_rows,
+    _grid,
     bai_norm,
     character_decay_probe,
     chebyshev_model,
@@ -30,6 +35,34 @@ from zamen.hypergroups import (
     su2_divergence_lower_bound,
     su2_model,
 )
+
+
+def chebyshev_u(k, x):
+    """Second-kind Chebyshev polynomial U_k(x) by forward recurrence."""
+    prev = np.ones_like(x)
+    if k == 0:
+        return prev
+    cur = 2.0 * x
+    for _ in range(k - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur
+
+
+def sin_ratio_character(k, theta):
+    """chi_k = sin((k+1) theta)/sin(theta), and U_k(cos theta) where sin(theta) ~ 0."""
+    t = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    s = np.sin(t)
+    out = np.empty_like(t)
+    safe = np.abs(s) > 1e-8
+    out[safe] = np.sin((k + 1) * t[safe]) / s[safe]
+    if not safe.all():
+        out[~safe] = chebyshev_u(k, np.cos(t[~safe]))
+    return out
+
+
+def refined_grid_points(quad=QuadratureConfig()):
+    points, _ = _grid(quad.panels * quad.refinement_factor, quad.nodes_per_panel)
+    return points
 
 
 def trapezoid_diagonal_norm(model, coefs, num_points=2001):
@@ -63,13 +96,39 @@ class TestModels:
 
     def test_su2_character_near_singularity_matches_ratio(self):
         model = su2_model()
-        # Just outside the guard threshold the ratio formula is used; just
-        # inside, the recurrence.  They must agree across the seam.
+        # Either side of the oracle's 1e-8 guard on sin(theta), where it
+        # switches between the sine ratio and U_k.
         for k in (3, 10):
-            left = model.character(k, 1e-8 * 0.5)
-            right = model.character(k, 2e-8)
-            assert abs(left - (k + 1)) < 1e-6
-            assert abs(right - (k + 1)) < 1e-6
+            for theta in (1e-8 * 0.5, 2e-8):
+                assert abs(model.character(k, theta) - (k + 1)) < 1e-6
+                assert abs(model.character(k, theta) - sin_ratio_character(k, theta)[0]) < 1e-6
+
+    def test_su2_recurrence_matches_sine_ratio_on_refined_grid(self):
+        # kmax = 800 is the top level of the compact studies.
+        theta = refined_grid_points()
+        rows = _character_rows(su2_model(), 800, theta)
+        oracle = np.vstack([sin_ratio_character(k, theta) for k in range(801)])
+        scale = np.arange(1, 802)[:, None]
+        assert (np.abs(rows - oracle) <= 1e-9 * scale).all()
+
+    def test_su2_recurrence_matches_u_k_at_endpoints(self):
+        model = su2_model()
+        endpoints = np.array([0.0, np.pi])
+        for k in (0, 1, 5, 100, 800):
+            got = model.character(k, endpoints)
+            assert np.array_equal(got, sin_ratio_character(k, endpoints))
+            assert got.tolist() == [k + 1, (-1) ** k * (k + 1)]
+
+    def test_chebyshev_recurrence_matches_cosine(self):
+        theta = np.concatenate([refined_grid_points(), [0.0, np.pi]])
+        rows = _character_rows(chebyshev_model(), 800, theta)
+        assert np.abs(rows - np.cos(np.arange(801)[:, None] * theta)).max() <= 1e-9
+
+    def test_character_keeps_the_shape_of_theta(self):
+        model = su2_model()
+        assert isinstance(model.character(3, 0.5), float)
+        theta = np.linspace(0.1, 3.0, 6).reshape(2, 3)
+        assert model.character(3, theta).shape == (2, 3)
 
     def test_dimension_weights(self):
         su2 = su2_model()
@@ -254,11 +313,6 @@ class TestRunExperiment:
         assert all(r["model"] == "chebyshev" for r in rows)
         assert all(abs(r["diagonal_norm"] - 1.0) < 1e-5 for r in rows)
         assert all(r["lower_bound"] == "" for r in rows)
-
-    def test_parallel_matches_serial(self):
-        serial = run_experiment(self.SPEC, jobs=1)
-        parallel = run_experiment(self.SPEC, jobs=4)
-        assert serial == parallel
 
     def test_su2_rows_carry_bound(self):
         spec = {

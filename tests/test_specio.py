@@ -148,6 +148,8 @@ class TestExperimentSpecs:
             load_experiment_spec({**base, "n": []})
         with pytest.raises(SpecError, match="nonnegative integers"):
             load_experiment_spec({**base, "n": [2, -1]})
+        with pytest.raises(SpecError, match="nonnegative integers"):
+            load_experiment_spec({**base, "n": [2, True]})
 
 
 class TestCache:
