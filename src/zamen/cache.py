@@ -18,6 +18,7 @@ import tempfile
 from pathlib import Path
 
 from .characters import DEFAULT_CERT_TOL, CharacterTable, _certification_residual, character_table
+from .characters import _check_tolerance
 from .groups import ConjugacyStructure, FiniteGroup, conjugacy_structure
 from .specio import SpecError, character_table_payload, load_character_table, stable_json
 
@@ -40,7 +41,8 @@ def cached_character_table(
     group: FiniteGroup,
     cs: ConjugacyStructure | None = None,
     cache_dir: str | os.PathLike | None = None,
-    **table_kwargs,
+    *,
+    certification_tol: float = DEFAULT_CERT_TOL,
 ) -> tuple[CharacterTable, bool]:
     """Return the group's character table and whether it came from cache.
 
@@ -49,7 +51,9 @@ def cached_character_table(
     whose stored values miss the caller's ``certification_tol``: on a hit the
     row, column and conjugation residuals are recomputed from the loaded
     values, and the table carries the larger of that and the stored residual.
+    A ``certification_tol`` that is not positive and finite raises ValueError.
     """
+    _check_tolerance(certification_tol)
     cs = cs or conjugacy_structure(group)
     directory = resolve_cache_dir(cache_dir)
     path = directory / f"{group.content_hash}.json"
@@ -65,9 +69,9 @@ def cached_character_table(
         except (json.JSONDecodeError, SpecError, KeyError, TypeError, ValueError, IndexError):
             pass
         else:
-            if residual <= table_kwargs.get("certification_tol", DEFAULT_CERT_TOL):
+            if residual <= certification_tol:
                 return dataclasses.replace(loaded, residual=residual), True
-    table = character_table(group, cs, **table_kwargs)
+    table = character_table(group, cs, certification_tol=certification_tol)
     directory.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

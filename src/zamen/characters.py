@@ -23,6 +23,7 @@ Rows and columns are ordered by rounded value keys with ``np.lexsort``;
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -226,6 +227,12 @@ def _certification_residual(
     return max(report.max_residual, conj_residual)
 
 
+def _check_tolerance(certification_tol: float) -> None:
+    """Reject a tolerance that no residual could fail (inf, nan) or meet (<= 0)."""
+    if not (math.isfinite(certification_tol) and certification_tol > 0):
+        raise ValueError(f"certification_tol must be positive and finite, not {certification_tol!r}")
+
+
 def character_table(
     group: FiniteGroup,
     cs: ConjugacyStructure | None = None,
@@ -241,7 +248,9 @@ def character_table(
     combination collide (within ``collision_tol``, scaled by the spectral
     diameter) or when certification misses ``certification_tol``; after
     ``max_retries`` failures raises DegeneracyError / CertificationError.
+    A ``certification_tol`` that is not positive and finite raises ValueError.
     """
+    _check_tolerance(certification_tol)
     cs = cs or conjugacy_structure(group)
     n = group.order
     k = cs.num_classes

@@ -14,8 +14,12 @@ Commands:
 
 GROUP arguments are either names from the built-in zoo (``zamen group
 amconst --zoo`` lists results for all of them) or paths to group spec JSON
-files.  Exit codes: 0 on success, 1 when a verification or check fails
-(a character table that misses its certification tolerance included), 2 on
+files; ``--tol`` takes a positive finite number (default 1e-9).  Every
+command's run manifest is embedded under ``"manifest"`` with ``--json``, and
+plain output written with ``--out FILE`` gets it in ``FILE.manifest.json``.
+
+Exit codes: 0 on success, 1 when a verification or check fails (a
+character table that misses its certification tolerance included), 2 on
 usage, input or size errors, running out of memory included.
 """
 
@@ -25,20 +29,17 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .amenability import (
-    amenability_constant,
-    hilbert_schmidt_lower_bound,
-    nonabelian_gap_check,
-)
+from .amenability import amenability_constant, hilbert_schmidt_lower_bound, nonabelian_gap_check
 from .cache import cached_character_table, resolve_cache_dir
-from .characters import CertificationError, DegeneracyError
+from .characters import DEFAULT_CERT_TOL, CertificationError, DegeneracyError
 from .groups import FiniteGroup, SizeLimitError, ValidationError, center, conjugacy_structure
 from .hypergroups import run_experiment
 from .specio import (
@@ -50,8 +51,7 @@ from .specio import (
     stable_json,
 )
 from .tz2 import verify_identity_measure
-from .zoo import build as zoo_build
-from .zoo import zoo_names
+from .zoo import build as zoo_build, zoo_names
 
 CSV_COLUMNS = (
     "model",
@@ -68,28 +68,16 @@ CSV_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record attached to every machine-readable output."""
+class Output:
+    """A command's ``--json`` document (manifest aside), its plain text or CSV,
+    the manifest fields only the command knows, and its exit code."""
 
-    command: str
+    doc: dict
+    text: str
     input_hash: str
     config: dict
-    tool_version: str
-    timestamp: str
-    result_summary: dict
-
-
-def _manifest(command: str, input_hash: str, config: dict, summary: dict) -> dict:
-    return asdict(
-        RunManifest(
-            command=command,
-            input_hash=input_hash,
-            config=config,
-            tool_version=__version__,
-            timestamp=datetime.now(timezone.utc).isoformat(),
-            result_summary=summary,
-        )
-    )
+    summary: dict
+    code: int = 0
 
 
 def _resolve_group(token: str) -> FiniteGroup:
@@ -108,27 +96,31 @@ def _resolve_group(token: str) -> FiniteGroup:
         ) from None
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
+def _write(args: argparse.Namespace, output: Output) -> int:
+    """Write ``output`` to ``--out`` or stdout, with its run manifest."""
+    manifest = {
+        "command": f"{args.command} {args.subcommand}",
+        "input_hash": output.input_hash,
+        "config": output.config,
+        "tool_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "result_summary": output.summary,
+    }
+    if args.json:
+        text = json.dumps({**output.doc, "manifest": manifest}, indent=2, sort_keys=True)
+    else:
+        text = output.text
+        if args.out:
+            Path(f"{args.out}.manifest.json").write_text(stable_json(manifest))
+    text = text if text.endswith("\n") else text + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    return output.code
 
 
-def _write_manifest_sidecar(out: str | None, manifest: dict) -> None:
-    if out:
-        Path(f"{out}.manifest.json").write_text(stable_json(manifest))
-
-
-def _fmt_rational(value: float, rational: Fraction | None) -> str:
-    if rational is not None:
-        return f"{value:.10f} (= {rational})"
-    return f"{value:.10f}"
-
-
-def _cmd_group_info(args: argparse.Namespace) -> int:
+def _cmd_group_info(args: argparse.Namespace) -> Output:
     group = _resolve_group(args.group)
     cs = conjugacy_structure(group)
     central = center(group)
@@ -142,12 +134,6 @@ def _cmd_group_info(args: argparse.Namespace) -> int:
         "class_reps": [int(r) for r in cs.reps],
         "content_hash": group.content_hash,
     }
-    if args.json:
-        record["manifest"] = _manifest(
-            "group info", sha256_hex(group.content_hash), {}, {"order": group.order}
-        )
-        _write_output(json.dumps(record, indent=2), args.out)
-        return 0
     lines = [
         f"{group.label}: order {group.order}, {cs.num_classes} classes, "
         f"center size {len(central)}",
@@ -155,27 +141,17 @@ def _cmd_group_info(args: argparse.Namespace) -> int:
         "class sizes: " + " ".join(str(int(s)) for s in cs.sizes),
         f"content hash: {group.content_hash}",
     ]
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return Output(
+        record, "\n".join(lines), sha256_hex(group.content_hash), {}, {"order": group.order}
+    )
 
 
-def _cmd_group_chartable(args: argparse.Namespace) -> int:
+def _cmd_group_chartable(args: argparse.Namespace) -> Output:
     group = _resolve_group(args.group)
     cs = conjugacy_structure(group)
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["certification_tol"] = args.tol
-    table, from_cache = cached_character_table(group, cs, cache_dir=args.cache_dir, **kwargs)
-    payload = character_table_payload(table)
-    if args.json:
-        payload["manifest"] = _manifest(
-            "group chartable",
-            sha256_hex(group.content_hash),
-            {"cache_dir": str(resolve_cache_dir(args.cache_dir)), "tol": args.tol},
-            {"from_cache": from_cache, "residual": table.residual},
-        )
-        _write_output(json.dumps(payload, indent=2, sort_keys=True), args.out)
-        return 0
+    table, from_cache = cached_character_table(
+        group, cs, cache_dir=args.cache_dir, certification_tol=args.tol
+    )
     lines = [
         f"{group.label}: {table.num_classes} irreducible characters"
         + (" (cached)" if from_cache else ""),
@@ -191,15 +167,17 @@ def _cmd_group_chartable(args: argparse.Namespace) -> int:
             else:
                 cells.append(f"{v.real:.3f}{v.imag:+.3f}i")
         lines.append(f"  chi[d={int(d)}]  " + " ".join(cells))
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return Output(
+        character_table_payload(table),
+        "\n".join(lines),
+        sha256_hex(group.content_hash),
+        {"cache_dir": str(resolve_cache_dir(args.cache_dir)), "tol": args.tol},
+        {"from_cache": from_cache, "residual": table.residual},
+    )
 
 
-def _amconst_record(name: str, group: FiniteGroup, cache_dir: str | None, tol: float | None):
-    kwargs = {}
-    if tol is not None:
-        kwargs["certification_tol"] = tol
-    table, _ = cached_character_table(group, cache_dir=cache_dir, **kwargs)
+def _amconst_record(name: str, group: FiniteGroup, cache_dir: str | None, tol: float):
+    table, _ = cached_character_table(group, cache_dir=cache_dir, certification_tol=tol)
     am = amenability_constant(table)
     gap = nonabelian_gap_check(table)
     return {
@@ -213,32 +191,15 @@ def _amconst_record(name: str, group: FiniteGroup, cache_dir: str | None, tol: f
     }
 
 
-def _cmd_group_amconst(args: argparse.Namespace) -> int:
-    if args.zoo:
-        names = list(zoo_names())
-        groups = [zoo_build(n) for n in names]
-    else:
-        if not args.groups:
-            raise SpecError("give at least one group, or use --zoo")
-        names = list(args.groups)
-        groups = [_resolve_group(token) for token in names]
-
+def _cmd_group_amconst(args: argparse.Namespace) -> Output:
+    if not (args.zoo or args.groups):
+        raise SpecError("give at least one group, or use --zoo")
+    names = list(zoo_names()) if args.zoo else list(args.groups)
+    groups = [zoo_build(n) if args.zoo else _resolve_group(n) for n in names]
     records = [
         _amconst_record(name, group, args.cache_dir, args.tol) for name, group in zip(names, groups)
     ]
     all_ok = all(r["gap_ok"] for r in records)
-    if args.json:
-        doc = {
-            "results": records,
-            "manifest": _manifest(
-                "group amconst",
-                sha256_hex(stable_json([g.content_hash for g in groups])),
-                {"zoo": args.zoo, "tol": args.tol},
-                {"groups": len(records), "all_gap_ok": all_ok},
-            ),
-        }
-        _write_output(json.dumps(doc, indent=2), args.out)
-        return 0 if all_ok else 1
     lines = []
     for r in records:
         rational = f" (= {r['am_rational']})" if r["am_rational"] else ""
@@ -248,11 +209,17 @@ def _cmd_group_amconst(args: argparse.Namespace) -> int:
             f"{'abelian' if r['abelian'] else 'nonabelian'}, "
             f"gap {'ok' if r['gap_ok'] else 'VIOLATED'}"
         )
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0 if all_ok else 1
+    return Output(
+        {"results": records},
+        "\n".join(lines),
+        sha256_hex(stable_json([g.content_hash for g in groups])),
+        {"zoo": args.zoo, "tol": args.tol},
+        {"groups": len(records), "all_gap_ok": all_ok},
+        code=0 if all_ok else 1,
+    )
 
 
-def _cmd_hypergroup_run(args: argparse.Namespace) -> int:
+def _cmd_hypergroup_run(args: argparse.Namespace) -> Output:
     try:
         payload = json.loads(Path(args.spec).read_text())
     except OSError as exc:
@@ -262,51 +229,36 @@ def _cmd_hypergroup_run(args: argparse.Namespace) -> int:
     spec = load_experiment_spec(payload)
     rows = run_experiment(spec)
     unconverged = sum(not r["diagonal_converged"] for r in rows)
-    manifest = _manifest(
-        "hypergroup run",
+    if unconverged:
+        print(f"warning: {unconverged} of {len(rows)} rows unconverged", file=sys.stderr)
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return Output(
+        {"rows": rows},
+        buffer.getvalue(),
         sha256_hex(stable_json(spec)),
         {"spec": spec},
         {"rows": len(rows), "all_converged": unconverged == 0},
     )
-    if unconverged:
-        print(f"warning: {unconverged} of {len(rows)} rows unconverged", file=sys.stderr)
-    if args.json:
-        _write_output(json.dumps({"rows": rows, "manifest": manifest}, indent=2), args.out)
-        return 0
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    _write_output(buffer.getvalue(), args.out)
-    _write_manifest_sidecar(args.out, manifest)
-    return 0
 
 
-def _cmd_verify_tz2(args: argparse.Namespace) -> int:
+def _cmd_verify_tz2(args: argparse.Namespace) -> Output:
     try:
         cross = Fraction(args.cross_weight)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"invalid cross weight {args.cross_weight!r}: {exc}") from exc
     report = verify_identity_measure(max_mode=args.max_mode, cross_weight=cross)
-    if args.json:
-        doc = {
-            "max_mode": report.max_mode,
-            "pairs_checked": report.pairs_checked,
-            "failures": [
-                {"left": left, "right": right, "got": str(got), "expected": str(want)}
-                for left, right, got, want in report.failures
-            ],
-            "passed": report.passed,
-            "manifest": _manifest(
-                "verify tz2",
-                sha256_hex(stable_json({"max_mode": args.max_mode, "cross": str(cross)})),
-                {"max_mode": args.max_mode, "cross_weight": str(cross)},
-                {"passed": report.passed, "pairs_checked": report.pairs_checked},
-            ),
-        }
-        _write_output(json.dumps(doc, indent=2), args.out)
-        return 0 if report.passed else 1
+    doc = {
+        "max_mode": report.max_mode,
+        "pairs_checked": report.pairs_checked,
+        "failures": [
+            {"left": left, "right": right, "got": str(got), "expected": str(want)}
+            for left, right, got, want in report.failures
+        ],
+        "passed": report.passed,
+    }
     lines = [
         "T x| Z2 identity measure: "
         f"{report.pairs_checked} pairs checked, {len(report.failures)} failures"
@@ -314,8 +266,34 @@ def _cmd_verify_tz2(args: argparse.Namespace) -> int:
     for left, right, got, want in report.failures:
         lines.append(f"  ({left}, {right}): got {got}, expected {want}")
     lines.append("PASS" if report.passed else "FAIL")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0 if report.passed else 1
+    return Output(
+        doc,
+        "\n".join(lines),
+        sha256_hex(stable_json({"max_mode": args.max_mode, "cross": str(cross)})),
+        {"max_mode": args.max_mode, "cross_weight": str(cross)},
+        {"passed": report.passed, "pairs_checked": report.pairs_checked},
+        code=0 if report.passed else 1,
+    )
+
+
+def _above(convert, lowest: float, what: str):
+    """An argparse type: ``convert`` the text, then require a finite value above ``lowest``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            ok = math.isfinite(value) and value > lowest
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_tolerance = _above(float, 0, "a positive finite number")
+_mode = _above(int, -1, "a nonnegative integer")
 
 
 def _add_common_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -342,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     chartable = group_sub.add_parser("chartable", help="character table")
     chartable.add_argument("group", help="zoo name or group spec JSON path")
     chartable.add_argument("--cache-dir", help="character table cache directory")
-    chartable.add_argument("--tol", type=float, help="certification tolerance")
+    chartable.add_argument("--tol", type=_tolerance, default=DEFAULT_CERT_TOL, help="certification tolerance")
     _add_common_output_flags(chartable)
     chartable.set_defaults(handler=_cmd_group_chartable)
 
@@ -350,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     amconst.add_argument("groups", nargs="*", help="zoo names or group spec JSON paths")
     amconst.add_argument("--zoo", action="store_true", help="run the whole built-in zoo")
     amconst.add_argument("--cache-dir", help="character table cache directory")
-    amconst.add_argument("--tol", type=float, help="certification tolerance")
+    amconst.add_argument("--tol", type=_tolerance, default=DEFAULT_CERT_TOL, help="certification tolerance")
     _add_common_output_flags(amconst)
     amconst.set_defaults(handler=_cmd_group_amconst)
 
@@ -364,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subparsers.add_parser("verify", help="exact verifications")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
     tz2 = verify_sub.add_parser("tz2", help="identity measure on T semidirect Z2")
-    tz2.add_argument("--max-mode", type=int, default=20, help="highest induced mode")
+    tz2.add_argument("--max-mode", type=_mode, default=20, help="highest induced mode")
     tz2.add_argument(
         "--cross-weight",
         default="-2",
@@ -380,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return _write(args, args.handler(args))
     except (CertificationError, DegeneracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

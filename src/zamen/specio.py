@@ -184,8 +184,9 @@ def character_table_payload(table: CharacterTable) -> dict:
 def load_character_table(payload: dict, cs: ConjugacyStructure) -> CharacterTable:
     """Rebuild a character table from a document, bound to ``cs``'s group.
 
-    The document must match the group hash and class layout; the canonical
-    block is redundant on load and ignored.
+    The document must match the group hash and class layout (representatives,
+    sizes and inverse classes); the canonical block is redundant on load and
+    ignored.
     """
     _check_header(payload, CHARTABLE_FORMAT)
     if payload.get("group_hash") != cs.group_hash:
@@ -198,8 +199,11 @@ def load_character_table(payload: dict, cs: ConjugacyStructure) -> CharacterTabl
         raise SpecError("character table document has the wrong class count")
     reps = np.array([c["rep"] for c in classes])
     sizes = np.array([c["size"] for c in classes])
+    inverse = np.array(payload.get("inverse_class"))
     if not np.array_equal(reps, cs.reps) or not np.array_equal(sizes, cs.sizes):
         raise SpecError("character table document classes do not match the group")
+    if not np.array_equal(inverse, cs.inverse_class):
+        raise SpecError("character table document inverse classes do not match the group")
     pairs = np.array([row["values"] for row in rows], dtype=np.float64)
     if pairs.shape != (len(rows), len(rows), 2):
         raise SpecError("character table document rows have the wrong shape")
@@ -212,7 +216,7 @@ def load_character_table(payload: dict, cs: ConjugacyStructure) -> CharacterTabl
         degrees=degrees,
         class_sizes=sizes,
         class_reps=reps,
-        inverse_class=np.array(payload["inverse_class"]),
+        inverse_class=inverse,
         residual=float(payload["residual"]["orthogonality"]),
     )
 

@@ -203,9 +203,15 @@ def test_degeneracy_retry_paths():
     # An absurd collision tolerance forces every attempt to be rejected.
     with pytest.raises(DegeneracyError):
         character_table(g, collision_tol=10.0)
-    # A zero certification tolerance can never be met.
+    # A tolerance below every attainable residual is never met.
     with pytest.raises(CertificationError):
-        character_table(g, certification_tol=0.0)
+        character_table(g, certification_tol=1e-300)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
+def test_tolerance_that_disables_certification_is_rejected(tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        character_table(symmetric(3), certification_tol=tol)
 
 
 def test_tensor_table_matches_product_group():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 import subprocess
 import sys
 
@@ -310,6 +311,60 @@ class TestVerifyTz2:
         assert "invalid cross weight" in capsys.readouterr().err
 
 
+class TestManifest:
+    KEYS = {"command", "input_hash", "config", "tool_version", "timestamp", "result_summary"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["group", "info", "S3"],
+            ["group", "chartable", "S3", "--cache-dir", "{cache}"],
+            ["group", "amconst", "S3", "D4", "--cache-dir", "{cache}"],
+            ["hypergroup", "run", "{spec}"],
+            ["verify", "tz2", "--max-mode", "3"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_json_embeds_it_and_plain_out_writes_it_beside(self, argv, tmp_path, capsys):
+        cache, spec = tmp_path / "cache", tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "format": "zamen-experiment",
+                    "version": 1,
+                    "model": "chebyshev",
+                    "scheme": "fejer",
+                    "n": [4],
+                    "quadrature": {"panels": 32, "nodes_per_panel": 8},
+                }
+            )
+        )
+        argv = [a.format(cache=cache, spec=spec) for a in argv]
+        assert run_cli(*argv, "--json") == 0
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        assert set(manifest) == self.KEYS
+        assert manifest["command"] == f"{argv[0]} {argv[1]}"
+
+        shutil.rmtree(cache, ignore_errors=True)  # the same cold-cache run, plain
+        out = tmp_path / "result.txt"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert capsys.readouterr().out == ""
+        sidecar = json.loads((tmp_path / "result.txt.manifest.json").read_text())
+        del sidecar["timestamp"], manifest["timestamp"]
+        assert sidecar == manifest
+
+    def test_json_out_writes_no_sidecar(self, tmp_path):
+        out = tmp_path / "info.json"
+        assert run_cli("group", "info", "S3", "--json", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["manifest"]["command"] == "group info"
+        assert not (tmp_path / "info.json.manifest.json").exists()
+
+    def test_default_tolerance_is_recorded(self, tmp_path, capsys):
+        argv = ("group", "amconst", "S3", "--json", "--cache-dir", str(tmp_path))
+        assert run_cli(*argv) == 0
+        assert json.loads(capsys.readouterr().out)["manifest"]["config"]["tol"] == 1e-9
+
+
 class TestParser:
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -328,6 +383,27 @@ class TestParser:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["chartable", "amconst"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "abc"])
+    def test_tolerance_must_be_positive_and_finite(self, command, tol, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["group", command, "D8", "--tol", tol, "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "must be a positive finite number" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_amconst_tiny_tolerance_exits_1(self, tmp_path, capsys):
+        assert run_cli("group", "amconst", "D8", "--tol", "1e-300", "--cache-dir", str(tmp_path)) == 1
+        assert "certification residual" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["-1", "abc", "2.5"])
+    def test_max_mode_must_be_a_nonnegative_integer(self, mode, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "tz2", "--max-mode", mode])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be a nonnegative integer" in err and "Traceback" not in err
 
     def test_module_entry_point(self):
         result = subprocess.run(

@@ -7,7 +7,7 @@ import pytest
 
 from zamen.cache import CACHE_ENV_VAR, cached_character_table, resolve_cache_dir
 from zamen.characters import character_table, verify_orthogonality
-from zamen.groups import conjugacy_structure, dihedral, quaternion_group, symmetric
+from zamen.groups import conjugacy_structure, cyclic, dihedral, quaternion_group, symmetric
 from zamen.specio import (
     SpecError,
     character_table_payload,
@@ -107,6 +107,15 @@ class TestCharacterTableDocuments:
         with pytest.raises(SpecError, match="different group"):
             load_character_table(payload, other)
 
+    @pytest.mark.parametrize("inverse_class", [[0, 1, 2], [0, 2]], ids=["wrong", "short"])
+    def test_inverse_classes_must_match_the_group(self, inverse_class):
+        cs = conjugacy_structure(cyclic(3))
+        payload = character_table_payload(character_table(cyclic(3), cs))
+        assert payload["inverse_class"] == [0, 2, 1]
+        payload["inverse_class"] = inverse_class
+        with pytest.raises(SpecError, match="inverse classes do not match"):
+            load_character_table(payload, cs)
+
     def test_canonical_blocks_match_across_isocharacteristic_groups(self):
         d4 = character_table_payload(character_table(dihedral(4)))
         q8 = character_table_payload(character_table(quaternion_group()))
@@ -200,6 +209,27 @@ class TestCache:
         table, hit = cached_character_table(group, cache_dir=tmp_path)
         assert not hit and table.residual <= 1e-9
         assert cached_character_table(group, cache_dir=tmp_path)[1]
+
+    @pytest.mark.parametrize("inverse_class", [[0, 1, 2], [0, 2]], ids=["wrong", "short"])
+    def test_entry_with_foreign_inverse_classes_is_recomputed(self, tmp_path, inverse_class):
+        group = cyclic(3)
+        cached_character_table(group, cache_dir=tmp_path)
+        path = tmp_path / f"{group.content_hash}.json"
+        good = path.read_text()
+        doc = json.loads(good)
+        doc["inverse_class"] = inverse_class
+        path.write_text(json.dumps(doc))
+        table, hit = cached_character_table(group, cache_dir=tmp_path)
+        assert not hit
+        assert table.inverse_class.tolist() == [0, 2, 1]
+        assert path.read_text() == good
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
+    def test_tolerance_that_disables_certification_is_rejected_on_a_hit(self, tmp_path, tol):
+        group = symmetric(3)
+        cached_character_table(group, cache_dir=tmp_path)
+        with pytest.raises(ValueError, match="positive and finite"):
+            cached_character_table(group, cache_dir=tmp_path, certification_tol=tol)
 
     def test_relabeled_group_shares_entry(self, tmp_path):
         a = symmetric(3)
