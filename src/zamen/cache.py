@@ -1,31 +1,28 @@
-"""Content-addressed character table cache.
+"""Content-addressed character table cache: one ``<content_hash>.npz`` per group.
 
-Tables are stored one JSON document per group under a cache directory,
-keyed by the group's content hash (a hash of its multiplication structure,
-so relabeled copies of the same group share an entry).  The directory is
-resolved from, in order: an explicit argument, the ZAMEN_CACHE_DIR
-environment variable, and the default ``.zamen-cache`` under the current
-directory.  Writes go through a temp file and rename, so a cache file is
-always a complete document.
+The hash covers only the multiplication structure, so relabeled copies share an
+entry.  Arrays reload bit for bit; ``.json`` entries of earlier versions are
+never read.  The directory is an explicit argument, else ZAMEN_CACHE_DIR, else
+``.zamen-cache`` in the current directory; a temp file and rename keep entries whole.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 
-from .characters import DEFAULT_CERT_TOL, CharacterTable, _certification_residual, character_table
-from .characters import _check_tolerance
+import numpy as np
+
+from .characters import DEFAULT_CERT_TOL, CharacterTable, _certification_residual, _check_tolerance, character_table
 from .groups import ConjugacyStructure, FiniteGroup, conjugacy_structure
-from .specio import SpecError, character_table_payload, load_character_table, stable_json
 
 __all__ = ["DEFAULT_CACHE_DIRNAME", "CACHE_ENV_VAR", "resolve_cache_dir", "cached_character_table"]
 
 DEFAULT_CACHE_DIRNAME = ".zamen-cache"
 CACHE_ENV_VAR = "ZAMEN_CACHE_DIR"
+ENTRY_ARRAYS = ("values", "degrees", "class_sizes", "class_reps", "inverse_class")
 
 
 def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
@@ -37,6 +34,22 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
     return Path.cwd() / DEFAULT_CACHE_DIRNAME
 
 
+def _load_entry(path: Path, cs: ConjugacyStructure, order: int) -> CharacterTable | None:
+    """The stored table with a recomputed residual; None if unreadable or not bound to ``cs``."""
+    try:
+        with np.load(path, allow_pickle=False) as entry:
+            arrays = {name: entry[name] for name in ENTRY_ARRAYS}
+    except (OSError, EOFError, RuntimeError, zipfile.BadZipFile, ValueError, KeyError, TypeError):
+        return None
+    k = cs.num_classes
+    like = (np.empty((k, k), np.complex128), np.empty(k, np.int64), cs.sizes, cs.reps, cs.inverse_class)
+    shaped = all(arrays[n].dtype == a.dtype and arrays[n].shape == a.shape for n, a in zip(ENTRY_ARRAYS, like))
+    if not shaped or not all(np.array_equal(arrays[n], a) for n, a in zip(ENTRY_ARRAYS[2:], like[2:])):
+        return None
+    residual = _certification_residual(arrays["values"], cs.sizes, order, cs.inverse_class)
+    return CharacterTable(cs.group_hash, order, residual=residual, **arrays)
+
+
 def cached_character_table(
     group: FiniteGroup,
     cs: ConjugacyStructure | None = None,
@@ -46,37 +59,23 @@ def cached_character_table(
 ) -> tuple[CharacterTable, bool]:
     """Return the group's character table and whether it came from cache.
 
-    A readable entry that fails validation (different group, truncated
-    file) is recomputed and overwritten rather than trusted.  So is an entry
-    whose stored values miss the caller's ``certification_tol``: on a hit the
-    row, column and conjugation residuals are recomputed from the loaded
-    values, and the table carries the larger of that and the stored residual.
-    A ``certification_tol`` that is not positive and finite raises ValueError.
+    An entry that is unreadable, bound to other classes or above the caller's
+    ``certification_tol`` is recomputed and overwritten.  A tolerance that is
+    not positive and finite raises ValueError.
     """
     _check_tolerance(certification_tol)
     cs = cs or conjugacy_structure(group)
-    directory = resolve_cache_dir(cache_dir)
-    path = directory / f"{group.content_hash}.json"
-    if path.exists():
-        try:
-            loaded = load_character_table(json.loads(path.read_text()), cs)
-            residual = max(
-                loaded.residual,
-                _certification_residual(
-                    loaded.values, loaded.class_sizes, loaded.order, loaded.inverse_class
-                ),
-            )
-        except (json.JSONDecodeError, SpecError, KeyError, TypeError, ValueError, IndexError):
-            pass
-        else:
-            if residual <= certification_tol:
-                return dataclasses.replace(loaded, residual=residual), True
+    path = resolve_cache_dir(cache_dir) / f"{group.content_hash}.npz"
+    cached = _load_entry(path, cs, group.order)
+    if cached is not None and cached.residual <= certification_tol:
+        return cached, True
     table = character_table(group, cs, certification_tol=certification_tol)
-    directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(stable_json(character_table_payload(table)))
+        # Saving through the handle keeps numpy from appending ".npz" to the temp name.
+        with os.fdopen(fd, "wb") as handle:
+            np.savez(handle, **{name: getattr(table, name) for name in ENTRY_ARRAYS})
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -424,18 +424,40 @@ def conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
     return group._classes
 
 
+def _commutes(table: np.ndarray) -> bool:
+    """Whether the table equals its transpose.
+
+    Row block [start, stop) is compared with columns [start, stop) over the
+    first ``stop`` rows, so each pair is checked once, stopping at the first
+    block that differs.  Blocks start at 8 rows and double up to about 2^20
+    entries, so a noncommutative table is usually rejected after a few rows.
+    """
+    n = table.shape[0]
+    start, rows = 0, 8
+    while start < n:
+        stop = min(n, start + rows)
+        if not np.array_equal(table[start:stop, :stop], table[:stop, start:stop].T):
+            return False
+        start, rows = stop, max(rows, min(2 * rows, (1 << 20) // n))
+    return True
+
+
 def _conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
     n = group.order
-    class_of = np.full(n, -1, dtype=np.int64)
-    classes: list[np.ndarray] = []
     table = group.table
-    invs = group.inverses
-    for s in range(n):
-        if class_of[s] >= 0:
-            continue
-        orbit = np.unique(table[table[:, s], invs]).astype(np.int64)
-        class_of[orbit] = len(classes)
-        classes.append(orbit)
+    if _commutes(table):
+        class_of = np.arange(n, dtype=np.int64)
+        classes = list(class_of[:, None])
+    else:
+        class_of = np.full(n, -1, dtype=np.int64)
+        classes = []
+        invs = group.inverses
+        for s in range(n):
+            if class_of[s] >= 0:
+                continue
+            orbit = np.unique(table[table[:, s], invs]).astype(np.int64)
+            class_of[orbit] = len(classes)
+            classes.append(orbit)
 
     sizes = np.array([c.size for c in classes], dtype=np.int64)
     reps = np.array([int(c[0]) for c in classes], dtype=np.int64)
@@ -444,7 +466,7 @@ def _conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
     if np.any(n % sizes):
         raise ValidationError("a conjugacy class size fails to divide the group order")
 
-    inverse_class = np.array([class_of[group.inv(int(r))] for r in reps], dtype=np.int64)
+    inverse_class = class_of[group.inverses[reps]]
     if not np.array_equal(inverse_class[inverse_class], np.arange(len(classes))):
         raise ValidationError("inverse-class map is not an involution")
     for array in (class_of, sizes, reps, inverse_class, *classes):

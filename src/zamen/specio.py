@@ -5,15 +5,17 @@ Three document kinds, all carrying a ``format`` name and integer ``version``:
 - group specs (``zamen-group``) describe a finite group by permutation
   generators, an explicit Cayley table, a direct product of specs, or a
   semidirect product of specs;
-- character-table documents (``zamen-chartable``) serialize a computed
-  table twice: once aligned to the group's class order for lossless
-  reloading, and once in joint canonical row/column order so tables of
+- character-table documents (``zamen-chartable``, exported by ``group
+  chartable --json``) serialize a table twice: in the group's class order
+  for reloading, and in joint canonical row/column order so tables of
   isocharacteristic groups compare byte for byte;
 - experiment specs (``zamen-experiment``) name a hypergroup model, a
   coefficient scheme, the truncation levels, and quadrature settings.
 
 Values are rounded to 12 decimal places on export with negative zero
-normalized, so re-serializing a loaded document is byte-stable.
+normalized, so re-serializing a loaded document is byte-stable.  Exports are
+stable only for a fixed code version: the last decimals of a table good to
+about 1e-11 move when its floating-point sums are reordered.
 """
 
 from __future__ import annotations

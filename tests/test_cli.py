@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from zamen.cli import CSV_COLUMNS, main
+from zamen.groups import cyclic, dihedral, quaternion_group
 from zamen.specio import stable_json
 
 
@@ -122,6 +123,23 @@ class TestChartable:
         first.pop("manifest")
         second.pop("manifest")
         assert stable_json(first) == stable_json(second)
+
+    @pytest.mark.parametrize(
+        "factors", [(quaternion_group(), cyclic(40)), (dihedral(10), cyclic(16))], ids=["Q8xZ40", "D10xZ16"]
+    )
+    def test_export_from_a_hit_equals_the_miss_byte_for_byte(self, tmp_path, capsys, factors):
+        # Both tables are good to only about 1e-11, so their 12-decimal export
+        # is the same on a hit only because the cache reloads them bit for bit.
+        spec = tmp_path / "spec.json"
+        factors = [{"kind": "cayley", "table": g.table.tolist()} for g in factors]
+        spec.write_text(json.dumps({"format": "zamen-group", "version": 1, "kind": "product", "factors": factors}))
+        texts = []
+        for from_cache in (False, True):
+            assert run_cli("group", "chartable", str(spec), "--json", "--cache-dir", str(tmp_path / "c")) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc.pop("manifest")["result_summary"]["from_cache"] is from_cache
+            texts.append(json.dumps(doc, indent=2, sort_keys=True))
+        assert texts[0] == texts[1]
 
     def test_d4_q8_canonical_blocks_identical(self, tmp_path, capsys):
         docs = {}

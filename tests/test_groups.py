@@ -235,6 +235,55 @@ def test_conjugacy_structure_is_kept_and_read_only():
             array[0] = 0
 
 
+def loop_conjugacy_structure(group):
+    """The per-class orbit loop, which noncommutative groups still run, kept as
+    the oracle for every group: (class_of, classes, sizes, reps, inverse_class)."""
+    n = group.order
+    class_of = np.full(n, -1, dtype=np.int64)
+    classes = []
+    for s in range(n):
+        if class_of[s] >= 0:
+            continue
+        orbit = np.unique(group.table[group.table[:, s], group.inverses]).astype(np.int64)
+        class_of[orbit] = len(classes)
+        classes.append(orbit)
+    sizes = np.array([c.size for c in classes], dtype=np.int64)
+    reps = np.array([int(c[0]) for c in classes], dtype=np.int64)
+    inverse_class = np.array([class_of[group.inv(int(r))] for r in reps], dtype=np.int64)
+    return class_of, classes, sizes, reps, inverse_class
+
+
+@pytest.mark.parametrize(
+    "make_group",
+    [*(lambda name=name: zoo_build(name) for name in zoo_names()),
+     lambda: cyclic(300),
+     lambda: cyclic(2000),
+     lambda: direct_product(dihedral(10), cyclic(16))],
+    ids=[*zoo_names(), "Z300", "Z2000", "D10xZ16"],
+)
+def test_conjugacy_structure_matches_the_loop_oracle(make_group):
+    g = make_group()
+    cs = conjugacy_structure(g)
+    class_of, classes, sizes, reps, inverse_class = loop_conjugacy_structure(g)
+    for got, want in zip((cs.class_of, cs.sizes, cs.reps, cs.inverse_class), (class_of, sizes, reps, inverse_class)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert len(cs.classes) == len(classes)
+    for got, want in zip(cs.classes, classes):
+        assert got.dtype == want.dtype and np.array_equal(got, want) and not got.flags.writeable
+    assert cs.group_hash == g.content_hash
+    assert g.is_abelian == bool(np.array_equal(g.table, g.table.T))
+
+
+def test_abelian_fast_path_reads_a_commutative_table_only():
+    # D10xZ16 lists its 16 central elements (e, h) first, so the first
+    # commutativity block matches its transpose and a later one must differ.
+    g = direct_product(dihedral(10), cyclic(16))
+    assert np.array_equal(g.table[:8], g.table[:, :8].T)
+    assert not g.is_abelian
+    assert conjugacy_structure(g).num_classes == 8 * 16
+
+
 def test_direct_product_structure():
     g = direct_product(symmetric(3), cyclic(2))
     assert g.order == 12

@@ -1,13 +1,14 @@
-"""Tests for the JSON formats and the character table cache."""
+"""Tests for the JSON formats and the binary character table cache."""
 
 import json
 
 import numpy as np
 import pytest
 
+from zamen import cache, specio
 from zamen.cache import CACHE_ENV_VAR, cached_character_table, resolve_cache_dir
 from zamen.characters import character_table, verify_orthogonality
-from zamen.groups import conjugacy_structure, cyclic, dihedral, quaternion_group, symmetric
+from zamen.groups import conjugacy_structure, cyclic, dihedral, direct_product, quaternion_group, symmetric
 from zamen.specio import (
     SpecError,
     character_table_payload,
@@ -161,6 +162,44 @@ class TestExperimentSpecs:
             load_experiment_spec({**base, "n": [2, True]})
 
 
+ENTRY_ARRAYS = ("values", "degrees", "class_sizes", "class_reps", "inverse_class")
+
+
+def read_entry(path):
+    with np.load(path, allow_pickle=False) as entry:
+        return {name: entry[name] for name in entry.files}
+
+
+def write_entry(path, **arrays):
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+def truncated(path, good):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def empty(path, good):
+    path.write_bytes(b"")
+
+
+def object_member(path, good):
+    write_entry(path, **{**good, "degrees": np.array([1, "one", None], dtype=object)})
+
+
+def complex64_values(path, good):
+    write_entry(path, **{**good, "values": good["values"].astype(np.complex64)})
+
+
+def missing_member(path, good):
+    write_entry(path, **{name: a for name, a in good.items() if name != "degrees"})
+
+
+def bare_npy(path, good):
+    with open(path, "wb") as handle:
+        np.save(handle, good["values"])
+
+
 class TestCache:
     def test_miss_then_hit(self, tmp_path):
         group = symmetric(3)
@@ -170,22 +209,104 @@ class TestCache:
         assert hit2
         assert np.allclose(table1.values, table2.values, atol=1e-11)
 
+    @pytest.mark.parametrize(
+        "make_group",
+        [lambda: dihedral(60), lambda: direct_product(quaternion_group(), cyclic(40))],
+        ids=["D60", "Q8xZ40"],
+    )
+    def test_round_trip_is_bit_exact(self, tmp_path, make_group):
+        table, hit = cached_character_table(make_group(), cache_dir=tmp_path)
+        assert not hit
+        loaded, hit = cached_character_table(make_group(), cache_dir=tmp_path)
+        assert hit
+        for name in ENTRY_ARRAYS:
+            got, want = getattr(loaded, name), getattr(table, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert loaded.values.tobytes() == table.values.tobytes()
+        assert loaded.residual == table.residual
+        assert (loaded.group_hash, loaded.order) == (table.group_hash, table.order)
+
     def test_cache_file_bytes_are_stable(self, tmp_path):
         group = dihedral(4)
         cached_character_table(group, cache_dir=tmp_path)
-        path = tmp_path / f"{group.content_hash}.json"
-        first = path.read_bytes()
+        path = tmp_path / f"{group.content_hash}.npz"
+        first, stamp = path.read_bytes(), path.stat().st_mtime_ns
         cached_character_table(group, cache_dir=tmp_path)
-        assert path.read_bytes() == first
+        assert path.read_bytes() == first and path.stat().st_mtime_ns == stamp
 
     def test_corrupt_entry_is_recomputed(self, tmp_path):
         group = symmetric(3)
         cached_character_table(group, cache_dir=tmp_path)
-        path = tmp_path / f"{group.content_hash}.json"
+        path = tmp_path / f"{group.content_hash}.npz"
         path.write_text("{broken")
         table, hit = cached_character_table(group, cache_dir=tmp_path)
         assert not hit
-        assert json.loads(path.read_text())["order"] == 6
+        assert read_entry(path)["class_sizes"].sum() == 6
+
+    @pytest.mark.parametrize(
+        "damage",
+        [truncated, empty, object_member, complex64_values, missing_member, bare_npy],
+        ids=lambda damage: damage.__name__,
+    )
+    def test_damaged_entry_is_recomputed_and_overwritten(self, tmp_path, damage):
+        group = dihedral(6)
+        table, _ = cached_character_table(group, cache_dir=tmp_path)
+        path = tmp_path / f"{group.content_hash}.npz"
+        good = read_entry(path)
+        damage(path, good)
+        again, hit = cached_character_table(group, cache_dir=tmp_path)
+        assert not hit
+        assert np.array_equal(again.values, table.values)
+        rewritten = read_entry(path)
+        assert all(np.array_equal(rewritten[name], good[name]) for name in ENTRY_ARRAYS)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert cached_character_table(group, cache_dir=tmp_path)[1]
+
+    def test_entry_with_random_byte_damage_is_never_trusted_or_fatal(self, tmp_path):
+        # Flipped header bytes make zipfile raise NotImplementedError or
+        # RuntimeError (unknown method, encryption flag) besides BadZipFile.
+        group = dihedral(6)
+        table, _ = cached_character_table(group, cache_dir=tmp_path)
+        path = tmp_path / f"{group.content_hash}.npz"
+        data = path.read_bytes()
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            damaged = bytearray(data)
+            for at in rng.integers(0, len(data), size=rng.integers(1, 5)):
+                damaged[at] = int(rng.integers(0, 256))
+            path.write_bytes(bytes(damaged))
+            again, _ = cached_character_table(group, cache_dir=tmp_path)
+            assert np.array_equal(again.values, table.values) and again.residual <= 1e-9
+
+    def test_json_era_entry_is_ignored_and_left_in_place(self, tmp_path):
+        group = symmetric(3)
+        legacy = tmp_path / f"{group.content_hash}.json"
+        legacy.write_text(stable_json(character_table_payload(character_table(group))))
+        before = legacy.read_bytes()
+        _, hit = cached_character_table(group, cache_dir=tmp_path)
+        assert not hit
+        assert (tmp_path / f"{group.content_hash}.npz").exists()
+        assert legacy.read_bytes() == before
+        assert cached_character_table(group, cache_dir=tmp_path)[1]
+
+    def test_a_hit_runs_no_specio_or_json_code(self, tmp_path, monkeypatch):
+        group = dihedral(6)
+        table, _ = cached_character_table(group, cache_dir=tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called on a cache hit")
+
+        for module, name in [
+            (specio, "load_character_table"),
+            (specio, "character_table_payload"),
+            (specio, "stable_json"),
+            (json, "loads"),
+            (json, "dumps"),
+            (cache, "character_table"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        loaded, hit = cached_character_table(group, cache_dir=tmp_path)
+        assert hit and np.array_equal(loaded.values, table.values)
 
     def test_hit_carries_the_recomputed_residual(self, tmp_path):
         group = dihedral(8)
@@ -200,10 +321,10 @@ class TestCache:
     def test_hit_that_misses_the_tolerance_is_recomputed(self, tmp_path):
         group = dihedral(8)
         cached_character_table(group, cache_dir=tmp_path, certification_tol=1e-2)
-        path = tmp_path / f"{group.content_hash}.json"
-        doc = json.loads(path.read_text())
-        doc["rows"][-1]["values"][0][0] += 1e-4  # the stored values now fail 1e-9
-        path.write_text(json.dumps(doc))
+        path = tmp_path / f"{group.content_hash}.npz"
+        arrays = read_entry(path)
+        arrays["values"][-1, 0] += 1e-4  # the stored values now fail 1e-9
+        write_entry(path, **arrays)
         _, hit = cached_character_table(group, cache_dir=tmp_path, certification_tol=1e-2)
         assert hit
         table, hit = cached_character_table(group, cache_dir=tmp_path)
@@ -214,15 +335,14 @@ class TestCache:
     def test_entry_with_foreign_inverse_classes_is_recomputed(self, tmp_path, inverse_class):
         group = cyclic(3)
         cached_character_table(group, cache_dir=tmp_path)
-        path = tmp_path / f"{group.content_hash}.json"
-        good = path.read_text()
-        doc = json.loads(good)
-        doc["inverse_class"] = inverse_class
-        path.write_text(json.dumps(doc))
+        path = tmp_path / f"{group.content_hash}.npz"
+        good = read_entry(path)
+        write_entry(path, **{**good, "inverse_class": np.array(inverse_class, dtype=np.int64)})
         table, hit = cached_character_table(group, cache_dir=tmp_path)
         assert not hit
         assert table.inverse_class.tolist() == [0, 2, 1]
-        assert path.read_text() == good
+        rewritten = read_entry(path)
+        assert all(np.array_equal(rewritten[name], good[name]) for name in ENTRY_ARRAYS)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
     def test_tolerance_that_disables_certification_is_rejected_on_a_hit(self, tmp_path, tol):
