@@ -1,8 +1,9 @@
 """Content-addressed character table cache: one ``<content_hash>.npz`` per group.
 
-The hash covers only the multiplication structure, so relabeled copies share an
-entry.  Arrays reload bit for bit; ``.json`` entries of earlier versions are
-never read.  The directory is an explicit argument, else ZAMEN_CACHE_DIR, else
+The hash covers only the multiplication structure, so copies that differ only in
+their label share an entry.  Arrays reload bit for bit; ``.json`` entries and
+``.npz`` entries under ``group-v1`` hashes, both of earlier versions, are never
+read.  The directory is an explicit argument, else ZAMEN_CACHE_DIR, else
 ``.zamen-cache`` in the current directory; a temp file and rename keep entries whole.
 """
 

@@ -107,11 +107,11 @@ def _write(args: argparse.Namespace, output: Output) -> int:
         "result_summary": output.summary,
     }
     if args.json:
-        text = json.dumps({**output.doc, "manifest": manifest}, indent=2, sort_keys=True)
+        text = stable_json({**output.doc, "manifest": manifest})
     else:
         text = output.text
         if args.out:
-            Path(f"{args.out}.manifest.json").write_text(stable_json(manifest))
+            Path(f"{args.out}.manifest.json").write_text(stable_json(manifest) + "\n")
     text = text if text.endswith("\n") else text + "\n"
     if args.out:
         Path(args.out).write_text(text)

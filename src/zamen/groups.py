@@ -63,8 +63,8 @@ def parse_permutation(spec: Sequence[int] | str, degree: int | None = None) -> n
 
     One-line notation is a sequence of images on points 0..d-1.  Cycle
     notation is a string such as ``"(1 2)(3 4 5)"`` on points 1..d (the usual
-    textbook convention); points not mentioned are fixed and ``degree`` sets
-    the total number of points when it exceeds the largest mentioned one.
+    textbook convention); points not mentioned are fixed and ``degree``, when
+    given, is the total number of points and bounds the points mentioned.
     """
     if isinstance(spec, str):
         text = spec.replace(",", " ")
@@ -83,8 +83,9 @@ def parse_permutation(spec: Sequence[int] | str, degree: int | None = None) -> n
                 raise ValidationError(f"cycle points must be >= 1: {spec!r}")
             cycles.append(points)
         top = max((p for cyc in cycles for p in cyc), default=-1) + 1
-        d = max(top, degree or 0)
-        perm = np.arange(d, dtype=np.int64)
+        if degree is not None and top > degree:
+            raise ValidationError(f"cycle point {top} exceeds the degree {degree}: {spec!r}")
+        perm = np.arange(top if degree is None else degree, dtype=np.int64)
         for cyc in cycles:
             if len(set(cyc)) != len(cyc):
                 raise ValidationError(f"repeated point inside a cycle: {spec!r}")
@@ -101,13 +102,13 @@ def parse_permutation(spec: Sequence[int] | str, degree: int | None = None) -> n
 
 
 def _hash_table(order: int, table: np.ndarray) -> str:
-    """sha256 of the table as int64 bytes, fed in row chunks of about 2^20 entries."""
-    digest = hashlib.sha256()
-    digest.update(b"group-v1")
+    """sha256 of b"group-v2", the order as 8 little-endian bytes, then the table as <i4.
+
+    A ``TABLE_DTYPE`` table on a little-endian machine is hashed in place, in one pass.
+    """
+    digest = hashlib.sha256(b"group-v2")
     digest.update(int(order).to_bytes(8, "little"))
-    rows = max(1, (1 << 20) // order)
-    for start in range(0, order, rows):
-        digest.update(table[start : start + rows].astype(np.int64).tobytes())
+    digest.update(np.ascontiguousarray(table, dtype="<i4"))
     return digest.hexdigest()
 
 
@@ -156,9 +157,6 @@ class FiniteGroup:
         if self._hash is None:
             self._hash = _hash_table(self.order, self.table)
         return self._hash
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FiniteGroup({self.label!r}, order={self.order})"

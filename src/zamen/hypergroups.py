@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
 __all__ = [
     "HypergroupModel",
@@ -215,7 +214,7 @@ def scheme_by_name(model: HypergroupModel, name: str) -> CoefficientScheme:
 
 def _grid(panels: int, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre points and weights on [0, pi]."""
-    x, w = roots_legendre(nodes_per_panel)
+    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
     width = np.pi / panels
     starts = np.arange(panels) * width
     points = (starts[:, None] + (x[None, :] + 1.0) * (width / 2.0)).reshape(-1)

@@ -84,6 +84,22 @@ def _check_header(payload: dict, expected_format: str) -> None:
         raise SpecError(f"unsupported {expected_format} version {version!r}")
 
 
+def _int_list(value: Any, what: str) -> list:
+    """``value`` itself if it is a list of JSON integers in int64 range, else SpecError.
+
+    Booleans and floats are refused rather than truncated.
+    """
+    if not isinstance(value, list) or any(type(v) is not int or not -(2**63) <= v < 2**63 for v in value):
+        raise SpecError(f"{what} must be a list of integers")
+    return value
+
+
+def _int_rows(value: Any, what: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise SpecError(f"{what} must be a nonempty list of integer lists")
+    return [_int_list(row, f"each row of {what}") for row in value]
+
+
 def _build_group(spec: dict, depth: int = 0) -> FiniteGroup:
     if depth > 8:
         raise SpecError("group spec nesting exceeds depth 8")
@@ -94,16 +110,19 @@ def _build_group(spec: dict, depth: int = 0) -> FiniteGroup:
     if kind == "perm":
         degree = spec.get("degree")
         generators = spec.get("generators")
-        if not isinstance(degree, int) or degree < 1:
-            raise SpecError("perm specs need an integer degree >= 1")
+        if type(degree) is not int or not 1 <= degree < 2**63:
+            raise SpecError("perm specs need an integer degree >= 1 and below 2**63")
         if not isinstance(generators, list) or not generators:
             raise SpecError("perm specs need a nonempty generators list")
-        parsed = [parse_permutation(g, degree).tolist() for g in generators]
+        parsed = [
+            parse_permutation(g if isinstance(g, str) else _int_list(g, "a generator"), degree).tolist()
+            for g in generators
+        ]
         return from_permutation_generators(parsed, label=label or "G")
     if kind == "cayley":
-        table = spec.get("table")
-        if not isinstance(table, list) or not table:
-            raise SpecError("cayley specs need a nonempty table")
+        table = _int_rows(spec.get("table"), "a cayley table")
+        if any(len(row) != len(table) for row in table):
+            raise SpecError(f"a cayley table must be square: {len(table)} rows of {len(table)} entries")
         return from_cayley_table(table, label=label or "G")
     if kind == "product":
         factors = spec.get("factors")
@@ -122,7 +141,7 @@ def _build_group(spec: dict, depth: int = 0) -> FiniteGroup:
         return semidirect_product(
             _build_group(normal, depth + 1),
             _build_group(acting, depth + 1),
-            action,
+            _int_rows(action, "a semidirect action"),
             label=label,
         )
     raise SpecError(f"unknown group spec kind {kind!r}")

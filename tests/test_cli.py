@@ -105,6 +105,35 @@ class TestGroupInfo:
         assert "Traceback" not in err
 
 
+Z2 = {"kind": "cayley", "table": [[0, 1], [1, 0]]}
+MALFORMED_SPECS = {
+    "ragged table": {"kind": "cayley", "table": [[0, 1], [1]]},
+    "table of non-lists": {"kind": "cayley", "table": [1, 2]},
+    "string entries": {"kind": "cayley", "table": [["0", "1"], ["1", "0"]]},
+    "float entry": {"kind": "cayley", "table": [[0, 1], [1, 0.5]]},
+    "boolean entries": {"kind": "cayley", "table": [[False, True], [True, False]]},
+    "entry beyond int64": {"kind": "cayley", "table": [[0, 1], [1, 2**70]]},
+    "integer generator": {"kind": "perm", "degree": 2, "generators": [5]},
+    "float in a generator": {"kind": "perm", "degree": 3, "generators": [[0, 1, 2.7]]},
+    "boolean degree": {"kind": "perm", "degree": True, "generators": ["(1)"]},
+    "degree beyond int64": {"kind": "perm", "degree": 2**70, "generators": ["(1 2)"]},
+    "cycle point beyond the degree": {"kind": "perm", "degree": 2, "generators": ["(1 10000000000000000)"]},
+    "integer action": {"kind": "semidirect", "normal": Z2, "acting": Z2, "action": 5},
+    "action of integers": {"kind": "semidirect", "normal": Z2, "acting": Z2, "action": [0, 1]},
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS.keys())
+def test_malformed_group_spec_exits_2_without_a_traceback(body, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"format": "zamen-group", "version": 1, **body}))
+    assert run_cli("group", "info", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 class TestChartable:
     def test_text_output(self, tmp_path, capsys):
         assert run_cli("group", "chartable", "S3", "--cache-dir", str(tmp_path)) == 0
@@ -367,7 +396,9 @@ class TestManifest:
         out = tmp_path / "result.txt"
         assert run_cli(*argv, "--out", str(out)) == 0
         assert capsys.readouterr().out == ""
-        sidecar = json.loads((tmp_path / "result.txt.manifest.json").read_text())
+        sidecar_text = (tmp_path / "result.txt.manifest.json").read_text()
+        assert sidecar_text == stable_json(json.loads(sidecar_text)) + "\n"
+        sidecar = json.loads(sidecar_text)
         del sidecar["timestamp"], manifest["timestamp"]
         assert sidecar == manifest
 
@@ -376,6 +407,11 @@ class TestManifest:
         assert run_cli("group", "info", "S3", "--json", "--out", str(out)) == 0
         assert json.loads(out.read_text())["manifest"]["command"] == "group info"
         assert not (tmp_path / "info.json.manifest.json").exists()
+
+    def test_json_documents_are_stable_json_text(self, tmp_path, capsys):
+        assert run_cli("group", "amconst", "S3", "D4", "--json", "--cache-dir", str(tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert out == stable_json(json.loads(out)) + "\n"
 
     def test_default_tolerance_is_recorded(self, tmp_path, capsys):
         argv = ("group", "amconst", "S3", "--json", "--cache-dir", str(tmp_path))

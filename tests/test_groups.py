@@ -7,7 +7,9 @@ the module under test.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -57,6 +59,8 @@ def test_parse_cycle_notation():
         parse_permutation([0, 0, 1])
     with pytest.raises(ValidationError):
         parse_permutation("(1 1 2)")
+    with pytest.raises(ValidationError, match="exceeds the degree 2"):
+        parse_permutation("(1 3)", degree=2)
 
 
 def test_s3_closure_order_and_structure():
@@ -125,15 +129,15 @@ def test_tables_are_int32_for_every_construction():
         assert g.table.dtype == np.int32, g.label
 
 
-@pytest.mark.parametrize(
-    "name, digest",
-    [
-        ("S3", "8e2c5db18d39b2faa9ff682e57b287d4c30be31b903ebc006a2b3dbb098c4169"),
-        ("Q8", "0f990edc1ff27e2851bc5517ae922e51968df050bddd6986ae2c511194703782"),
-        ("S4", "43b7b9733ab4cdc19f34ca7d1ab179203fd3dddb2442af3d1ab978babadedcc2"),
-        ("Z2xZ2xZ2", "0b497894362cf89fb2529de1eff6642be14f66142c29afa695a251b1abb77c81"),
-    ],
-)
+PINNED_HASHES = {
+    "S3": "15802758ca0ac76159bcf47448c7136ca5dea3920fb587a79544fed487b8726d",
+    "Q8": "5c0a6724ebdba8fede29d387d09b248415b0bc427dc7b0a8a7df39a7dfea5fac",
+    "S4": "d20953c0ba721b2010dc5ad429411dc437325a9e4d7ae663efe5128a6076dea1",
+    "Z2xZ2xZ2": "81a071e12570242385094a1e6a0d194e1dc9ef76a63dd0c7648ac07f564c91e8",
+}
+
+
+@pytest.mark.parametrize("name, digest", PINNED_HASHES.items(), ids=PINNED_HASHES.keys())
 def test_content_hash_is_pinned(name, digest):
     # Cache files are keyed by these digests; they must not drift.
     g = zoo_build(name)
@@ -142,9 +146,27 @@ def test_content_hash_is_pinned(name, digest):
 
 
 def test_content_hash_is_pinned_a5xa5():
-    # Order 3600 is hashed across several row chunks.
+    # Order 3600: a 52 MB int32 table, the largest pinned, hashed in one pass.
     g = direct_product(alternating(5), alternating(5))
-    assert g.content_hash == "c6520d73c7dee2c9217b6b2e661395b0521e50ead929f16681c873310339fb8b"
+    assert g.content_hash == "9ab6d533bdf5967645a09f200120d07319263b47d171c0bfe7eee1235e24c98d"
+
+
+def expected_group_v2_hash(order, entries):
+    """The documented formula, byte by byte: tag, order, little-endian int32 table."""
+    digest = hashlib.sha256()
+    digest.update(b"group-v2")
+    digest.update(struct.pack("<Q", order))
+    digest.update(np.asarray(entries, dtype=np.int64).astype("<i4").tobytes(order="C"))
+    return digest.hexdigest()
+
+
+def test_content_hash_is_the_group_v2_formula():
+    # A table handed in as int64 hashes like its int32 copy.
+    source = np.asarray(dihedral(5).table, dtype=np.int64)
+    g = from_cayley_table(source, label="from int64")
+    assert g.content_hash == expected_group_v2_hash(10, source)
+    big = direct_product(alternating(5), alternating(5))
+    assert big.content_hash == expected_group_v2_hash(3600, big.table)
 
 
 def test_products_above_the_cap_are_refused_before_allocation():

@@ -7,6 +7,8 @@ Oracles:
 - The circle-quotient Fejer kernel is nonnegative with unit mass, so its
   diagonal norm is exactly 1 at every level.
 - The SU(2) lower bound at n = 1 is (2/pi)^2 (4/3)^2 by hand.
+- A composite Gauss-Legendre rule with m nodes per panel integrates
+  theta^j exactly for j < 2m.
 - The characters come from one three-term recurrence; the sine ratio
   sin((k+1) theta)/sin(theta) (with U_k(cos theta) at the removable
   singularities) and cos(k theta) are the closed-form oracles.
@@ -137,6 +139,28 @@ class TestModels:
         assert [cheb.dimension_weight(k) for k in range(4)] == [1, 2, 2, 2]
 
 
+class TestGrid:
+    @pytest.mark.parametrize("panels", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2, 16, 64])
+    def test_weights_and_nodes(self, panels, m):
+        points, weights = _grid(panels, m)
+        assert points.shape == weights.shape == (panels * m,)
+        assert (weights > 0).all()
+        assert abs(weights.sum() - np.pi) < 1e-13
+        assert (np.diff(points) > 0).all()
+        width = np.pi / panels
+        inside = points.reshape(panels, m) - (np.arange(panels) * width)[:, None]
+        assert ((inside > 0) & (inside < width)).all()
+
+    @pytest.mark.parametrize("panels", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2, 16, 64])
+    def test_integrates_polynomials_of_degree_below_2m_exactly(self, panels, m):
+        points, weights = _grid(panels, m)
+        for j in range(2 * m):
+            exact = np.pi ** (j + 1) / (j + 1)
+            assert abs(weights @ points**j - exact) <= 1e-12 * exact, j
+
+
 class TestSchemes:
     def test_dirichlet_truncates(self):
         scheme = dirichlet_scheme(su2_model())
@@ -225,6 +249,11 @@ class TestDiagonalNorm:
         b = diagonal_norm(model, scheme, 3)
         assert a.config_hash == b.config_hash
 
+    def test_default_grid_su2_dirichlet_value_is_pinned(self):
+        # Frozen from scipy.special.roots_legendre nodes, independent of numpy's leggauss.
+        result = diagonal_norm(su2_model(), dirichlet_scheme(su2_model()), 50)
+        assert abs(result.value - 4295.705952848206) <= 1e-12 * 4295.705952848206
+
 
 class TestBaiNorm:
     def test_chebyshev_fejer_kernel_has_unit_norm(self):
@@ -244,6 +273,12 @@ class TestBaiNorm:
         scheme = fejer_smoothed_scheme(model)
         values = [bai_norm(model, scheme, n).value for n in (4, 8, 16, 32, 64)]
         assert all(v <= 3.0 for v in values), values
+
+    def test_default_grid_fejer_signed_value_is_pinned(self):
+        # Frozen from scipy.special.roots_legendre nodes, independent of numpy's leggauss.
+        model = chebyshev_model()
+        result = bai_norm(model, scheme_by_name(model, "fejer-signed"), 50)
+        assert abs(result.value - 1.2786491398887885) <= 1e-12 * 1.2786491398887885
 
 
 class TestDivergenceBound:
