@@ -147,7 +147,7 @@ def verify_diagonal(
         the image of mu under the multiplication map.
 
     Convolution is pointwise in the Gelfand basis: with T[pi, C] the
-    transform of 1_C (``central.gelfand_transform``), V the value matrix and
+    transform of 1_C (``CharacterTable.gelfand_matrix``), V the value matrix and
     d the degrees, f * g = V^T (d . Tf . Tg).  So the leg matrix of chi_p,
     L_p[D, C] = (chi_p * 1_C)(D), is V^T diag(w_p) T with w_p = d . T chi_p,
     and the two actions are
@@ -167,7 +167,7 @@ def verify_diagonal(
     c_fun = dc.function_matrix
     values = table.values
     d = table.degrees.astype(np.float64)
-    transform = np.conj(table.normalized_values) * (table.class_sizes / table.order)[None, :]
+    transform = table.gelfand_matrix
     # w[:, p] = d . T chi_p, the Gelfand weights of convolving by chi_p.
     w = d[:, None] * (transform @ values.T)
 
@@ -185,12 +185,7 @@ def verify_diagonal(
     unit_residual = max(float(np.abs(m_transform - 1.0).max()), float(unit.max()))
     failing = np.flatnonzero((module > tol) | (unit > tol))
 
-    return DiagonalReport(
-        module_residual=float(module.max()),
-        unit_residual=unit_residual,
-        failing=tuple(int(p) for p in failing),
-        tol=tol,
-    )
+    return DiagonalReport(float(module.max()), unit_residual, tuple(int(p) for p in failing), tol)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Content-addressed character table cache: one ``<content_hash>.npz`` per group.
 
 The hash covers only the multiplication structure, so copies that differ only in
-their label share an entry.  Arrays reload bit for bit; ``.json`` entries and
-``.npz`` entries under ``group-v1`` hashes, both of earlier versions, are never
-read.  The directory is an explicit argument, else ZAMEN_CACHE_DIR, else
-``.zamen-cache`` in the current directory; a temp file and rename keep entries whole.
+their label share an entry.  An entry holds the table's arrays, which reload bit
+for bit; it stores no residual, since a loaded table computes its own from its
+values.  ``.json`` entries and ``.npz`` entries under ``group-v1`` hashes, both
+of earlier versions, are never read.  The directory is an explicit argument,
+else ZAMEN_CACHE_DIR, else ``.zamen-cache`` in the current directory; a temp
+file and rename keep entries whole.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .characters import DEFAULT_CERT_TOL, CharacterTable, _certification_residual, _check_tolerance, character_table
+from .characters import DEFAULT_CERT_TOL, CharacterTable, _check_group, _check_tolerance, character_table
 from .groups import ConjugacyStructure, FiniteGroup, conjugacy_structure
 
 __all__ = ["DEFAULT_CACHE_DIRNAME", "CACHE_ENV_VAR", "resolve_cache_dir", "cached_character_table"]
@@ -36,7 +38,7 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
 
 
 def _load_entry(path: Path, cs: ConjugacyStructure, order: int) -> CharacterTable | None:
-    """The stored table with a recomputed residual; None if unreadable or not bound to ``cs``."""
+    """The stored table, or None if unreadable or not bound to ``cs``."""
     try:
         with np.load(path, allow_pickle=False) as entry:
             arrays = {name: entry[name] for name in ENTRY_ARRAYS}
@@ -47,8 +49,7 @@ def _load_entry(path: Path, cs: ConjugacyStructure, order: int) -> CharacterTabl
     shaped = all(arrays[n].dtype == a.dtype and arrays[n].shape == a.shape for n, a in zip(ENTRY_ARRAYS, like))
     if not shaped or not all(np.array_equal(arrays[n], a) for n, a in zip(ENTRY_ARRAYS[2:], like[2:])):
         return None
-    residual = _certification_residual(arrays["values"], cs.sizes, order, cs.inverse_class)
-    return CharacterTable(cs.group_hash, order, residual=residual, **arrays)
+    return CharacterTable(cs.group_hash, order, **arrays)
 
 
 def cached_character_table(
@@ -61,11 +62,14 @@ def cached_character_table(
     """Return the group's character table and whether it came from cache.
 
     An entry that is unreadable, bound to other classes or above the caller's
-    ``certification_tol`` is recomputed and overwritten.  A tolerance that is
-    not positive and finite raises ValueError.
+    ``certification_tol`` is recomputed and overwritten; a table's residual is
+    always that of its values, so a hit is certified like a fresh table.  A
+    tolerance that is not positive and finite, or a ``cs`` computed from
+    another group, raises ValueError.
     """
     _check_tolerance(certification_tol)
     cs = cs or conjugacy_structure(group)
+    _check_group(group, cs)
     path = resolve_cache_dir(cache_dir) / f"{group.content_hash}.npz"
     cached = _load_entry(path, cs, group.order)
     if cached is not None and cached.residual <= certification_tol:

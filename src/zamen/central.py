@@ -113,9 +113,7 @@ def l1_norm(f: ClassFunction, table_or_cs: CharacterTable | ConjugacyStructure) 
 def gelfand_transform(f: ClassFunction, table: CharacterTable) -> np.ndarray:
     """fhat(pi) = (1/|G|) sum_C |C| f(C) conj(psi_pi(C)), psi_pi = chi_pi/d_pi."""
     _check_binding(f, table.group_hash, "character table")
-    psi = table.normalized_values
-    weights = table.class_sizes / table.order
-    return (np.conj(psi) * weights[None, :]) @ f.coeffs
+    return table.gelfand_matrix @ f.coeffs
 
 
 def inverse_gelfand(transform: np.ndarray, table: CharacterTable) -> ClassFunction:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -75,7 +76,6 @@ class CharacterTable:
     class_sizes: np.ndarray
     class_reps: np.ndarray
     inverse_class: np.ndarray
-    residual: float
 
     @property
     def num_classes(self) -> int:
@@ -90,6 +90,17 @@ class CharacterTable:
     def unitary_matrix(self) -> np.ndarray:
         """U[p, j] = sqrt(|C_j|/|G|) chi_p(C_j); unitary when the table is valid."""
         return self.values * np.sqrt(self.class_sizes / self.order)[None, :]
+
+    @property
+    def gelfand_matrix(self) -> np.ndarray:
+        """T[pi, C] = conj(psi_pi(C)) |C|/|G|, so T @ f is the Gelfand transform of f."""
+        return np.conj(self.normalized_values) * (self.class_sizes / self.order)[None, :]
+
+    @cached_property
+    def residual(self) -> float:
+        """Largest of the row, column and conjugation residuals of ``values``, made on first use."""
+        conj_residual = float(np.abs(self.values[:, self.inverse_class] - np.conj(self.values)).max())
+        return max(verify_orthogonality(self).max_residual, conj_residual)
 
 
 @dataclass(frozen=True)
@@ -163,17 +174,13 @@ def _class_combination(
     return combine
 
 
-def _measure_orthogonality(values: np.ndarray, sizes: np.ndarray, order: int) -> OrthogonalityReport:
-    u = values * np.sqrt(sizes / order)[None, :]
+def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
+    """The row and column orthogonality residuals of a table's values."""
+    u = table.unitary_matrix
     eye = np.eye(u.shape[0])
     row = float(np.abs(u @ u.conj().T - eye).max())
     col = float(np.abs(u.conj().T @ u - eye).max())
-    return OrthogonalityReport(row_residual=row, column_residual=col)
-
-
-def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
-    """Recompute the row and column orthogonality residuals of a table."""
-    return _measure_orthogonality(table.values, table.class_sizes, table.order)
+    return OrthogonalityReport(row, col)
 
 
 def _round_array(x: np.ndarray, ndigits: int) -> np.ndarray:
@@ -218,19 +225,16 @@ def _canonical_row_order(values: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return _value_order(degrees, *_rounded_keys(values))
 
 
-def _certification_residual(
-    values: np.ndarray, sizes: np.ndarray, order: int, inverse_class: np.ndarray
-) -> float:
-    """Largest of the row, column and conjugation residuals of a table."""
-    report = _measure_orthogonality(values, sizes, order)
-    conj_residual = float(np.abs(values[:, inverse_class] - np.conj(values)).max())
-    return max(report.max_residual, conj_residual)
-
-
 def _check_tolerance(certification_tol: float) -> None:
     """Reject a tolerance that no residual could fail (inf, nan) or meet (<= 0)."""
     if not (math.isfinite(certification_tol) and certification_tol > 0):
         raise ValueError(f"certification_tol must be positive and finite, not {certification_tol!r}")
+
+
+def _check_group(group: FiniteGroup, cs: ConjugacyStructure) -> None:
+    """Reject conjugacy data computed from a different group (labels aside)."""
+    if cs.group_hash != group.content_hash:
+        raise ValueError(f"group mismatch: the conjugacy structure given for {group.label!r} is another group's")
 
 
 def character_table(
@@ -240,26 +244,27 @@ def character_table(
     seed: int = 0,
     collision_tol: float = DEFAULT_COLLISION_TOL,
     certification_tol: float = DEFAULT_CERT_TOL,
-    max_retries: int = MAX_RETRIES,
 ) -> CharacterTable:
     """Compute the full character table of ``group``.
 
     Retries with fresh random coefficients when eigenvalues of the sampled
     combination collide (within ``collision_tol``, scaled by the spectral
     diameter) or when certification misses ``certification_tol``; after
-    ``max_retries`` failures raises DegeneracyError / CertificationError.
-    A ``certification_tol`` that is not positive and finite raises ValueError.
+    ``MAX_RETRIES`` failures raises DegeneracyError / CertificationError.
+    A ``certification_tol`` that is not positive and finite, or a ``cs``
+    computed from another group, raises ValueError.
     """
     _check_tolerance(certification_tol)
     cs = cs or conjugacy_structure(group)
+    _check_group(group, cs)
     n = group.order
     k = cs.num_classes
-    sizes = cs.sizes.astype(np.float64)
+    root_sizes = np.sqrt(n / cs.sizes.astype(np.float64))
     combine = _class_combination(group, cs)
 
     e_class = int(cs.class_of[group.identity])
     last_error: Exception | None = None
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng([seed, attempt])
         c = _paired_coefficients(rng, cs.inverse_class)
         h = combine(c)
@@ -275,48 +280,42 @@ def character_table(
                 )
                 continue
 
-        # Columns of eigvecs are (up to phase) sqrt(|C|/|G|) chi(C).
-        rows = np.empty((k, k), dtype=np.complex128)
-        degrees = np.empty(k, dtype=np.int64)
-        ok = True
-        for p in range(k):
-            v = eigvecs[:, p]
-            pivot = v[e_class]
-            v = v * (np.conj(pivot) / abs(pivot))
-            d = float(np.sqrt(n) * v[e_class].real)
-            degrees[p] = int(round(d))
-            if degrees[p] < 1 or abs(d - degrees[p]) > 1e-6 or n % degrees[p]:
-                ok = False
-                break
-            rows[p] = np.sqrt(n / sizes) * v
-        if not ok or int((degrees**2).sum()) != n:
+        # Columns of eigvecs are (up to phase) sqrt(|C|/|G|) chi(C); the
+        # identity class's entry, made real and positive, is d / sqrt(|G|).
+        pivot = eigvecs[e_class]
+        eigvecs *= np.conj(pivot) / np.abs(pivot)
+        d = np.sqrt(n) * eigvecs[e_class].real
+        degrees = np.rint(d)
+        if not (
+            np.all(np.abs(d - degrees) <= 1e-6)
+            and np.all(degrees >= 1)
+            and not np.any(n % degrees)
+            and int((degrees**2).sum()) == n
+        ):
             last_error = CertificationError(
                 f"degree recovery failed on attempt {attempt + 1}"
             )
             continue
+        degrees = degrees.astype(np.int64)
+        eigvecs *= root_sizes[:, None]
 
-        order_idx = _canonical_row_order(rows, degrees)
-        rows = rows[order_idx]
-        degrees = degrees[order_idx]
-
-        residual = _certification_residual(rows, sizes, n, cs.inverse_class)
-        if residual > certification_tol:
-            last_error = CertificationError(
-                f"certification residual {residual:.3e} "
-                f"above {certification_tol:.1e} on attempt {attempt + 1}"
-            )
-            continue
-
-        return CharacterTable(
+        order_idx = _canonical_row_order(eigvecs.T, degrees)
+        table = CharacterTable(
             group_hash=group.content_hash,
             order=n,
-            values=rows,
-            degrees=degrees,
+            values=eigvecs.T[order_idx],
+            degrees=degrees[order_idx],
             class_sizes=cs.sizes.copy(),
             class_reps=cs.reps.copy(),
             inverse_class=cs.inverse_class.copy(),
-            residual=residual,
         )
+        if table.residual > certification_tol:
+            last_error = CertificationError(
+                f"certification residual {table.residual:.3e} "
+                f"above {certification_tol:.1e} on attempt {attempt + 1}"
+            )
+            continue
+        return table
 
     assert last_error is not None
     raise last_error
@@ -372,5 +371,4 @@ def tensor_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
         class_sizes=sizes,
         class_reps=np.full(values.shape[1], -1, dtype=np.int64),
         inverse_class=inverse_class,
-        residual=max(t1.residual, t2.residual),
     )

@@ -194,6 +194,8 @@ def _amconst_record(name: str, group: FiniteGroup, cache_dir: str | None, tol: f
 def _cmd_group_amconst(args: argparse.Namespace) -> Output:
     if not (args.zoo or args.groups):
         raise SpecError("give at least one group, or use --zoo")
+    if args.zoo and args.groups:
+        raise SpecError("give groups or --zoo, not both")
     names = list(zoo_names()) if args.zoo else list(args.groups)
     groups = [zoo_build(n) if args.zoo else _resolve_group(n) for n in names]
     records = [

@@ -13,16 +13,18 @@ Three document kinds, all carrying a ``format`` name and integer ``version``:
   coefficient scheme, the truncation levels, and quadrature settings.
 
 Values are rounded to 12 decimal places on export with negative zero
-normalized, so re-serializing a loaded document is byte-stable.  Exports are
-stable only for a fixed code version: the last decimals of a table good to
-about 1e-11 move when its floating-point sums are reordered.
+normalized, so re-serializing a loaded document is byte-stable.  A document's
+``residual`` is that of the rounded values it holds, and a loaded table
+recomputes it from them rather than trusting the field.  Exports are stable
+only for a fixed code version: the last decimals of a table good to about
+1e-11 move when its floating-point sums are reordered.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Any
 
 import numpy as np
@@ -107,6 +109,8 @@ def _build_group(spec: dict, depth: int = 0) -> FiniteGroup:
         raise SpecError("group spec entries must be JSON objects")
     kind = spec.get("kind")
     label = spec.get("label")
+    if "label" in spec and not isinstance(label, str):
+        raise SpecError(f"a group spec label must be a string, not {label!r}")
     if kind == "perm":
         degree = spec.get("degree")
         generators = spec.get("generators")
@@ -131,7 +135,7 @@ def _build_group(spec: dict, depth: int = 0) -> FiniteGroup:
         group = _build_group(factors[0], depth + 1)
         for factor in factors[1:]:
             group = direct_product(group, _build_group(factor, depth + 1))
-        return group
+        return replace(group, label=label) if label else group
     if kind == "semidirect":
         normal = spec.get("normal")
         acting = spec.get("acting")
@@ -161,12 +165,12 @@ def group_from_json(text: str) -> FiniteGroup:
     return load_group_spec(payload)
 
 
-def _complex_rows(values: np.ndarray) -> list[list[list[float]]]:
+def _complex_pairs(values: np.ndarray) -> np.ndarray:
     """[real, imag] pairs rounded to 12 decimals, with negative zero made positive."""
     values = np.asarray(values)
     pairs = np.stack([_round_array(values.real, 12), _round_array(values.imag, 12)], axis=-1)
     pairs[pairs == 0] = 0.0
-    return pairs.tolist()
+    return pairs
 
 
 def character_table_payload(table: CharacterTable) -> dict:
@@ -174,8 +178,12 @@ def character_table_payload(table: CharacterTable) -> dict:
 
     ``classes``/``rows`` follow the group's class order and reload exactly;
     ``canonical`` holds the joint row/column canonical form, which is equal
-    byte for byte across groups sharing a character table.
+    byte for byte across groups sharing a character table.  ``residual`` is
+    the residual of the exported (rounded) values, the number
+    ``load_character_table`` recomputes from the document.
     """
+    pairs = _complex_pairs(table.values)
+    residual = replace(table, values=pairs.view(np.complex128)[..., 0]).residual
     canon_values, canon_degrees, canon_sizes = canonical_form(table)
     return {
         "format": CHARTABLE_FORMAT,
@@ -189,16 +197,16 @@ def character_table_payload(table: CharacterTable) -> dict:
         "inverse_class": [int(j) for j in table.inverse_class],
         "rows": [
             {"degree": int(d), "values": row}
-            for d, row in zip(table.degrees, _complex_rows(table.values))
+            for d, row in zip(table.degrees, pairs.tolist())
         ],
         "canonical": {
             "class_sizes": [int(s) for s in canon_sizes],
             "rows": [
                 {"degree": int(d), "values": row}
-                for d, row in zip(canon_degrees, _complex_rows(canon_values))
+                for d, row in zip(canon_degrees, _complex_pairs(canon_values).tolist())
             ],
         },
-        "residual": {"orthogonality": table.residual},
+        "residual": {"orthogonality": residual},
     }
 
 
@@ -207,7 +215,8 @@ def load_character_table(payload: dict, cs: ConjugacyStructure) -> CharacterTabl
 
     The document must match the group hash and class layout (representatives,
     sizes and inverse classes); the canonical block is redundant on load and
-    ignored.
+    ignored, and so is ``residual``: the table computes its own from the
+    document's values.
     """
     _check_header(payload, CHARTABLE_FORMAT)
     if payload.get("group_hash") != cs.group_hash:
@@ -238,7 +247,6 @@ def load_character_table(payload: dict, cs: ConjugacyStructure) -> CharacterTabl
         class_sizes=sizes,
         class_reps=reps,
         inverse_class=inverse,
-        residual=float(payload["residual"]["orthogonality"]),
     )
 
 

@@ -29,6 +29,7 @@ from zamen.groups import (
     cyclic,
     dihedral,
     direct_product,
+    from_cayley_table,
     quaternion_group,
     symmetric,
 )
@@ -227,6 +228,69 @@ def test_tensor_table_matches_product_group():
     assert np.abs(vt - vp).max() < 1e-9
 
 
+def formula_residual(t):
+    """max of |UU* - I|, |U*U - I| and |V[:, inv] - conj V|, written out here."""
+    u = t.values * np.sqrt(t.class_sizes / t.order)[None, :]
+    eye = np.eye(t.num_classes)
+    return max(
+        float(np.abs(u @ u.conj().T - eye).max()),
+        float(np.abs(u.conj().T @ u - eye).max()),
+        float(np.abs(t.values[:, t.inverse_class] - np.conj(t.values)).max()),
+    )
+
+
+RESIDUAL_GROUPS = {
+    **{name: (lambda name=name: build(name)) for name in zoo_names()},
+    "D60": lambda: dihedral(60),
+    "Q8xZ40": lambda: direct_product(quaternion_group(), cyclic(40)),
+}
+
+
+@pytest.mark.parametrize("make_group", RESIDUAL_GROUPS.values(), ids=RESIDUAL_GROUPS.keys())
+def test_residual_is_the_residual_of_the_values(make_group):
+    t = character_table(make_group())
+    assert t.residual == formula_residual(t)
+    assert t.residual <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [(lambda: symmetric(4), lambda: symmetric(4)), (lambda: dihedral(8), quaternion_group)],
+    ids=["S4xS4", "D8xQ8"],
+)
+def test_tensor_table_reports_the_residual_of_its_values(left, right):
+    t1, t2 = character_table(left()), character_table(right())
+    tt = tensor_table(t1, t2)
+    assert tt.residual == formula_residual(tt)
+    assert tt.residual >= max(t1.residual, t2.residual)
+
+
+def test_gelfand_matrix_transforms_class_functions():
+    t = character_table(symmetric(4))
+    expected = np.conj(t.values / t.degrees[:, None]) * (t.class_sizes / t.order)[None, :]
+    assert np.array_equal(t.gelfand_matrix, expected)
+    # The indicator of the identity class transforms to 1/|G| everywhere.
+    assert np.allclose(t.gelfand_matrix[:, 0], 1 / t.order)
+
+
+@pytest.mark.parametrize(
+    "make_group, make_other",
+    [(lambda: symmetric(3), lambda: cyclic(6)), (lambda: cyclic(6), lambda: symmetric(3))],
+    ids=["S3 given Z6", "Z6 given S3"],
+)
+def test_conjugacy_structure_of_another_group_is_rejected(make_group, make_other):
+    with pytest.raises(ValueError, match="group mismatch"):
+        character_table(make_group(), conjugacy_structure(make_other()))
+
+
+def test_relabelled_copy_shares_its_conjugacy_structure():
+    group = symmetric(3)
+    copy = from_cayley_table(group.table, label="renamed")
+    assert copy.content_hash == group.content_hash
+    t = character_table(copy, conjugacy_structure(group))
+    assert t.values.tobytes() == character_table(group).values.tobytes()
+
+
 def test_unitary_matrix_is_unitary():
     t = character_table(symmetric(4))
     u = t.unitary_matrix
@@ -269,7 +333,6 @@ def tied_random_tables(count=200, seed=7):
                 class_sizes=rng.integers(1, 3, size=k),
                 class_reps=np.zeros(k, dtype=np.int64),
                 inverse_class=np.arange(k),
-                residual=0.0,
             )
         )
     return tables

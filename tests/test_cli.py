@@ -206,6 +206,38 @@ class TestChartable:
         assert doc["order"] == 4
 
 
+S3_SPEC = {"kind": "perm", "degree": 3, "generators": ["(1 2)", "(1 2 3)"], "label": "S3"}
+Z2_SPEC = {"kind": "cayley", "table": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "body, code, stream, text",
+    [
+        ({**S3_SPEC, "label": 5}, 2, "err", "error:"),
+        ({**S3_SPEC, "label": ["x"]}, 2, "err", "error:"),
+        ({"kind": "product", "factors": [S3_SPEC, {**Z2_SPEC, "label": 2}]}, 2, "err", "error:"),
+        ({"kind": "product", "factors": [S3_SPEC, Z2_SPEC], "label": 5}, 2, "err", "error:"),
+        ({"kind": "product", "factors": [S3_SPEC, Z2_SPEC], "label": "K"}, 0, "out", "K: order 12, "),
+        ({"kind": "product", "factors": [S3_SPEC, Z2_SPEC]}, 0, "out", "S3xG: order 12, "),
+        (S3_SPEC, 0, "out", "S3: order 6, "),
+    ],
+    ids=[
+        "integer",
+        "list",
+        "integer in a factor",
+        "integer on a product",
+        "product",
+        "unlabelled product",
+        "perm",
+    ],
+)
+def test_group_spec_labels(body, code, stream, text, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"format": "zamen-group", "version": 1, **body}))
+    assert run_cli("group", "info", str(path)) == code
+    assert getattr(capsys.readouterr(), stream).startswith(text)
+
+
 class TestAmconst:
     def test_s3_snaps_to_seven_thirds(self, tmp_path, capsys):
         assert run_cli("group", "amconst", "S3", "--cache-dir", str(tmp_path)) == 0
@@ -228,6 +260,12 @@ class TestAmconst:
     def test_no_groups_exits_2(self, capsys):
         assert run_cli("group", "amconst") == 2
         assert "at least one group" in capsys.readouterr().err
+
+    def test_groups_and_zoo_together_exit_2(self, capsys):
+        assert run_cli("group", "amconst", "Z3", "--zoo") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: give groups or --zoo, not both")
 
 
 class TestHypergroupRun:

@@ -8,7 +8,15 @@ import pytest
 from zamen import cache, specio
 from zamen.cache import CACHE_ENV_VAR, cached_character_table, resolve_cache_dir
 from zamen.characters import character_table, verify_orthogonality
-from zamen.groups import conjugacy_structure, cyclic, dihedral, direct_product, quaternion_group, symmetric
+from zamen.groups import (
+    conjugacy_structure,
+    cyclic,
+    dihedral,
+    direct_product,
+    from_cayley_table,
+    quaternion_group,
+    symmetric,
+)
 from zamen.specio import (
     SpecError,
     character_table_payload,
@@ -99,6 +107,31 @@ class TestCharacterTableDocuments:
         payload = character_table_payload(table)
         loaded = load_character_table(payload, cs)
         assert stable_json(character_table_payload(loaded)) == stable_json(payload)
+
+    def test_loaded_residual_is_that_of_the_document_values(self):
+        # A forged document: one value changed, its residual field set to 0.
+        cs = conjugacy_structure(symmetric(4))
+        payload = character_table_payload(character_table(symmetric(4), cs))
+        payload["rows"][1]["values"][0] = [5.0, 0.0]
+        payload["residual"]["orthogonality"] = 0.0
+        assert load_character_table(payload, cs).residual >= 0.9
+
+    @pytest.mark.parametrize(
+        "make_group",
+        [
+            lambda: dihedral(5),
+            lambda: dihedral(8),
+            lambda: symmetric(4),
+            lambda: direct_product(quaternion_group(), cyclic(40)),
+        ],
+        ids=["D5", "D8", "S4", "Q8xZ40"],
+    )
+    def test_exported_residual_is_the_one_a_reload_computes(self, make_group):
+        group = make_group()
+        cs = conjugacy_structure(group)
+        payload = character_table_payload(character_table(group, cs))
+        loaded = load_character_table(json.loads(stable_json(payload)), cs)
+        assert payload["residual"]["orthogonality"] == loaded.residual <= 1e-9
 
     def test_wrong_group_is_rejected(self):
         group = symmetric(3)
@@ -350,6 +383,15 @@ class TestCache:
         cached_character_table(group, cache_dir=tmp_path)
         with pytest.raises(ValueError, match="positive and finite"):
             cached_character_table(group, cache_dir=tmp_path, certification_tol=tol)
+
+    def test_conjugacy_structure_must_come_from_the_same_group(self, tmp_path):
+        group = dihedral(6)
+        with pytest.raises(ValueError, match="group mismatch"):
+            cached_character_table(group, conjugacy_structure(cyclic(12)), cache_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+        copy = from_cayley_table(group.table, label="renamed")
+        table, hit = cached_character_table(copy, conjugacy_structure(group), cache_dir=tmp_path)
+        assert not hit and table.group_hash == group.content_hash
 
     def test_relabeled_group_shares_entry(self, tmp_path):
         a = symmetric(3)
