@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import CharacterTable, character_table, tensor_table
-from .groups import FiniteGroup, Quotient, conjugacy_structure, quotient_group
+from .groups import FiniteGroup, quotient_group
 
 __all__ = [
     "DiagonalCoefficients",
@@ -55,16 +55,6 @@ class DiagonalCoefficients:
 
     group_hash: str
     matrix: np.ndarray
-    inverse_class: np.ndarray
-
-    @property
-    def function_matrix(self) -> np.ndarray:
-        """Coefficients of the diagonal as a function on G x G.
-
-        mu = sum_{C,C'} matrix[Cbar, C'] 1_C (x) 1_{C'}; the involution undoes
-        the conjugated left leg of the stored matrix.
-        """
-        return self.matrix[self.inverse_class, :]
 
 
 @dataclass(frozen=True)
@@ -82,11 +72,7 @@ def diagonal(table: CharacterTable) -> DiagonalCoefficients:
     """Coefficient matrix of the unique diagonal of ZL1(G)."""
     weighted = table.values * (table.degrees.astype(np.float64) ** 2)[:, None]
     matrix = table.values.conj().T @ weighted
-    return DiagonalCoefficients(
-        group_hash=table.group_hash,
-        matrix=matrix,
-        inverse_class=table.inverse_class.copy(),
-    )
+    return DiagonalCoefficients(group_hash=table.group_hash, matrix=matrix)
 
 
 def snap_rational(value: float, max_denominator: int = 64, tol: float = 1e-9) -> Fraction | None:
@@ -164,7 +150,8 @@ def verify_diagonal(
     dc = dc or diagonal(table)
     if dc.group_hash != table.group_hash:
         raise ValueError("group mismatch: coefficients were built from a different table")
-    c_fun = dc.function_matrix
+    # mu = sum_{C,C'} matrix[Cbar, C'] 1_C (x) 1_{C'}: the involution undoes the conjugated left leg.
+    c_fun = dc.matrix[table.inverse_class]
     values = table.values
     d = table.degrees.astype(np.float64)
     transform = table.gelfand_matrix
@@ -222,7 +209,7 @@ def quotient_monotonicity_check(
     group: FiniteGroup, subgroup, *, tol: float = 1e-9
 ) -> MonotonicityReport:
     """AM(G) >= AM(G/N): quotients cannot increase the constant."""
-    quo = subgroup if isinstance(subgroup, Quotient) else quotient_group(group, subgroup)
+    quo = quotient_group(group, subgroup)
     am_g = amenability_constant(character_table(group)).value
     am_q = amenability_constant(character_table(quo.group)).value
     slack = am_g - am_q

@@ -1,8 +1,10 @@
 """Content-addressed character table cache: one ``<content_hash>.npz`` per group.
 
 The hash covers only the multiplication structure, so copies that differ only in
-their label share an entry.  An entry holds the table's arrays, which reload bit
-for bit; it stores no residual, since a loaded table computes its own from its
+their label share an entry.  An entry holds the table's ``TABLE_ARRAYS``, which
+reload bit for bit; ``CharacterTable.from_arrays``, the check that
+``specio.load_character_table`` applies to documents too, binds them to the
+group.  It stores no residual, since a loaded table computes its own from its
 values.  ``.json`` entries and ``.npz`` entries under ``group-v1`` hashes, both
 of earlier versions, are never read.  The directory is an explicit argument,
 else ZAMEN_CACHE_DIR, else ``.zamen-cache`` in the current directory; a temp
@@ -18,14 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .characters import DEFAULT_CERT_TOL, CharacterTable, _check_group, _check_tolerance, character_table
+from .characters import DEFAULT_CERT_TOL, TABLE_ARRAYS, CharacterTable, _check_group, _check_tolerance, character_table
 from .groups import ConjugacyStructure, FiniteGroup, conjugacy_structure
 
 __all__ = ["DEFAULT_CACHE_DIRNAME", "CACHE_ENV_VAR", "resolve_cache_dir", "cached_character_table"]
 
 DEFAULT_CACHE_DIRNAME = ".zamen-cache"
 CACHE_ENV_VAR = "ZAMEN_CACHE_DIR"
-ENTRY_ARRAYS = ("values", "degrees", "class_sizes", "class_reps", "inverse_class")
 
 
 def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
@@ -37,19 +38,13 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
     return Path.cwd() / DEFAULT_CACHE_DIRNAME
 
 
-def _load_entry(path: Path, cs: ConjugacyStructure, order: int) -> CharacterTable | None:
+def _load_entry(path: Path, cs: ConjugacyStructure) -> CharacterTable | None:
     """The stored table, or None if unreadable or not bound to ``cs``."""
     try:
         with np.load(path, allow_pickle=False) as entry:
-            arrays = {name: entry[name] for name in ENTRY_ARRAYS}
+            return CharacterTable.from_arrays(cs, entry)
     except (OSError, EOFError, RuntimeError, zipfile.BadZipFile, ValueError, KeyError, TypeError):
         return None
-    k = cs.num_classes
-    like = (np.empty((k, k), np.complex128), np.empty(k, np.int64), cs.sizes, cs.reps, cs.inverse_class)
-    shaped = all(arrays[n].dtype == a.dtype and arrays[n].shape == a.shape for n, a in zip(ENTRY_ARRAYS, like))
-    if not shaped or not all(np.array_equal(arrays[n], a) for n, a in zip(ENTRY_ARRAYS[2:], like[2:])):
-        return None
-    return CharacterTable(cs.group_hash, order, **arrays)
 
 
 def cached_character_table(
@@ -61,17 +56,17 @@ def cached_character_table(
 ) -> tuple[CharacterTable, bool]:
     """Return the group's character table and whether it came from cache.
 
-    An entry that is unreadable, bound to other classes or above the caller's
-    ``certification_tol`` is recomputed and overwritten; a table's residual is
-    always that of its values, so a hit is certified like a fresh table.  A
-    tolerance that is not positive and finite, or a ``cs`` computed from
-    another group, raises ValueError.
+    An entry that is unreadable, refused by ``CharacterTable.from_arrays`` or
+    above the caller's ``certification_tol`` is recomputed and overwritten; a
+    table's residual is always that of its values, so a hit is certified like a
+    fresh table.  A tolerance that is not positive and finite, or a ``cs``
+    computed from another group, raises ValueError.
     """
     _check_tolerance(certification_tol)
     cs = cs or conjugacy_structure(group)
     _check_group(group, cs)
     path = resolve_cache_dir(cache_dir) / f"{group.content_hash}.npz"
-    cached = _load_entry(path, cs, group.order)
+    cached = _load_entry(path, cs)
     if cached is not None and cached.residual <= certification_tol:
         return cached, True
     table = character_table(group, cs, certification_tol=certification_tol)
@@ -80,7 +75,7 @@ def cached_character_table(
     try:
         # Saving through the handle keeps numpy from appending ".npz" to the temp name.
         with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **{name: getattr(table, name) for name in ENTRY_ARRAYS})
+            np.savez(handle, **{name: getattr(table, name) for name in TABLE_ARRAYS})
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -26,7 +26,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -47,6 +47,8 @@ __all__ = [
 DEFAULT_COLLISION_TOL = 1e-6
 DEFAULT_CERT_TOL = 1e-9
 MAX_RETRIES = 5
+# The arrays a table is stored as, in the order they are written.
+TABLE_ARRAYS = ("values", "degrees", "class_sizes", "class_reps", "inverse_class")
 
 
 class DegeneracyError(RuntimeError):
@@ -66,16 +68,40 @@ class CharacterTable:
     trivial character is always row 0 and recomputation with any seed yields
     the same table.  ``inverse_class`` is the class involution C -> C^{-1},
     carried here so consumers can pair a class with its conjugate column
-    without access to the group.
+    without access to the group.  The group order is the sum of the class
+    sizes, so no table can carry an order its classes disagree with.
     """
 
     group_hash: str
-    order: int
     values: np.ndarray
     degrees: np.ndarray
     class_sizes: np.ndarray
     class_reps: np.ndarray
     inverse_class: np.ndarray
+
+    @classmethod
+    def from_arrays(cls, cs: ConjugacyStructure, arrays: Mapping[str, np.ndarray]) -> CharacterTable:
+        """The table stored as the ``TABLE_ARRAYS`` of ``arrays`` (an open ``np.load`` archive or a dict).
+
+        The class arrays must equal ``cs``'s, ``values`` must be complex128 of
+        shape (k, k), and ``degrees`` int64 of shape (k,) with every entry at
+        least 1; otherwise ValueError names the array.  The table holds
+        ``cs``'s group hash and its own read-only class arrays.
+        """
+        k = cs.num_classes
+        for name, own in zip(TABLE_ARRAYS[2:], (cs.sizes, cs.reps, cs.inverse_class)):
+            if not np.array_equal(arrays[name], own):
+                raise ValueError(f"{name}: the classes or inverse classes do not match the group")
+        values, degrees = arrays["values"], arrays["degrees"]
+        if values.dtype != np.complex128 or values.shape != (k, k):
+            raise ValueError(f"values: expected complex128 of shape {(k, k)}, got {values.dtype} {values.shape}")
+        if degrees.dtype != np.int64 or degrees.shape != (k,) or not np.all(degrees >= 1):
+            raise ValueError(f"degrees: expected {k} int64 entries of at least 1")
+        return cls(cs.group_hash, values, degrees, cs.sizes, cs.reps, cs.inverse_class)
+
+    @property
+    def order(self) -> int:
+        return int(self.class_sizes.sum())
 
     @property
     def num_classes(self) -> int:
@@ -111,9 +137,6 @@ class OrthogonalityReport:
     @property
     def max_residual(self) -> float:
         return max(self.row_residual, self.column_residual)
-
-    def passed(self, tol: float = DEFAULT_CERT_TOL) -> bool:
-        return self.max_residual <= tol
 
 
 def class_constants(group: FiniteGroup, cs: ConjugacyStructure | None = None) -> np.ndarray:
@@ -302,12 +325,11 @@ def character_table(
         order_idx = _canonical_row_order(eigvecs.T, degrees)
         table = CharacterTable(
             group_hash=group.content_hash,
-            order=n,
             values=eigvecs.T[order_idx],
             degrees=degrees[order_idx],
-            class_sizes=cs.sizes.copy(),
-            class_reps=cs.reps.copy(),
-            inverse_class=cs.inverse_class.copy(),
+            class_sizes=cs.sizes,
+            class_reps=cs.reps,
+            inverse_class=cs.inverse_class,
         )
         if table.residual > certification_tol:
             last_error = CertificationError(
@@ -365,7 +387,6 @@ def tensor_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
     digest = hashlib.sha256(f"tensor:{t1.group_hash}:{t2.group_hash}".encode()).hexdigest()
     return CharacterTable(
         group_hash=digest,
-        order=t1.order * t2.order,
         values=values,
         degrees=degrees,
         class_sizes=sizes,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -361,7 +361,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 def semidirect_product(
     normal: FiniteGroup,
     acting: FiniteGroup,
-    action: Sequence[Sequence[int]] | Callable[[int], Sequence[int]],
+    action: Sequence[Sequence[int]],
     label: str | None = None,
 ) -> FiniteGroup:
     """Semidirect product N x| H for a right action (n, h)(n', h') = (n*h(n'), hh').
@@ -373,10 +373,7 @@ def semidirect_product(
     its table is not validated again.
     """
     _check_product_order(normal, acting)
-    if callable(action):
-        maps = [np.asarray(action(h), dtype=np.int64) for h in range(acting.order)]
-    else:
-        maps = [np.asarray(a, dtype=np.int64) for a in action]
+    maps = [np.asarray(a, dtype=np.int64) for a in action]
     if len(maps) != acting.order:
         raise ValidationError(f"action must supply {acting.order} maps, got {len(maps)}")
 
@@ -386,14 +383,15 @@ def semidirect_product(
             raise ValidationError(f"action of element {h} is not a permutation of the normal factor")
         if not np.array_equal(phi[tn], tn[np.ix_(phi, phi)]):
             raise ValidationError(f"action of element {h} is not an automorphism")
+    maps = np.stack(maps)  # row h is the permutation of h, each checked above
     if not np.array_equal(maps[acting.identity], np.arange(normal.order)):
         raise ValidationError("action of the identity must be the identity map")
     for h1 in range(acting.order):
-        for h2 in range(acting.order):
-            if not np.array_equal(maps[acting.table[h1, h2]], maps[h1][maps[h2]]):
-                raise ValidationError(
-                    f"action is not a homomorphism: maps[{h1}*{h2}] != maps[{h1}] o maps[{h2}]"
-                )
+        # Row h2 compares maps[h1*h2] with maps[h1] o maps[h2].
+        broken = np.flatnonzero((maps[acting.table[h1]] != maps[h1][maps]).any(axis=1))
+        if broken.size:
+            h2 = int(broken[0])
+            raise ValidationError(f"action is not a homomorphism: maps[{h1}*{h2}] != maps[{h1}] o maps[{h2}]")
 
     m = acting.order
     n = normal.order

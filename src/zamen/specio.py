@@ -15,9 +15,11 @@ Three document kinds, all carrying a ``format`` name and integer ``version``:
 Values are rounded to 12 decimal places on export with negative zero
 normalized, so re-serializing a loaded document is byte-stable.  A document's
 ``residual`` is that of the rounded values it holds, and a loaded table
-recomputes it from them rather than trusting the field.  Exports are stable
-only for a fixed code version: the last decimals of a table good to about
-1e-11 move when its floating-point sums are reordered.
+recomputes it from them rather than trusting the field; it ignores ``order``
+too.  ``CharacterTable.from_arrays`` checks a loaded document exactly as it
+checks a cache entry.  Exports are stable only for a fixed code version: the
+last decimals of a table good to about 1e-11 move when its floating-point sums
+are reordered.
 """
 
 from __future__ import annotations
@@ -213,41 +215,29 @@ def character_table_payload(table: CharacterTable) -> dict:
 def load_character_table(payload: dict, cs: ConjugacyStructure) -> CharacterTable:
     """Rebuild a character table from a document, bound to ``cs``'s group.
 
-    The document must match the group hash and class layout (representatives,
-    sizes and inverse classes); the canonical block is redundant on load and
-    ignored, and so is ``residual``: the table computes its own from the
-    document's values.
+    The document must match the group hash, and its arrays must pass
+    ``CharacterTable.from_arrays``; one that does not, or lacks a key, raises
+    SpecError.  The canonical block, ``order`` and ``residual`` are ignored:
+    the table computes the last two from its arrays.
     """
     _check_header(payload, CHARTABLE_FORMAT)
     if payload.get("group_hash") != cs.group_hash:
         raise SpecError("character table document belongs to a different group")
-    classes = payload.get("classes")
-    rows = payload.get("rows")
-    if not isinstance(classes, list) or not isinstance(rows, list):
-        raise SpecError("character table document is missing classes or rows")
-    if len(classes) != cs.sizes.size or len(rows) != len(classes):
-        raise SpecError("character table document has the wrong class count")
-    reps = np.array([c["rep"] for c in classes])
-    sizes = np.array([c["size"] for c in classes])
-    inverse = np.array(payload.get("inverse_class"))
-    if not np.array_equal(reps, cs.reps) or not np.array_equal(sizes, cs.sizes):
-        raise SpecError("character table document classes do not match the group")
-    if not np.array_equal(inverse, cs.inverse_class):
-        raise SpecError("character table document inverse classes do not match the group")
-    pairs = np.array([row["values"] for row in rows], dtype=np.float64)
-    if pairs.shape != (len(rows), len(rows), 2):
-        raise SpecError("character table document rows have the wrong shape")
-    values = pairs.view(np.complex128)[..., 0]
-    degrees = np.array([row["degree"] for row in rows])
-    return CharacterTable(
-        group_hash=cs.group_hash,
-        order=int(payload["order"]),
-        values=values,
-        degrees=degrees,
-        class_sizes=sizes,
-        class_reps=reps,
-        inverse_class=inverse,
-    )
+    try:
+        classes, rows = payload["classes"], payload["rows"]
+        pairs = np.array([row["values"] for row in rows], dtype=np.float64).reshape(len(rows), -1, 2)
+        arrays = {
+            "values": pairs.view(np.complex128)[..., 0],
+            "degrees": np.array(_int_list([row["degree"] for row in rows], "degrees"), dtype=np.int64),
+            "class_sizes": np.array(_int_list([c["size"] for c in classes], "class sizes"), dtype=np.int64),
+            "class_reps": np.array(_int_list([c["rep"] for c in classes], "class reps"), dtype=np.int64),
+            "inverse_class": np.array(_int_list(payload["inverse_class"], "inverse_class"), dtype=np.int64),
+        }
+        return CharacterTable.from_arrays(cs, arrays)
+    except KeyError as exc:
+        raise SpecError(f"character table document is missing {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(f"malformed character table document: {exc}") from None
 
 
 def load_experiment_spec(payload: dict) -> dict:

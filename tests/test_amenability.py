@@ -151,7 +151,7 @@ def test_verify_diagonal_detects_perturbation():
             bad[entry] += 0.01
             report = verify_diagonal(
                 t,
-                type(dc)(group_hash=dc.group_hash, matrix=bad, inverse_class=dc.inverse_class),
+                type(dc)(group_hash=dc.group_hash, matrix=bad),
             )
             assert not report.passed, (name, entry)
             assert report.max_residual >= 1e-3, (name, entry, report.max_residual)
@@ -160,7 +160,7 @@ def test_verify_diagonal_detects_perturbation():
 def loop_verify_diagonal(table, dc, tol=1e-9):
     """verify_diagonal by O(k^2) spectral convolutions per check (the oracle)."""
     k = table.num_classes
-    c_fun = dc.function_matrix
+    c_fun = dc.matrix[table.inverse_class]
     failing = []
     module_residual = 0.0
     basis = [ClassFunction(table.group_hash, table.values[p].copy()) for p in range(k)]
@@ -189,7 +189,7 @@ def loop_verify_diagonal(table, dc, tol=1e-9):
 
 
 def corrupted(dc, matrix):
-    return type(dc)(group_hash=dc.group_hash, matrix=matrix, inverse_class=dc.inverse_class)
+    return type(dc)(group_hash=dc.group_hash, matrix=matrix)
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,13 @@
 
 The benchmark wraps the public functions listed in ``perfbench.tracing.TRACED``
 and calls a few others by position or field name; removing or reshaping one of
-them should fail here rather than in a traced benchmark run.
+them should fail here rather than in a traced benchmark run.  A few of its items
+also run on tiny inputs, so the result fields its checks read are exercised too.
 """
 
 import importlib
 import inspect
+import random
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -39,3 +41,20 @@ def test_cached_character_table_takes_cs_second():
 def test_quadrature_config_keeps_the_grid_fields():
     names = {f.name for f in fields(QuadratureConfig)}
     assert {"panels", "nodes_per_panel", "refinement_factor"} <= names
+
+
+def test_benchmark_items_pass_their_own_checks_on_tiny_inputs(tmp_path):
+    from perfbench import workloads
+
+    rng = random.Random(5)
+    items = [
+        workloads.group_item("S3", rng),
+        workloads.group_item("S3xS3", rng),
+        workloads.group_item("D60", rng),
+        workloads.experiment_item("chebyshev", "fejer", (4, 8), rng),
+        workloads.experiment_item("su2", "dirichlet", (4,), rng),
+        workloads.Tz2Item(3),
+    ]
+    assert items[1].factor_docs and items[2].verify_diagonal
+    for item in items:
+        assert item.run(tmp_path).problems == [], item.name

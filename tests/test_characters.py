@@ -13,6 +13,7 @@ from zamen.characters import (
     CertificationError,
     CharacterTable,
     DegeneracyError,
+    TABLE_ARRAYS,
     _canonical_row_order,
     _class_combination,
     _paired_coefficients,
@@ -291,6 +292,37 @@ def test_relabelled_copy_shares_its_conjugacy_structure():
     assert t.values.tobytes() == character_table(group).values.tobytes()
 
 
+def bump_last(a):
+    b = a.copy()
+    b[-1] += 1
+    return b
+
+
+@pytest.mark.parametrize(
+    "name, change",
+    [
+        ("values", lambda a: a.astype(np.complex64)),
+        ("values", lambda a: np.hstack([a, a[:, :1]])),
+        ("degrees", lambda a: a.astype(np.float64)),
+        ("degrees", lambda a: a - 1),
+        ("degrees", lambda a: -a),
+        ("class_sizes", bump_last),
+        ("class_reps", bump_last),
+        ("inverse_class", bump_last),
+    ],
+    ids=["complex64", "k_by_k_plus_1", "float_degrees", "zero_degree", "negative_degrees",
+         "class_sizes", "class_reps", "inverse_class"],
+)
+def test_from_arrays_names_the_array_it_refuses(name, change):
+    cs = conjugacy_structure(symmetric(3))
+    table = character_table(symmetric(3), cs)
+    arrays = {key: np.array(getattr(table, key)) for key in TABLE_ARRAYS}
+    assert CharacterTable.from_arrays(cs, arrays).residual == table.residual
+    arrays[name] = change(arrays[name])
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        CharacterTable.from_arrays(cs, arrays)
+
+
 def test_unitary_matrix_is_unitary():
     t = character_table(symmetric(4))
     u = t.unitary_matrix
@@ -327,7 +359,6 @@ def tied_random_tables(count=200, seed=7):
         tables.append(
             CharacterTable(
                 group_hash="random",
-                order=1,
                 values=values,
                 degrees=rng.integers(1, 3, size=k),
                 class_sizes=rng.integers(1, 3, size=k),

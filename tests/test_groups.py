@@ -175,7 +175,7 @@ def test_products_above_the_cap_are_refused_before_allocation():
     big, small = cyclic(200), cyclic(101)
     assert big.order * small.order > DEFAULT_CLOSURE_CAP
     with pytest.raises(SizeLimitError):
-        semidirect_product(big, small, lambda h: range(200))
+        semidirect_product(big, small, [range(200)] * 101)
 
 
 @pytest.mark.parametrize(
@@ -348,8 +348,14 @@ def test_semidirect_rejects_non_homomorphism():
     squaring = [0, 2, 4, 1, 3]  # order-4 automorphism of Z5
     # Assigning an order-4 map to an order-2 position breaks the homomorphism law.
     maps = [[0, 1, 2, 3, 4], squaring, [0, 1, 2, 3, 4], squaring]
-    with pytest.raises(ValidationError, match="homomorphism"):
+    with pytest.raises(ValidationError, match=r"homomorphism: maps\[1\*1\] != maps\[1\] o maps\[1\]"):
         semidirect_product(z5, z4, maps)
+
+
+def test_semidirect_with_the_trivial_action_is_the_direct_product():
+    z2, z1000 = cyclic(2), cyclic(1000)
+    g = semidirect_product(z2, z1000, [[0, 1]] * 1000)
+    assert np.array_equal(g.table, direct_product(z2, z1000).table)
 
 
 def test_cayley_table_roundtrip_and_validation():

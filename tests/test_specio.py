@@ -7,7 +7,7 @@ import pytest
 
 from zamen import cache, specio
 from zamen.cache import CACHE_ENV_VAR, cached_character_table, resolve_cache_dir
-from zamen.characters import character_table, verify_orthogonality
+from zamen.characters import character_table, tensor_table, verify_orthogonality
 from zamen.groups import (
     conjugacy_structure,
     cyclic,
@@ -150,6 +150,34 @@ class TestCharacterTableDocuments:
         with pytest.raises(SpecError, match="inverse classes do not match"):
             load_character_table(payload, cs)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["rows"][0].update(degree="x"),
+            lambda doc: doc["rows"][0].update(degree=2.0),
+            lambda doc: doc["rows"][0].update(degree=0),
+            lambda doc: doc["rows"][0].pop("degree"),
+            lambda doc: doc.pop("classes"),
+            lambda doc: doc["rows"][1]["values"].pop(),
+        ],
+        ids=["string_degree", "float_degree", "zero_degree", "missing_degree", "missing_classes", "short_row"],
+    )
+    def test_malformed_document_is_a_spec_error(self, edit):
+        cs = conjugacy_structure(symmetric(3))
+        payload = character_table_payload(character_table(symmetric(3), cs))
+        edit(payload)
+        with pytest.raises(SpecError):
+            load_character_table(payload, cs)
+
+    @pytest.mark.parametrize(
+        "edit", [lambda doc: doc.update(order=7), lambda doc: doc.pop("order")], ids=["forged", "missing"]
+    )
+    def test_document_order_is_not_read(self, edit):
+        cs = conjugacy_structure(symmetric(3))
+        payload = character_table_payload(character_table(symmetric(3), cs))
+        edit(payload)
+        assert load_character_table(payload, cs).order == 6
+
     def test_canonical_blocks_match_across_isocharacteristic_groups(self):
         d4 = character_table_payload(character_table(dihedral(4)))
         q8 = character_table_payload(character_table(quaternion_group()))
@@ -224,6 +252,10 @@ def complex64_values(path, good):
     write_entry(path, **{**good, "values": good["values"].astype(np.complex64)})
 
 
+def zero_degree(path, good):
+    write_entry(path, **{**good, "degrees": np.concatenate([[0], good["degrees"][1:]])})
+
+
 def missing_member(path, good):
     write_entry(path, **{name: a for name, a in good.items() if name != "degrees"})
 
@@ -278,7 +310,7 @@ class TestCache:
 
     @pytest.mark.parametrize(
         "damage",
-        [truncated, empty, object_member, complex64_values, missing_member, bare_npy],
+        [truncated, empty, object_member, complex64_values, zero_degree, missing_member, bare_npy],
         ids=lambda damage: damage.__name__,
     )
     def test_damaged_entry_is_recomputed_and_overwritten(self, tmp_path, damage):
@@ -392,6 +424,20 @@ class TestCache:
         copy = from_cayley_table(group.table, label="renamed")
         table, hit = cached_character_table(copy, conjugacy_structure(group), cache_dir=tmp_path)
         assert not hit and table.group_hash == group.content_hash
+
+    def test_order_is_the_sum_of_the_class_sizes(self, tmp_path):
+        group = symmetric(4)
+        cs = conjugacy_structure(group)
+        computed, _ = cached_character_table(group, cs, cache_dir=tmp_path)
+        cached, hit = cached_character_table(group, cs, cache_dir=tmp_path)
+        loaded = load_character_table(character_table_payload(computed), cs)
+        tensor = tensor_table(computed, character_table(cyclic(3)))
+        assert hit and (computed.order, tensor.order) == (24, 72)
+        for table in (computed, cached, loaded, tensor):
+            assert table.order == table.class_sizes.sum()
+        for table in (computed, cached, loaded):  # each holds the group's own class arrays
+            assert table.class_sizes is cs.sizes and table.class_reps is cs.reps
+            assert table.inverse_class is cs.inverse_class
 
     def test_relabeled_group_shares_entry(self, tmp_path):
         a = symmetric(3)
