@@ -41,7 +41,7 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
 def _load_entry(path: Path, cs: ConjugacyStructure) -> CharacterTable | None:
     """The stored table, or None if unreadable or not bound to ``cs``."""
     try:
-        with np.load(path, allow_pickle=False) as entry:
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as entry:
             return CharacterTable.from_arrays(cs, entry)
     except (OSError, EOFError, RuntimeError, zipfile.BadZipFile, ValueError, KeyError, TypeError):
         return None

@@ -1,7 +1,7 @@
 """Finite groups on integer indices, with the structure needed downstream.
 
-Elements of a group of order n are the indices 0..n-1 and multiplication is
-a dense int32 Cayley table, ``table[a, b] = a*b``, whatever the construction.
+Elements of a group of order n are the indices 0..n-1, and a group is its
+read-only int32 Cayley table, ``table[a, b] = a*b``: all else is derived from it.
 Groups closed from permutation generators build that table from the Schreier
 graph of the closure (Holt, Eick and O'Brien, *Handbook of Computational Group
 Theory*, ch. 4): each generator's left-multiplication row costs n lookups and
@@ -13,7 +13,8 @@ so construction order fixes all later orderings.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -101,38 +102,34 @@ def parse_permutation(spec: Sequence[int] | str, degree: int | None = None) -> n
     return perm
 
 
-def _hash_table(order: int, table: np.ndarray) -> str:
-    """sha256 of b"group-v2", the order as 8 little-endian bytes, then the table as <i4.
-
-    A ``TABLE_DTYPE`` table on a little-endian machine is hashed in place, in one pass.
-    """
-    digest = hashlib.sha256(b"group-v2")
-    digest.update(int(order).to_bytes(8, "little"))
-    digest.update(np.ascontiguousarray(table, dtype="<i4"))
-    return digest.hexdigest()
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group on indices 0..order-1.
+    """A finite group on indices 0..order-1, given by its Cayley table.
 
-    ``table`` is the Cayley table, ``table[a, b] = a*b``, stored as
-    ``TABLE_DTYPE``.  Groups closed from permutation generators also keep
-    ``perms``, one permutation per element in index order.  Inverses, the
-    content hash and the conjugacy classes are computed on first use and kept.
+    ``table[a, b] = a*b`` is stored read-only as C-contiguous ``TABLE_DTYPE``.
+    Groups closed from permutation generators also keep ``perms``, one
+    permutation per element in index order, read-only too.  ``order``,
+    ``identity``, ``inverses``, ``content_hash`` and the conjugacy classes are
+    derived from the table on first use, so none of them can go stale.
     """
 
-    order: int
-    identity: int
     label: str
     table: np.ndarray
     perms: np.ndarray | None = None
-    _inv: np.ndarray | None = field(default=None, repr=False)
-    _hash: str | None = field(default=None, repr=False)
-    _classes: ConjugacyStructure | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.table = np.ascontiguousarray(self.table, dtype=TABLE_DTYPE)
+        object.__setattr__(self, "table", _read_only(np.ascontiguousarray(self.table, dtype=TABLE_DTYPE)))
+        if self.perms is not None:
+            object.__setattr__(self, "perms", _read_only(np.ascontiguousarray(self.perms)))
+
+    @property
+    def order(self) -> int:
+        return self.table.shape[0]
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -140,30 +137,44 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
 
-    @property
+    @cached_property
+    def identity(self) -> int:
+        """The one row r with r*0 = 0: column 0 of a Latin square holds 0 once."""
+        return int(np.flatnonzero(self.table[:, 0] == 0)[0])
+
+    @cached_property
     def inverses(self) -> np.ndarray:
-        if self._inv is None:
-            self._inv = np.argmax(self.table == self.identity, axis=1).astype(np.int64)
-        return self._inv
+        """inverses[a] is the b with a*b = e, searched in row blocks of about 2^20 entries."""
+        rows = max(1, (1 << 20) // self.order)
+        blocks = [np.argmax(self.table[i : i + rows] == self.identity, axis=1) for i in range(0, self.order, rows)]
+        return _read_only(np.concatenate(blocks).astype(np.int64, copy=False))
 
     @property
     def is_abelian(self) -> bool:
         """True when every conjugacy class is a single element."""
         return conjugacy_structure(self).num_classes == self.order
 
-    @property
+    @cached_property
     def content_hash(self) -> str:
-        """sha256 of the multiplication structure; labels do not enter."""
-        if self._hash is None:
-            self._hash = _hash_table(self.order, self.table)
-        return self._hash
+        """sha256 of b"group-v2", the order as 8 little-endian bytes, then the table as <i4.
+
+        Labels do not enter.  On a little-endian machine the table is hashed in place, in one pass.
+        """
+        digest = hashlib.sha256(b"group-v2")
+        digest.update(self.order.to_bytes(8, "little"))
+        digest.update(np.ascontiguousarray(self.table, dtype="<i4"))
+        return digest.hexdigest()
+
+    @cached_property
+    def _conjugacy(self) -> ConjugacyStructure:
+        return _conjugacy_structure(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
 
-def _validate_table(table: np.ndarray, rng: np.random.Generator) -> int:
-    """Check the group axioms for a candidate Cayley table; return identity."""
+def _validate_table(table: np.ndarray, rng: np.random.Generator) -> None:
+    """Check the group axioms for a candidate Cayley table."""
     n = table.shape[0]
     if table.shape != (n, n):
         raise ValidationError(f"Cayley table must be square, got shape {table.shape}")
@@ -183,7 +194,6 @@ def _validate_table(table: np.ndarray, rng: np.random.Generator) -> int:
     )[0]
     if two_sided.size != 1:
         raise ValidationError(f"expected exactly one two-sided identity, found {two_sided.size}")
-    identity = int(two_sided[0])
 
     if n <= EXHAUSTIVE_ASSOC_CAP:
         # (a*b)*c == a*(b*c) for all triples, row chunked to bound memory.
@@ -205,7 +215,6 @@ def _validate_table(table: np.ndarray, rng: np.random.Generator) -> int:
         if bad.size:
             a, b, c = (int(x) for x in abc[bad[0]])
             raise ValidationError(f"associativity fails at sampled triple ({a}, {b}, {c})")
-    return identity
 
 
 def from_cayley_table(table: Iterable[Iterable[int]], label: str = "G", *, seed: int = 0) -> FiniteGroup:
@@ -216,8 +225,8 @@ def from_cayley_table(table: Iterable[Iterable[int]], label: str = "G", *, seed:
     full).
     """
     arr = np.asarray([list(row) for row in table], dtype=np.int64)
-    identity = _validate_table(arr, np.random.default_rng(seed))
-    return FiniteGroup(order=arr.shape[0], identity=identity, label=label, table=arr)
+    _validate_table(arr, np.random.default_rng(seed))
+    return FiniteGroup(label, arr)
 
 
 def from_permutation_generators(
@@ -273,14 +282,14 @@ def from_permutation_generators(
     table[0] = np.arange(n)
     for x, (w, i) in enumerate(edges, start=1):
         table[x] = table[w][left[i]]
-    return FiniteGroup(order=n, identity=0, label=label, table=table, perms=perms)
+    return FiniteGroup(label, table, perms)
 
 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError(f"cyclic group order must be >= 1, got {n}")
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return FiniteGroup(order=n, identity=0, label=f"Z{n}", table=table)
+    return FiniteGroup(f"Z{n}", table)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -350,12 +359,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     table = (g.table[:, None, :, None] * m + h.table[None, :, None, :]).reshape(
         g.order * m, g.order * m
     )
-    return FiniteGroup(
-        order=g.order * m,
-        identity=g.identity * m + h.identity,
-        label=f"{g.label}x{h.label}",
-        table=table,
-    )
+    return FiniteGroup(f"{g.label}x{h.label}", table)
 
 
 def semidirect_product(
@@ -401,23 +405,12 @@ def semidirect_product(
         for h in range(m):
             row = tn[a, maps[h]][:, None] * m + acting.table[h][None, :]
             table[a * m + h, :] = row.reshape(-1)
-    return FiniteGroup(
-        order=n * m,
-        identity=normal.identity * m + acting.identity,
-        label=label or f"{normal.label}:{acting.label}",
-        table=table,
-    )
+    return FiniteGroup(label or f"{normal.label}:{acting.label}", table)
 
 
 def conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
-    """Partition the group into conjugacy classes, ordered by least element.
-
-    The result is kept on the group and shared by later calls, so its arrays
-    are read-only.
-    """
-    if group._classes is None:
-        group._classes = _conjugacy_structure(group)
-    return group._classes
+    """The group's conjugacy classes in least-element order, computed once and shared."""
+    return group._conjugacy
 
 
 def _commutes(table: np.ndarray) -> bool:
@@ -443,54 +436,61 @@ def _conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
     table = group.table
     if _commutes(table):
         class_of = np.arange(n, dtype=np.int64)
-        classes = list(class_of[:, None])
     else:
         class_of = np.full(n, -1, dtype=np.int64)
-        classes = []
         invs = group.inverses
+        k = 0
         for s in range(n):
-            if class_of[s] >= 0:
-                continue
-            orbit = np.unique(table[table[:, s], invs]).astype(np.int64)
-            class_of[orbit] = len(classes)
-            classes.append(orbit)
+            if class_of[s] < 0:
+                class_of[table[table[:, s], invs]] = k
+                k += 1
 
-    sizes = np.array([c.size for c in classes], dtype=np.int64)
-    reps = np.array([int(c[0]) for c in classes], dtype=np.int64)
-    if sizes.sum() != n:
+    # A class that a later orbit overwrote is left empty.
+    sizes = np.bincount(class_of)
+    if not sizes.all():
         raise ValidationError("conjugacy classes do not partition the group")
     if np.any(n % sizes):
         raise ValidationError("a conjugacy class size fails to divide the group order")
 
-    inverse_class = class_of[group.inverses[reps]]
-    if not np.array_equal(inverse_class[inverse_class], np.arange(len(classes))):
+    inverse_class = class_of[group.inverses[_least_elements(class_of)]]
+    if not np.array_equal(inverse_class[inverse_class], np.arange(sizes.size)):
         raise ValidationError("inverse-class map is not an involution")
-    for array in (class_of, sizes, reps, inverse_class, *classes):
-        array.flags.writeable = False
-    return ConjugacyStructure(
-        group_hash=group.content_hash,
-        class_of=class_of,
-        classes=tuple(classes),
-        sizes=sizes,
-        reps=reps,
-        inverse_class=inverse_class,
-    )
+    return ConjugacyStructure(group.content_hash, _read_only(class_of), _read_only(inverse_class))
+
+
+def _least_elements(class_of: np.ndarray) -> np.ndarray:
+    """The first occurrence of each class id, which is the least element of its class."""
+    return np.unique(class_of, return_index=True)[1].astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
 class ConjugacyStructure:
-    """Conjugacy classes of a group, in least-element order."""
+    """Conjugacy classes of a group, in least-element order.
+
+    ``sizes``, ``reps`` (least elements) and ``classes`` (members, ascending)
+    are derived from ``class_of`` on first use.  Every array is read-only.
+    """
 
     group_hash: str
     class_of: np.ndarray
-    classes: tuple[np.ndarray, ...]
-    sizes: np.ndarray
-    reps: np.ndarray
     inverse_class: np.ndarray
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return _read_only(np.bincount(self.class_of).astype(np.int64, copy=False))
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        return _read_only(_least_elements(self.class_of))
+
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, ...]:
+        members = _read_only(np.argsort(self.class_of, kind="stable").astype(np.int64, copy=False))
+        return tuple(np.split(members, np.cumsum(self.sizes)[:-1]))
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes)
+        return self.sizes.size
 
     @property
     def order(self) -> int:

@@ -298,7 +298,7 @@ def diagonal_norm(
 
     def integral(v: np.ndarray, u: np.ndarray) -> float:
         kernel = v.T @ (coefs[:, None] * v)
-        return float(u @ np.abs(kernel) @ u)
+        return float(u @ np.abs(kernel, out=kernel) @ u)
 
     return _two_grid(model, scheme, n, quad or QuadratureConfig(), integral)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import fields, replace
 from typing import Any
 
@@ -215,17 +216,20 @@ def character_table_payload(table: CharacterTable) -> dict:
 def load_character_table(payload: dict, cs: ConjugacyStructure) -> CharacterTable:
     """Rebuild a character table from a document, bound to ``cs``'s group.
 
-    The document must match the group hash, and its arrays must pass
-    ``CharacterTable.from_arrays``; one that does not, or lacks a key, raises
-    SpecError.  The canonical block, ``order`` and ``residual`` are ignored:
-    the table computes the last two from its arrays.
+    The document must match the group hash, its values must be finite JSON
+    numbers, and its arrays must pass ``CharacterTable.from_arrays``; any
+    other document raises SpecError.  The canonical block, ``order`` and
+    ``residual`` are ignored: the table computes the last two from its arrays.
     """
     _check_header(payload, CHARTABLE_FORMAT)
     if payload.get("group_hash") != cs.group_hash:
         raise SpecError("character table document belongs to a different group")
     try:
         classes, rows = payload["classes"], payload["rows"]
-        pairs = np.array([row["values"] for row in rows], dtype=np.float64).reshape(len(rows), -1, 2)
+        values = [row["values"] for row in rows]
+        if any(type(x) not in (int, float) or not math.isfinite(x) for row in values for pair in row for x in pair):
+            raise SpecError("character values must be finite JSON numbers")
+        pairs = np.array(values, dtype=np.float64).reshape(len(rows), -1, 2)
         arrays = {
             "values": pairs.view(np.complex128)[..., 0],
             "degrees": np.array(_int_list([row["degree"] for row in rows], "degrees"), dtype=np.int64),

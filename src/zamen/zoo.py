@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
 from .groups import (
@@ -18,15 +17,11 @@ from .groups import (
 __all__ = ["ZOO_BUILDERS", "zoo_names", "abelian_zoo_names", "nonabelian_zoo_names", "build"]
 
 
-def _z2_cube() -> FiniteGroup:
-    return replace(direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2)), label="Z2xZ2xZ2")
-
-
 ZOO_BUILDERS: dict[str, Callable[[], FiniteGroup]] = {
     **{f"Z{n}": (lambda n=n: cyclic(n)) for n in range(2, 13)},
     "Z2xZ2": lambda: direct_product(cyclic(2), cyclic(2)),
     "Z2xZ4": lambda: direct_product(cyclic(2), cyclic(4)),
-    "Z2xZ2xZ2": _z2_cube,
+    "Z2xZ2xZ2": lambda: direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2)),
     "S3": lambda: symmetric(3),
     "D4": lambda: dihedral(4),
     "Q8": quaternion_group,
@@ -39,8 +34,9 @@ ZOO_BUILDERS: dict[str, Callable[[], FiniteGroup]] = {
     "S3xS3": lambda: direct_product(symmetric(3), symmetric(3)),
 }
 
-ABELIAN_NAMES = tuple([f"Z{n}" for n in range(2, 13)] + ["Z2xZ2", "Z2xZ4", "Z2xZ2xZ2"])
-NONABELIAN_NAMES = ("S3", "D4", "Q8", "D5", "D6", "D7", "D8", "A4", "S4", "S3xS3")
+# A name is abelian when every factor is cyclic.
+ABELIAN_NAMES = tuple(name for name in ZOO_BUILDERS if all(f.startswith("Z") for f in name.split("x")))
+NONABELIAN_NAMES = tuple(name for name in ZOO_BUILDERS if name not in ABELIAN_NAMES)
 
 
 def zoo_names() -> tuple[str, ...]:

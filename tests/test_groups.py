@@ -7,6 +7,7 @@ the module under test.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import struct
@@ -16,6 +17,8 @@ import pytest
 
 from zamen.groups import (
     DEFAULT_CLOSURE_CAP,
+    ConjugacyStructure,
+    FiniteGroup,
     SizeLimitError,
     ValidationError,
     alternating,
@@ -275,13 +278,20 @@ def loop_conjugacy_structure(group):
     return class_of, classes, sizes, reps, inverse_class
 
 
+def relabelled_s3():
+    """S3 with elements 0 and 4 swapped, so that the identity is element 4."""
+    sigma = np.array([4, 1, 2, 3, 0, 5])  # an involution, so it is its own inverse
+    return from_cayley_table(sigma[symmetric(3).table[np.ix_(sigma, sigma)]], label="S3-e4")
+
+
 @pytest.mark.parametrize(
     "make_group",
     [*(lambda name=name: zoo_build(name) for name in zoo_names()),
      lambda: cyclic(300),
      lambda: cyclic(2000),
-     lambda: direct_product(dihedral(10), cyclic(16))],
-    ids=[*zoo_names(), "Z300", "Z2000", "D10xZ16"],
+     lambda: direct_product(dihedral(10), cyclic(16)),
+     relabelled_s3],
+    ids=[*zoo_names(), "Z300", "Z2000", "D10xZ16", "S3-e4"],
 )
 def test_conjugacy_structure_matches_the_loop_oracle(make_group):
     g = make_group()
@@ -295,6 +305,50 @@ def test_conjugacy_structure_matches_the_loop_oracle(make_group):
         assert got.dtype == want.dtype and np.array_equal(got, want) and not got.flags.writeable
     assert cs.group_hash == g.content_hash
     assert g.is_abelian == bool(np.array_equal(g.table, g.table.T))
+
+
+def test_identity_is_read_from_the_table():
+    g = relabelled_s3()
+    assert g.identity == 4
+    assert all(g.mul(4, a) == a == g.mul(a, 4) for a in range(6))
+
+
+@pytest.mark.parametrize(
+    "make_group",
+    [lambda: symmetric(7), lambda: cyclic(2000), lambda: direct_product(dihedral(10), cyclic(16)), lambda: cyclic(1)],
+    ids=["S7", "Z2000", "D10xZ16", "trivial"],
+)
+def test_inverses_match_the_full_table_oracle(make_group):
+    # S7's 5040 rows span 25 blocks of about 2^20 entries.
+    g = make_group()
+    oracle = np.argmax(g.table == g.identity, axis=1).astype(np.int64)
+    assert g.inverses.dtype == oracle.dtype and np.array_equal(g.inverses, oracle)
+    assert not g.inverses.flags.writeable
+
+
+def test_a_group_keeps_only_what_its_table_cannot_give():
+    assert [f.name for f in dataclasses.fields(FiniteGroup)] == ["label", "table", "perms"]
+    assert [f.name for f in dataclasses.fields(ConjugacyStructure)] == ["group_hash", "class_of", "inverse_class"]
+    with pytest.raises(TypeError):
+        FiniteGroup(order=5, identity=0, label="Z3", table=cyclic(3).table)
+
+
+def test_a_group_and_its_arrays_are_read_only():
+    g = symmetric(3)
+    for array in (g.table, g.perms, g.inverses):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.label = "other"
+    renamed = dataclasses.replace(g, label="renamed")
+    assert renamed.table is g.table and renamed.perms is g.perms
+
+
+def test_a_table_handed_in_is_stored_read_only():
+    table = np.asarray(cyclic(4).table, dtype=np.int64)
+    g = FiniteGroup("Z4", table)
+    assert g.table.dtype == np.int32 and g.table.flags.c_contiguous and not g.table.flags.writeable
+    assert (g.order, g.identity, g.inverses.tolist()) == (4, 0, [0, 3, 2, 1])
 
 
 def test_abelian_fast_path_reads_a_commutative_table_only():

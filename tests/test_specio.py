@@ -1,11 +1,13 @@
 """Tests for the JSON formats and the binary character table cache."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from zamen import cache, specio
+from zamen.amenability import amenability_constant
 from zamen.cache import CACHE_ENV_VAR, cached_character_table, resolve_cache_dir
 from zamen.characters import character_table, tensor_table, verify_orthogonality
 from zamen.groups import (
@@ -159,8 +161,15 @@ class TestCharacterTableDocuments:
             lambda doc: doc["rows"][0].pop("degree"),
             lambda doc: doc.pop("classes"),
             lambda doc: doc["rows"][1]["values"].pop(),
+            lambda doc: doc["rows"][0]["values"][0].__setitem__(0, "1.0"),
+            lambda doc: doc["rows"][0]["values"].__setitem__(0, [True, False]),
+            lambda doc: doc["rows"][0]["values"][0].__setitem__(1, None),
+            lambda doc: doc["rows"][0]["values"][0].__setitem__(0, float("nan")),
         ],
-        ids=["string_degree", "float_degree", "zero_degree", "missing_degree", "missing_classes", "short_row"],
+        ids=[
+            "string_degree", "float_degree", "zero_degree", "missing_degree", "missing_classes", "short_row",
+            "string_value", "boolean_value", "null_value", "nan_value",
+        ],
     )
     def test_malformed_document_is_a_spec_error(self, edit):
         cs = conjugacy_structure(symmetric(3))
@@ -342,6 +351,17 @@ class TestCache:
             path.write_bytes(bytes(damaged))
             again, _ = cached_character_table(group, cache_dir=tmp_path)
             assert np.array_equal(again.values, table.values) and again.residual <= 1e-9
+
+    def test_a_group_given_another_table_is_that_group(self, tmp_path):
+        s3 = symmetric(3)
+        conjugacy_structure(s3)
+        cached_character_table(s3, cache_dir=tmp_path)
+        z6 = dataclasses.replace(s3, table=cyclic(6).table, label="Z6")
+        assert z6.content_hash == cyclic(6).content_hash != s3.content_hash
+        assert conjugacy_structure(z6).num_classes == 6
+        table, hit = cached_character_table(z6, cache_dir=tmp_path)
+        assert not hit
+        assert amenability_constant(table).rational == 1
 
     def test_json_era_entry_is_ignored_and_left_in_place(self, tmp_path):
         group = symmetric(3)
