@@ -40,6 +40,7 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 CROSS_WEIGHT = Fraction(-2)
+Legs = tuple[Fraction, Fraction]  # a character's Haar inner products with trivial and sign
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,16 @@ def haar_inner(chi: Character, rho: Character) -> Fraction:
     return total * HALF
 
 
+def _legs(chi: Character) -> Legs:
+    return haar_inner(chi, Character.trivial()), haar_inner(chi, Character.sign())
+
+
+def _atoms(chi_legs: Legs, rho_legs: Legs, cross_weight: Fraction) -> Fraction:
+    """atom_pairing from the two characters' legs."""
+    (chi_one, chi_sgn), (rho_one, rho_sgn) = chi_legs, rho_legs
+    return chi_one * rho_one + chi_sgn * rho_sgn + cross_weight * (chi_one + chi_sgn) * (rho_one + rho_sgn)
+
+
 def atom_pairing(chi: Character, rho: Character, cross_weight: Fraction = CROSS_WEIGHT) -> Fraction:
     """Pairing against the atomic part of the measure.
 
@@ -119,17 +130,7 @@ def atom_pairing(chi: Character, rho: Character, cross_weight: Fraction = CROSS_
     cross_weight * (trivial + sign) (x) (trivial + sign), each tensor atom
     paired leg by leg through the Haar inner product.
     """
-    one = Character.trivial()
-    sgn = Character.sign()
-    chi_one = haar_inner(chi, one)
-    chi_sgn = haar_inner(chi, sgn)
-    rho_one = haar_inner(rho, one)
-    rho_sgn = haar_inner(rho, sgn)
-    return (
-        chi_one * rho_one
-        + chi_sgn * rho_sgn
-        + cross_weight * (chi_one + chi_sgn) * (rho_one + rho_sgn)
-    )
+    return _atoms(_legs(chi), _legs(rho), cross_weight)
 
 
 def torus_pairing(chi: Character, rho: Character) -> Fraction:
@@ -176,12 +177,13 @@ def verify_identity_measure(
     pair values do not depend on max_mode, it only bounds the enumeration.
     """
     chars = characters_up_to(max_mode)
+    legs = [_legs(chi) for chi in chars]
     failures = []
     pairs = 0
-    for chi in chars:
-        for rho in chars:
+    for chi, chi_legs in zip(chars, legs):
+        for rho, rho_legs in zip(chars, legs):
             pairs += 1
-            got = measure_coefficient(chi, rho, cross_weight)
+            got = _atoms(chi_legs, rho_legs, cross_weight) + torus_pairing(chi, rho)
             expected = Fraction(1) if chi == rho else Fraction(0)
             if got != expected:
                 failures.append((chi.label, rho.label, got, expected))

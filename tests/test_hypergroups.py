@@ -4,6 +4,9 @@ Oracles:
 - Haar mass and character orthogonality have closed forms per model.
 - A test-local trapezoid integrator (independent of Gauss-Legendre)
   cross-checks the diagonal norm on a small case.
+- The unfolded full-grid products v.T @ (coefs[:, None] * v) and
+  coefs @ v on all of [0, pi] check both norms, which integrate over the
+  half grid theta <= pi/2 by the theta -> pi - theta parity.
 - The circle-quotient Fejer kernel is nonnegative with unit mass, so its
   diagonal norm is exactly 1 at every level.
 - The SU(2) lower bound at n = 1 is (2/pi)^2 (4/3)^2 by hand.
@@ -13,6 +16,8 @@ Oracles:
   sin((k+1) theta)/sin(theta) (with U_k(cos theta) at the removable
   singularities) and cos(k theta) are the closed-form oracles.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ from zamen.hypergroups import (
     fejer_scheme,
     fejer_smoothed_scheme,
     haar_mass,
+    model_by_name,
     orthogonality_residual,
     run_experiment,
     scheme_by_name,
@@ -75,6 +81,35 @@ def trapezoid_diagonal_norm(model, coefs, num_points=2001):
     w = model.weight(theta)
     inner = np.trapezoid(np.abs(kernel) * w[None, :], theta, axis=1)
     return float(np.trapezoid(inner * w, theta))
+
+
+def full_grid_norms(model, scheme, n, quad):
+    """(diagonal, bai) on the base and on the refined grid, from the whole of [0, pi]."""
+    tensor = np.array([scheme.tensor_coefficient(k, n) for k in range(n + 1)])
+    coefs = np.array([scheme.coefficient(k, n) for k in range(n + 1)])
+    values = []
+    for panels in (quad.panels, quad.panels * quad.refinement_factor):
+        points, weights = _grid(panels, quad.nodes_per_panel)
+        v = _character_rows(model, n, points)
+        u = weights * model.weight(points)
+        values.append((float(u @ np.abs(v.T @ (tensor[:, None] * v)) @ u), float(u @ np.abs(coefs @ v))))
+    return values
+
+
+STUDIES = [
+    ("su2", "dirichlet"),
+    ("su2", "fejer-smoothed"),
+    ("chebyshev", "fejer"),
+    ("chebyshev", "fejer-signed"),
+]
+BENCHMARK_LEVELS = [50, 100, 200, 400, 800]
+
+
+@pytest.fixture(scope="module")
+def benchmark_rows():
+    """The four studies at the benchmark's levels on the default grid."""
+    specs = [{"model": model, "scheme": scheme, "n": BENCHMARK_LEVELS} for model, scheme in STUDIES]
+    return [row for spec in specs for row in run_experiment(spec)]
 
 
 class TestModels:
@@ -253,6 +288,59 @@ class TestDiagonalNorm:
         # Frozen from scipy.special.roots_legendre nodes, independent of numpy's leggauss.
         result = diagonal_norm(su2_model(), dirichlet_scheme(su2_model()), 50)
         assert abs(result.value - 4295.705952848206) <= 1e-12 * 4295.705952848206
+
+
+class TestParityFold:
+    # Coefficients of both signs and no parity pattern, used unsquared.
+    MIXED = CoefficientScheme("mixed", lambda k, n: (k % 3 - 1) * (k + 1.5) if k <= n else 0.0, False)
+    CASES = [*STUDIES, ("su2", MIXED), ("chebyshev", MIXED)]
+    # Panels and nodes_per_panel both odd put a node at pi/2 on the base grid.
+    GRIDS = [
+        QuadratureConfig(),
+        QuadratureConfig(panels=3, nodes_per_panel=5),
+        QuadratureConfig(panels=4, nodes_per_panel=5),
+    ]
+
+    @pytest.mark.parametrize("quad", GRIDS, ids=["default", "3x5-middle-node", "4x5"])
+    @pytest.mark.parametrize("model_name,scheme", CASES, ids=lambda c: getattr(c, "name", c))
+    def test_matches_full_grid_oracle(self, model_name, scheme, quad):
+        model = model_by_name(model_name)
+        if isinstance(scheme, str):
+            scheme = scheme_by_name(model, scheme)
+        for n in (0, 1, 7, 50):
+            (base_dn, base_bn), (refined_dn, refined_bn) = full_grid_norms(model, scheme, n, quad)
+            for result, base, refined in (
+                (diagonal_norm(model, scheme, n, quad), base_dn, refined_dn),
+                (bai_norm(model, scheme, n, quad), base_bn, refined_bn),
+            ):
+                tol = 1e-13 * abs(refined)
+                assert abs(result.value - refined) <= tol, (n, result, refined)
+                assert abs(result.error_estimate - abs(refined - base)) <= tol, (n, result, base)
+
+    def test_benchmark_levels_are_pinned(self, benchmark_rows):
+        # Frozen from the unfolded full-grid product on the default grid.
+        pinned = {("su2", "dirichlet"): 1756236.150552023, ("chebyshev", "fejer-signed"): 1.6745957973992383}
+        top = {(r["model"], r["scheme"]): r["diagonal_norm"] for r in benchmark_rows if r["n"] == 800}
+        for study, expected in pinned.items():
+            assert abs(top[study] - expected) <= 1e-12 * expected, (study, top[study])
+
+    def test_benchmark_convergence_flags(self, benchmark_rows):
+        # Only the nonnegative Fejer kernel converges at the default tolerance:
+        # 15 of the 20 rows are flagged.
+        converged = {(r["model"], r["scheme"], r["n"]) for r in benchmark_rows if r["diagonal_converged"]}
+        assert converged == {("chebyshev", "fejer", n) for n in BENCHMARK_LEVELS}
+
+    def test_su2_level_800_peak_memory(self):
+        # Two half-grid kernels of 1024 x 1024 float64 at the refined grid, against
+        # one 2048 x 2048 kernel (57.7 MiB peak) unfolded.
+        model = su2_model()
+        tracemalloc.start()
+        try:
+            diagonal_norm(model, dirichlet_scheme(model), 800)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak / 2**20
 
 
 class TestBaiNorm:

@@ -131,6 +131,19 @@ class TestVerification:
         assert got[("trivial", "trivial")] == 2
         assert got[("trivial", "sign")] == 1
 
+    @pytest.mark.parametrize("cross_weight", [Fraction(-2), Fraction(-1), Fraction(3, 7)])
+    def test_report_matches_pairwise_measure_coefficient(self, cross_weight):
+        # The report pairs precomputed Haar legs; measure_coefficient pairs
+        # each character pair from scratch.
+        chars = characters_up_to(6)
+        expected = tuple(
+            (chi.label, rho.label, got, Fraction(int(chi == rho)))
+            for chi in chars
+            for rho in chars
+            if (got := measure_coefficient(chi, rho, cross_weight)) != int(chi == rho)
+        )
+        assert verify_identity_measure(max_mode=6, cross_weight=cross_weight).failures == expected
+
     def test_results_are_exact_rationals(self):
         chars = characters_up_to(4)
         for chi in chars:
