@@ -22,18 +22,7 @@ from .amenability import (
     snap_rational,
     verify_diagonal,
 )
-from .central import (
-    ClassFunction,
-    central_projection,
-    convolution_unit,
-    convolve,
-    convolve_direct,
-    gelfand_transform,
-    indicator,
-    inverse_gelfand,
-    l1_norm,
-    quotient_pushforward,
-)
+from .central import ClassFunction, convolve, gelfand_transform, inverse_gelfand
 from .characters import (
     CertificationError,
     CharacterTable,

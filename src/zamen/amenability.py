@@ -134,16 +134,17 @@ def verify_diagonal(
 
     Convolution is pointwise in the Gelfand basis: with T[pi, C] the
     transform of 1_C (``CharacterTable.gelfand_matrix``), V the value matrix and
-    d the degrees, f * g = V^T (d . Tf . Tg).  So the leg matrix of chi_p,
-    L_p[D, C] = (chi_p * 1_C)(D), is V^T diag(w_p) T with w_p = d . T chi_p,
+    d the degrees, f * g = V^T (d . Tf . Tg).  Row orthogonality is
+    d . T V^T = I, so convolving by chi_p keeps only Gelfand coordinate p:
+    the leg matrix L_p[D, C] = (chi_p * 1_C)(D) is the rank-one outer(V[p], T[p]),
     and the two actions are
 
-        f.mu = L_p c_fun = (V^T diag(w_p)) (T c_fun),
-        mu.f = c_fun L_p^T = (c_fun T^T) (diag(w_p) V),
+        f.mu = L_p c_fun = outer(V[p], (T c_fun)[p]),
+        mu.f = c_fun L_p^T = outer((c_fun T^T)[:, p], V[p]).
 
-    two k x k products per basis character.  Likewise m(mu) = V^T (d . s)
-    with s the row sums of (T c_fun) . T, and m(mu) * chi_p - chi_p is
-    column p of V^T diag(T m(mu)) W - V^T, W having columns w_p.
+    Likewise T m(mu) = s with s = diag(T c_fun T^T), so m(mu) * chi_p - chi_p
+    is (s_p - 1) chi_p.  The cost is two k x k products and k outer
+    products, O(k^3).
 
     Residuals are absolute max differences of class-function values.
     """
@@ -153,23 +154,15 @@ def verify_diagonal(
     # mu = sum_{C,C'} matrix[Cbar, C'] 1_C (x) 1_{C'}: the involution undoes the conjugated left leg.
     c_fun = dc.matrix[table.inverse_class]
     values = table.values
-    d = table.degrees.astype(np.float64)
     transform = table.gelfand_matrix
-    # w[:, p] = d . T chi_p, the Gelfand weights of convolving by chi_p.
-    w = d[:, None] * (transform @ values.T)
-
     t_c = transform @ c_fun
     c_t = c_fun @ transform.T
-    module = np.empty(table.num_classes)
-    for p in range(table.num_classes):
-        left_action = (values.T * w[:, p]) @ t_c
-        right_action = c_t @ (w[:, p, None] * values)
-        module[p] = np.abs(left_action - right_action).max()
-
-    m_mu = values.T @ (d * (t_c * transform).sum(axis=1))
-    m_transform = transform @ m_mu
-    unit = np.abs(values.T @ (m_transform[:, None] * w) - values.T).max(axis=0)
-    unit_residual = max(float(np.abs(m_transform - 1.0).max()), float(unit.max()))
+    module = np.array(
+        [np.abs(np.outer(v, t_c[p]) - np.outer(c_t[:, p], v)).max() for p, v in enumerate(values)]
+    )
+    s = (t_c * transform).sum(axis=1)
+    unit = np.abs(s - 1.0) * np.abs(values).max(axis=1)
+    unit_residual = max(float(np.abs(s - 1.0).max()), float(unit.max()))
     failing = np.flatnonzero((module > tol) | (unit > tol))
 
     return DiagonalReport(float(module.max()), unit_residual, tuple(int(p) for p in failing), tol)

@@ -68,7 +68,8 @@ class CharacterTable:
     trivial character is always row 0 and recomputation with any seed yields
     the same table.  ``inverse_class`` is the class involution C -> C^{-1},
     carried here so consumers can pair a class with its conjugate column
-    without access to the group.  The group order is the sum of the class
+    without access to the group; ``identity_class`` is the column where each
+    character takes its degree.  The group order is the sum of the class
     sizes, so no table can carry an order its classes disagree with.
     """
 
@@ -78,6 +79,7 @@ class CharacterTable:
     class_sizes: np.ndarray
     class_reps: np.ndarray
     inverse_class: np.ndarray
+    identity_class: int
 
     @classmethod
     def from_arrays(cls, cs: ConjugacyStructure, arrays: Mapping[str, np.ndarray]) -> CharacterTable:
@@ -86,7 +88,7 @@ class CharacterTable:
         The class arrays must equal ``cs``'s, ``values`` must be complex128 of
         shape (k, k), and ``degrees`` int64 of shape (k,) with every entry at
         least 1; otherwise ValueError names the array.  The table holds
-        ``cs``'s group hash and its own read-only class arrays.
+        ``cs``'s group hash, identity class and read-only class arrays.
         """
         k = cs.num_classes
         for name, own in zip(TABLE_ARRAYS[2:], (cs.sizes, cs.reps, cs.inverse_class)):
@@ -97,7 +99,7 @@ class CharacterTable:
             raise ValueError(f"values: expected complex128 of shape {(k, k)}, got {values.dtype} {values.shape}")
         if degrees.dtype != np.int64 or degrees.shape != (k,) or not np.all(degrees >= 1):
             raise ValueError(f"degrees: expected {k} int64 entries of at least 1")
-        return cls(cs.group_hash, values, degrees, cs.sizes, cs.reps, cs.inverse_class)
+        return cls(cs.group_hash, values, degrees, cs.sizes, cs.reps, cs.inverse_class, cs.identity_class)
 
     @property
     def order(self) -> int:
@@ -124,9 +126,14 @@ class CharacterTable:
 
     @cached_property
     def residual(self) -> float:
-        """Largest of the row, column and conjugation residuals of ``values``, made on first use."""
+        """Largest of the row, column, conjugation and degree residuals of ``values``, made on first use.
+
+        The degree residual max_p |chi_p(e) - d_p| catches degrees that do not
+        belong to their rows, which the other three cannot see.
+        """
         conj_residual = float(np.abs(self.values[:, self.inverse_class] - np.conj(self.values)).max())
-        return max(verify_orthogonality(self).max_residual, conj_residual)
+        degree_residual = float(np.abs(self.values[:, self.identity_class] - self.degrees).max())
+        return max(verify_orthogonality(self).max_residual, conj_residual, degree_residual)
 
 
 @dataclass(frozen=True)
@@ -285,7 +292,7 @@ def character_table(
     root_sizes = np.sqrt(n / cs.sizes.astype(np.float64))
     combine = _class_combination(group, cs)
 
-    e_class = int(cs.class_of[group.identity])
+    e_class = cs.identity_class
     last_error: Exception | None = None
     for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng([seed, attempt])
@@ -330,6 +337,7 @@ def character_table(
             class_sizes=cs.sizes,
             class_reps=cs.reps,
             inverse_class=cs.inverse_class,
+            identity_class=e_class,
         )
         if table.residual > certification_tol:
             last_error = CertificationError(
@@ -373,8 +381,9 @@ def tensor_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
     """Character table of the direct product, as the tensor of two tables.
 
     Classes and irreducibles of G x H are pairs, so values, degrees and class
-    sizes are all Kronecker products.  Class representatives are not
-    meaningful for a synthetic table and are set to -1.
+    sizes are all Kronecker products, and the identity class of the pair
+    (e1, e2) is e1 * k2 + e2.  Class representatives are not meaningful for
+    a synthetic table and are set to -1.
     """
     values = np.kron(t1.values, t2.values)
     degrees = np.kron(t1.degrees, t2.degrees)
@@ -392,4 +401,5 @@ def tensor_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
         class_sizes=sizes,
         class_reps=np.full(values.shape[1], -1, dtype=np.int64),
         inverse_class=inverse_class,
+        identity_class=t1.identity_class * k2 + t2.identity_class,
     )

@@ -112,30 +112,20 @@ class FiniteGroup:
     """A finite group on indices 0..order-1, given by its Cayley table.
 
     ``table[a, b] = a*b`` is stored read-only as C-contiguous ``TABLE_DTYPE``.
-    Groups closed from permutation generators also keep ``perms``, one
-    permutation per element in index order, read-only too.  ``order``,
-    ``identity``, ``inverses``, ``content_hash`` and the conjugacy classes are
-    derived from the table on first use, so none of them can go stale.
+    ``order``, ``identity``, ``inverses``, ``content_hash`` and the conjugacy
+    classes are derived from the table on first use, so none of them can go
+    stale.
     """
 
     label: str
     table: np.ndarray
-    perms: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", _read_only(np.ascontiguousarray(self.table, dtype=TABLE_DTYPE)))
-        if self.perms is not None:
-            object.__setattr__(self, "perms", _read_only(np.ascontiguousarray(self.perms)))
 
     @property
     def order(self) -> int:
         return self.table.shape[0]
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverses[a])
 
     @cached_property
     def identity(self) -> int:
@@ -282,7 +272,7 @@ def from_permutation_generators(
     table[0] = np.arange(n)
     for x, (w, i) in enumerate(edges, start=1):
         table[x] = table[w][left[i]]
-    return FiniteGroup(label, table, perms)
+    return FiniteGroup(label, table)
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -455,7 +445,9 @@ def _conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
     inverse_class = class_of[group.inverses[_least_elements(class_of)]]
     if not np.array_equal(inverse_class[inverse_class], np.arange(sizes.size)):
         raise ValidationError("inverse-class map is not an involution")
-    return ConjugacyStructure(group.content_hash, _read_only(class_of), _read_only(inverse_class))
+    return ConjugacyStructure(
+        group.content_hash, _read_only(class_of), _read_only(inverse_class), int(class_of[group.identity])
+    )
 
 
 def _least_elements(class_of: np.ndarray) -> np.ndarray:
@@ -467,13 +459,16 @@ def _least_elements(class_of: np.ndarray) -> np.ndarray:
 class ConjugacyStructure:
     """Conjugacy classes of a group, in least-element order.
 
-    ``sizes``, ``reps`` (least elements) and ``classes`` (members, ascending)
-    are derived from ``class_of`` on first use.  Every array is read-only.
+    ``identity_class`` is the class of the identity, which ``class_of`` alone
+    does not name.  ``sizes``, ``reps`` (least elements) and ``classes``
+    (members, ascending) are derived from ``class_of`` on first use.  Every
+    array is read-only.
     """
 
     group_hash: str
     class_of: np.ndarray
     inverse_class: np.ndarray
+    identity_class: int
 
     @cached_property
     def sizes(self) -> np.ndarray:

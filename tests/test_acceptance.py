@@ -20,7 +20,8 @@ from zamen.amenability import (
     quotient_monotonicity_check,
     verify_diagonal,
 )
-from zamen.central import ClassFunction, convolve, convolve_direct, gelfand_transform, inverse_gelfand
+from oracles import convolve_direct
+from zamen.central import ClassFunction, convolve, gelfand_transform, inverse_gelfand
 from zamen.characters import canonical_form, character_table, verify_orthogonality
 from zamen.groups import center, conjugacy_structure, direct_product, quotient_group
 from zamen.hypergroups import (

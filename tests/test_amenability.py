@@ -14,11 +14,13 @@ tables with plain Python loops, independently of the package's linear algebra:
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import indicator
 from zamen.amenability import (
     NONABELIAN_GAP,
     amenability_constant,
@@ -30,7 +32,7 @@ from zamen.amenability import (
     snap_rational,
     verify_diagonal,
 )
-from zamen.central import ClassFunction, convolve, gelfand_transform, indicator
+from zamen.central import ClassFunction, convolve, gelfand_transform
 from zamen.characters import character_table, tensor_table
 from zamen.groups import (
     center,
@@ -158,7 +160,7 @@ def test_verify_diagonal_detects_perturbation():
 
 
 def loop_verify_diagonal(table, dc, tol=1e-9):
-    """verify_diagonal by O(k^2) spectral convolutions per check (the oracle)."""
+    """verify_diagonal by O(k^2) spectral convolutions per check (the oracle), O(k^5) in all."""
     k = table.num_classes
     c_fun = dc.matrix[table.inverse_class]
     failing = []
@@ -222,6 +224,22 @@ def test_verify_diagonal_matches_the_loop_oracle(make_group):
         assert report.failing == failing, name
         if name in expected:
             assert failing == expected[name], name
+
+
+def test_verify_diagonal_of_d500_within_a_second():
+    # k = 253: the rank-one form is O(k^3), where the per-class products it replaced were O(k^4).
+    t = character_table(dihedral(500))
+    assert t.num_classes == 253
+    dc = diagonal(t)
+    start = time.perf_counter()
+    report = verify_diagonal(t, dc)
+    elapsed = time.perf_counter() - start
+    assert report.passed and report.failing == (), report
+    assert elapsed < 1.0, elapsed
+    bad = dc.matrix.copy()
+    bad[126, 126] += 1e-2
+    report = verify_diagonal(t, corrupted(dc, bad))
+    assert not report.passed and report.failing, report
 
 
 def test_hilbert_schmidt_bound():

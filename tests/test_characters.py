@@ -6,6 +6,8 @@ closed-form discrete Fourier characters of cyclic groups.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,7 @@ def brute_class_constants(group, cs):
                     1
                     for x in cs.classes[i]
                     for y in cs.classes[j]
-                    if group.mul(int(x), int(y)) == int(z)
+                    if group.table[x, y] == z
                 )
     return a
 
@@ -230,13 +232,14 @@ def test_tensor_table_matches_product_group():
 
 
 def formula_residual(t):
-    """max of |UU* - I|, |U*U - I| and |V[:, inv] - conj V|, written out here."""
+    """max of |UU* - I|, |U*U - I|, |V[:, inv] - conj V| and |V[:, e] - d|, written out here."""
     u = t.values * np.sqrt(t.class_sizes / t.order)[None, :]
     eye = np.eye(t.num_classes)
     return max(
         float(np.abs(u @ u.conj().T - eye).max()),
         float(np.abs(u.conj().T @ u - eye).max()),
         float(np.abs(t.values[:, t.inverse_class] - np.conj(t.values)).max()),
+        float(np.abs(t.values[:, t.identity_class] - t.degrees).max()),
     )
 
 
@@ -264,6 +267,29 @@ def test_tensor_table_reports_the_residual_of_its_values(left, right):
     tt = tensor_table(t1, t2)
     assert tt.residual == formula_residual(tt)
     assert tt.residual >= max(t1.residual, t2.residual)
+
+
+def test_identity_class_is_carried_into_every_table():
+    # S3 with elements 0 and 4 swapped: the identity is element 4, not in class 0.
+    sigma = np.array([4, 1, 2, 3, 0, 5])
+    g = from_cayley_table(sigma[symmetric(3).table[np.ix_(sigma, sigma)]], label="S3-e4")
+    cs = conjugacy_structure(g)
+    t = character_table(g, cs)
+    assert t.identity_class == cs.class_of[g.identity] != 0
+    loaded = CharacterTable.from_arrays(cs, {name: getattr(t, name) for name in TABLE_ARRAYS})
+    assert loaded.identity_class == t.identity_class
+    tt = tensor_table(character_table(cyclic(3)), t)
+    assert tt.identity_class == 0 * t.num_classes + t.identity_class
+    assert np.allclose(tt.values[:, tt.identity_class], tt.degrees)
+    assert tt.residual <= 1e-9
+
+
+def test_degrees_that_do_not_belong_to_their_rows_fail_the_residual():
+    t = character_table(symmetric(3))
+    permuted = dataclasses.replace(t, degrees=t.degrees[[2, 0, 1]])
+    assert permuted.degrees.tolist() == [2, 1, 1]
+    assert verify_orthogonality(permuted).max_residual <= 1e-14
+    assert permuted.residual == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gelfand_matrix_transforms_class_functions():
@@ -364,6 +390,7 @@ def tied_random_tables(count=200, seed=7):
                 class_sizes=rng.integers(1, 3, size=k),
                 class_reps=np.zeros(k, dtype=np.int64),
                 inverse_class=np.arange(k),
+                identity_class=0,
             )
         )
     return tables

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from zamen.cli import CSV_COLUMNS, main
@@ -244,6 +245,22 @@ class TestAmconst:
         out = capsys.readouterr().out
         assert "7/3" in out
         assert "gap ok" in out
+
+    def test_s3_entry_with_permuted_degrees_is_recomputed(self, tmp_path, capsys):
+        # Degrees [2, 1, 1] on S3's rows leave the orthogonality residuals at
+        # 1e-15, and read as a hit they gave AM 4.0; the degree residual is 1.
+        assert run_cli("group", "amconst", "S3", "--cache-dir", str(tmp_path)) == 0
+        (path,) = tmp_path.glob("*.npz")
+        with np.load(path) as entry:
+            arrays = {name: entry[name] for name in entry.files}
+        assert arrays["degrees"].tolist() == [1, 1, 2]
+        np.savez(path, **{**arrays, "degrees": np.array([2, 1, 1])})
+        capsys.readouterr()
+        assert run_cli("group", "amconst", "S3", "--json", "--cache-dir", str(tmp_path)) == 0
+        (record,) = json.loads(capsys.readouterr().out)["results"]
+        assert record["am_rational"] == "7/3"
+        with np.load(path) as entry:
+            assert entry["degrees"].tolist() == [1, 1, 2]
 
     def test_json_records(self, tmp_path, capsys):
         assert (

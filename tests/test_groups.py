@@ -1,8 +1,8 @@
 """Group construction, conjugacy data, products, quotients.
 
 Expected values here are frozen from independent brute-force computations
-(itertools permutation arithmetic, direct orbit enumeration) rather than from
-the module under test.
+(itertools permutation arithmetic, direct orbit enumeration, the helpers of
+``oracles``) rather than from the module under test.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import brute_classes, closure_perms, composition_table
 from zamen.groups import (
     DEFAULT_CLOSURE_CAP,
     ConjugacyStructure,
@@ -37,20 +38,6 @@ from zamen.groups import (
 )
 from zamen.zoo import build as zoo_build
 from zamen.zoo import zoo_names
-
-
-def brute_classes(group):
-    """Independent conjugacy partition via scalar loops."""
-    n = group.order
-    seen = set()
-    classes = []
-    for s in range(n):
-        if s in seen:
-            continue
-        orbit = {group.mul(group.mul(t, s), group.inv(t)) for t in range(n)}
-        seen |= orbit
-        classes.append(sorted(orbit))
-    return classes
 
 
 def test_parse_cycle_notation():
@@ -80,29 +67,44 @@ def test_s3_closure_order_and_structure():
     assert brute_classes(g) == [c.tolist() for c in cs.classes]
 
 
+def symmetric_generators(n):
+    """The transposition (0 1) and the n-cycle, as ``symmetric`` takes them."""
+    return [[1, 0, *range(2, n)], [*range(1, n), 0]]
+
+
+def alternating_generators(n):
+    """The 3-cycle (0 1 2) and an even n- or (n-1)-cycle, as ``alternating`` takes them."""
+    second = [*range(1, n), 0] if n % 2 else [0, *range(2, n), 1]
+    return [[1, 2, 0, *range(3, n)], second]
+
+
+def dihedral_generators(n):
+    """The rotation and the reflection of the n-gon, as ``dihedral`` takes them."""
+    return [[*range(1, n), 0], [(-i) % n for i in range(n)]]
+
+
 def test_s3_matches_itertools_multiplication():
-    # Independent model: permutations of (0,1,2) under composition.
+    # Independent model: permutations of (0,1,2) under composition, in discovery order.
     g = symmetric(3)
-    perms = [tuple(p) for p in g.perms]
+    perms = closure_perms(symmetric_generators(3))
+    assert sorted(perms) == sorted(itertools.permutations(range(3)))
     for a, b in itertools.product(range(6), repeat=2):
         composed = tuple(perms[a][perms[b][i]] for i in range(3))
-        assert perms[g.mul(a, b)] == composed
-
-
-def composition_table(group):
-    """Independent Cayley table: compose the stored permutations and look each product up."""
-    index = {tuple(p): i for i, p in enumerate(group.perms.tolist())}
-    return np.array(
-        [[index[tuple(pa[j] for j in pb)] for pb in group.perms.tolist()] for pa in group.perms.tolist()]
-    )
+        assert perms[g.table[a, b]] == composed
 
 
 @pytest.mark.parametrize(
-    "builder", [lambda: symmetric(4), lambda: alternating(5), lambda: dihedral(6), lambda: alternating(4)]
+    "builder",
+    [
+        lambda: (symmetric(4), symmetric_generators(4)),
+        lambda: (alternating(5), alternating_generators(5)),
+        lambda: (dihedral(6), dihedral_generators(6)),
+        lambda: (alternating(4), alternating_generators(4)),
+    ],
 )
 def test_schreier_table_matches_composition(builder):
-    g = builder()
-    assert np.array_equal(g.table, composition_table(g))
+    g, generators = builder()
+    assert np.array_equal(g.table, composition_table(closure_perms(generators)))
 
 
 def test_s7_table_matches_permutation_composition():
@@ -110,10 +112,11 @@ def test_s7_table_matches_permutation_composition():
     g = symmetric(7)
     assert g.order == 5040
     assert g.table.shape == (5040, 5040)
-    index = {p.tobytes(): i for i, p in enumerate(g.perms)}
+    perms = closure_perms(symmetric_generators(7))
+    index = {p: i for i, p in enumerate(perms)}
     rng = np.random.default_rng(2024)
     for a, b in rng.integers(0, g.order, size=(2000, 2)):
-        assert g.mul(int(a), int(b)) == index[g.perms[a][g.perms[b]].tobytes()]
+        assert g.table[a, b] == index[tuple(perms[a][i] for i in perms[b])]
 
 
 def test_tables_are_int32_for_every_construction():
@@ -219,7 +222,7 @@ def test_inverse_class_involution():
         invc = cs.inverse_class
         assert np.array_equal(invc[invc], np.arange(cs.num_classes))
         for k, rep in enumerate(cs.reps):
-            assert cs.class_of[g.inv(int(rep))] == invc[k]
+            assert cs.class_of[g.inverses[rep]] == invc[k]
 
 
 def test_center_examples():
@@ -274,7 +277,7 @@ def loop_conjugacy_structure(group):
         classes.append(orbit)
     sizes = np.array([c.size for c in classes], dtype=np.int64)
     reps = np.array([int(c[0]) for c in classes], dtype=np.int64)
-    inverse_class = np.array([class_of[group.inv(int(r))] for r in reps], dtype=np.int64)
+    inverse_class = np.array([class_of[group.inverses[r]] for r in reps], dtype=np.int64)
     return class_of, classes, sizes, reps, inverse_class
 
 
@@ -310,7 +313,8 @@ def test_conjugacy_structure_matches_the_loop_oracle(make_group):
 def test_identity_is_read_from_the_table():
     g = relabelled_s3()
     assert g.identity == 4
-    assert all(g.mul(4, a) == a == g.mul(a, 4) for a in range(6))
+    assert all(g.table[4, a] == a == g.table[a, 4] for a in range(6))
+    assert conjugacy_structure(g).identity_class == conjugacy_structure(g).class_of[4] != 0
 
 
 @pytest.mark.parametrize(
@@ -327,21 +331,23 @@ def test_inverses_match_the_full_table_oracle(make_group):
 
 
 def test_a_group_keeps_only_what_its_table_cannot_give():
-    assert [f.name for f in dataclasses.fields(FiniteGroup)] == ["label", "table", "perms"]
-    assert [f.name for f in dataclasses.fields(ConjugacyStructure)] == ["group_hash", "class_of", "inverse_class"]
+    assert [f.name for f in dataclasses.fields(FiniteGroup)] == ["label", "table"]
+    assert [f.name for f in dataclasses.fields(ConjugacyStructure)] == [
+        "group_hash", "class_of", "inverse_class", "identity_class"
+    ]
     with pytest.raises(TypeError):
         FiniteGroup(order=5, identity=0, label="Z3", table=cyclic(3).table)
 
 
 def test_a_group_and_its_arrays_are_read_only():
     g = symmetric(3)
-    for array in (g.table, g.perms, g.inverses):
+    for array in (g.table, g.inverses):
         with pytest.raises(ValueError):
             array[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.label = "other"
     renamed = dataclasses.replace(g, label="renamed")
-    assert renamed.table is g.table and renamed.perms is g.perms
+    assert renamed.table is g.table
 
 
 def test_a_table_handed_in_is_stored_read_only():
@@ -449,9 +455,7 @@ def test_quotient_s3_by_a3():
     # Projection is a homomorphism.
     for a in range(6):
         for b in range(6):
-            assert quo.projection[g.mul(a, b)] == quo.group.mul(
-                int(quo.projection[a]), int(quo.projection[b])
-            )
+            assert quo.projection[g.table[a, b]] == quo.group.table[quo.projection[a], quo.projection[b]]
 
 
 def test_quotient_d4_by_center_is_klein():
@@ -461,7 +465,7 @@ def test_quotient_d4_by_center_is_klein():
     assert quo.group.is_abelian
     # Every nonidentity element of D4 / Z(D4) has order 2.
     for a in range(4):
-        assert quo.group.mul(a, a) == quo.group.identity
+        assert quo.group.table[a, a] == quo.group.identity
 
 
 def test_quotient_rejects_bad_inputs():

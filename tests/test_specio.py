@@ -265,6 +265,11 @@ def zero_degree(path, good):
     write_entry(path, **{**good, "degrees": np.concatenate([[0], good["degrees"][1:]])})
 
 
+def permuted_degrees(path, good):
+    # Each row keeps its values: only the degree residual max_p |chi_p(e) - d_p| sees it.
+    write_entry(path, **{**good, "degrees": good["degrees"][::-1].copy()})
+
+
 def missing_member(path, good):
     write_entry(path, **{name: a for name, a in good.items() if name != "degrees"})
 
@@ -319,7 +324,7 @@ class TestCache:
 
     @pytest.mark.parametrize(
         "damage",
-        [truncated, empty, object_member, complex64_values, zero_degree, missing_member, bare_npy],
+        [truncated, empty, object_member, complex64_values, zero_degree, permuted_degrees, missing_member, bare_npy],
         ids=lambda damage: damage.__name__,
     )
     def test_damaged_entry_is_recomputed_and_overwritten(self, tmp_path, damage):
