@@ -146,22 +146,25 @@ class OrthogonalityReport:
         return max(self.row_residual, self.column_residual)
 
 
+def _pair_classes(group: FiniteGroup, cs: ConjugacyStructure) -> np.ndarray:
+    """The k x |G| pair index pair[m, x] = class of x^{-1} z_m, z_m the representative of class m."""
+    return cs.class_of[group.table[group.inverses[None, :], cs.reps[:, None]]]
+
+
 def class_constants(group: FiniteGroup, cs: ConjugacyStructure | None = None) -> np.ndarray:
     """Structure constants a[i, j, k] = #{(x, y) in C_i x C_j : x*y = z_k}.
 
     z_k is the stored representative of class k; the count is independent of
-    that choice.  Cost is O(num_classes * |G|) time and O(num_classes^3)
+    that choice.  Each x in C_i pairs with y = x^{-1} z_k, so the tensor is one
+    bincount of (class(x), pair[k, x], k) over the pair index of
+    ``_pair_classes``.  Cost is O(num_classes * |G|) time and O(num_classes^3)
     memory.  ``character_table`` never forms this tensor; it is the reference
     that ``_class_combination`` is checked against.
     """
     cs = cs or conjugacy_structure(group)
     k = cs.num_classes
-    a = np.zeros((k, k, k), dtype=np.int64)
-    invs = group.inverses
-    for kk, z in enumerate(cs.reps):
-        ys = group.table[invs, int(z)]
-        np.add.at(a[:, :, kk], (cs.class_of, cs.class_of[ys]), 1)
-    return a
+    index = (cs.class_of[None, :] * k + _pair_classes(group, cs)) * k + np.arange(k)[:, None]
+    return np.bincount(index.ravel(), minlength=k**3).reshape(k, k, k)
 
 
 def _paired_coefficients(rng: np.random.Generator, inverse_class: np.ndarray) -> np.ndarray:
@@ -186,12 +189,11 @@ def _class_combination(
 
     (M_i)[j, m] = a[i, j, m] from ``class_constants`` and D = diag(sizes).  An
     element x of class i adds c[i] to entry (j, m) where j is the class of
-    x^{-1} z_m, so one k x |G| index array turns each combination into a
-    pair of bincounts (real and imaginary weights): O(k |G|) per call.
+    x^{-1} z_m, so the pair index of ``_pair_classes`` turns each combination
+    into a pair of bincounts (real and imaginary weights): O(k |G|) per call.
     """
     k, n = cs.num_classes, group.order
-    pair_class = cs.class_of[group.table[group.inverses[None, :], cs.reps[:, None]]]
-    index = (pair_class * k + np.arange(k)[:, None]).ravel()
+    index = (_pair_classes(group, cs) * k + np.arange(k)[:, None]).ravel()
     root = np.sqrt(cs.sizes.astype(np.float64))
     scale = root[None, :] / root[:, None]
 

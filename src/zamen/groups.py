@@ -163,11 +163,11 @@ class FiniteGroup:
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
 
-def _validate_table(table: np.ndarray, rng: np.random.Generator) -> None:
+def _validate_table(table: np.ndarray) -> None:
     """Check the group axioms for a candidate Cayley table."""
+    if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
+        raise ValidationError(f"Cayley table must be square and nonempty, got shape {table.shape}")
     n = table.shape[0]
-    if table.shape != (n, n):
-        raise ValidationError(f"Cayley table must be square, got shape {table.shape}")
     if table.min() < 0 or table.max() >= n:
         raise ValidationError("Cayley table entries must be indices into 0..n-1")
 
@@ -198,7 +198,7 @@ def _validate_table(table: np.ndarray, rng: np.random.Generator) -> None:
                     f"{a}*({int(b)}*{int(c)}) = {int(right[b, c])}"
                 )
     else:
-        abc = rng.integers(0, n, size=(ASSOC_SAMPLE_TRIPLES, 3))
+        abc = np.random.default_rng(0).integers(0, n, size=(ASSOC_SAMPLE_TRIPLES, 3))
         left = table[table[abc[:, 0], abc[:, 1]], abc[:, 2]]
         right = table[abc[:, 0], table[abc[:, 1], abc[:, 2]]]
         bad = np.nonzero(left != right)[0]
@@ -207,15 +207,19 @@ def _validate_table(table: np.ndarray, rng: np.random.Generator) -> None:
             raise ValidationError(f"associativity fails at sampled triple ({a}, {b}, {c})")
 
 
-def from_cayley_table(table: Iterable[Iterable[int]], label: str = "G", *, seed: int = 0) -> FiniteGroup:
+def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray, label: str = "G") -> FiniteGroup:
     """Build a group from an explicit Cayley table, validating the axioms.
 
-    Validation is exhaustive for order <= 512 and falls back to 10^4 sampled
-    triples above that (rows/columns and the identity are always checked in
-    full).
+    This is the one constructor that validates a table: every other one
+    builds a group by construction.  Validation is exhaustive for order <= 512
+    and falls back to 10^4 sampled triples above that (rows/columns and the
+    identity are always checked in full).
     """
-    arr = np.asarray([list(row) for row in table], dtype=np.int64)
-    _validate_table(arr, np.random.default_rng(seed))
+    try:
+        arr = np.asarray(table, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"Cayley table must be a square array of integers: {exc}") from None
+    _validate_table(arr)
     return FiniteGroup(label, arr)
 
 
@@ -295,7 +299,7 @@ def symmetric(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError(f"symmetric group degree must be >= 1, got {n}")
     if n == 1:
-        return from_cayley_table([[0]], label="S1")
+        return FiniteGroup("S1", [[0]])
     swap = np.arange(n)
     swap[[0, 1]] = [1, 0]
     cyc = np.roll(np.arange(n), -1)
@@ -315,22 +319,15 @@ def alternating(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    """The quaternion group Q8 = {1, -1, i, -i, j, -j, k, -k}."""
-    # Encode q = (sign, axis) with axis 0..3 for 1, i, j, k.
-    axis_mul = {
-        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-        (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-        (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-        (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-    }
-    idx = {(1, 0): 0, (-1, 0): 1, (1, 1): 2, (-1, 1): 3, (1, 2): 4, (-1, 2): 5, (1, 3): 6, (-1, 3): 7}
-    elems = list(idx)
-    table = np.empty((8, 8), dtype=np.int64)
-    for a, (sa, xa) in enumerate(elems):
-        for b, (sb, xb) in enumerate(elems):
-            sign, axis = axis_mul[(xa, xb)]
-            table[a, b] = idx[(sa * sb * sign, axis)]
-    return from_cayley_table(table, label="Q8")
+    """The quaternion group Q8 = {1, -1, i, -i, j, -j, k, -k}.
+
+    Element 2*axis + neg is (-1)^neg times the unit 1, i, j, k of that axis.
+    Units multiply as axis XOR axis' up to the sign flip[axis, axis'].
+    """
+    axis, neg = np.divmod(np.arange(8), 2)
+    flip = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    a, b = axis[:, None], axis[None, :]
+    return FiniteGroup("Q8", 2 * (a ^ b) + (neg[:, None] ^ neg[None, :] ^ flip[a, b]))
 
 
 def _check_product_order(left: FiniteGroup, right: FiniteGroup) -> None:
@@ -387,14 +384,9 @@ def semidirect_product(
             h2 = int(broken[0])
             raise ValidationError(f"action is not a homomorphism: maps[{h1}*{h2}] != maps[{h1}] o maps[{h2}]")
 
-    m = acting.order
-    n = normal.order
-    table = np.empty((n * m, n * m), dtype=TABLE_DTYPE)
+    n, m = normal.order, acting.order
     # Index packing (a, h) -> a*m + h; product rule (a, h)(b, k) = (a*phi_h(b), hk).
-    for a in range(n):
-        for h in range(m):
-            row = tn[a, maps[h]][:, None] * m + acting.table[h][None, :]
-            table[a * m + h, :] = row.reshape(-1)
+    table = (tn[:, maps][:, :, :, None] * m + acting.table[None, :, None, :]).reshape(n * m, n * m)
     return FiniteGroup(label or f"{normal.label}:{acting.label}", table)
 
 
@@ -513,13 +505,23 @@ class Quotient:
 def quotient_group(group: FiniteGroup, subgroup: Iterable[int]) -> Quotient:
     """Form G/N for a normal subgroup N given by element indices.
 
-    Raises ValidationError if the indices are not a subgroup, or name the
-    violating conjugation when the subgroup is not normal.
+    N is normal when it is a union of conjugacy classes.  Each coset sN is
+    named by its least element, and the cosets are numbered in the order of
+    those elements.  A quotient by a normal subgroup is a group, so its table
+    is not validated again.
+
+    Raises ValidationError if an index is outside 0..n-1, if the indices are
+    not a subgroup, or, naming a violating conjugation, if the subgroup is
+    not normal.
     """
+    n = group.order
     nset = np.unique(np.asarray(list(subgroup), dtype=np.int64))
+    stray = nset[(nset < 0) | (nset >= n)]
+    if stray.size:
+        raise ValidationError(f"subgroup index {int(stray[0])} is outside 0..{n - 1}")
     if nset.size == 0 or group.identity not in nset:
         raise ValidationError("subgroup must contain the identity")
-    inside = np.zeros(group.order, dtype=bool)
+    inside = np.zeros(n, dtype=bool)
     inside[nset] = True
     prods = group.table[np.ix_(nset, nset)]
     if not inside[prods].all():
@@ -527,28 +529,17 @@ def quotient_group(group: FiniteGroup, subgroup: Iterable[int]) -> Quotient:
         raise ValidationError(
             f"not a subgroup: {int(nset[a])}*{int(nset[b])} = {int(prods[a, b])} falls outside"
         )
-    invs = group.inverses
-    for g in range(group.order):
-        conj = group.table[group.table[g, nset], invs[g]]
-        if not inside[conj].all():
-            bad = int(nset[int(np.nonzero(~inside[conj])[0][0])])
-            raise ValidationError(
-                f"not normal: conjugating {bad} by {g} gives {int(group.table[group.table[g, bad], invs[g]])}, "
-                f"which is outside the subgroup"
-            )
+    cs = conjugacy_structure(group)
+    counts = np.bincount(cs.class_of[nset], minlength=cs.num_classes)
+    split = np.flatnonzero((counts > 0) & (counts < cs.sizes))
+    if split.size:
+        a = int(nset[cs.class_of[nset] == split[0]][0])
+        b = int(np.flatnonzero((cs.class_of == split[0]) & ~inside)[0])
+        g = int(np.argmax(group.table[group.table[:, a], group.inverses] == b))
+        raise ValidationError(f"not normal: conjugating {a} by {g} gives {b}, which is outside the subgroup")
 
-    coset_of = np.full(group.order, -1, dtype=np.int64)
-    reps: list[int] = []
-    for s in range(group.order):
-        if coset_of[s] >= 0:
-            continue
-        coset = group.table[s, nset]
-        coset_of[coset] = len(reps)
-        reps.append(s)
-
-    k = len(reps)
-    table = np.empty((k, k), dtype=np.int64)
-    for i, r in enumerate(reps):
-        table[i, :] = coset_of[group.table[r, reps]]
-    quo = from_cayley_table(table, label=f"{group.label}/N{nset.size}")
+    rows = max(1, (1 << 20) // nset.size)
+    least = np.concatenate([group.table[i : i + rows][:, nset].min(axis=1) for i in range(0, n, rows)])
+    reps, coset_of = np.unique(least, return_inverse=True)
+    quo = FiniteGroup(f"{group.label}/N{nset.size}", coset_of[group.table[np.ix_(reps, reps)]])
     return Quotient(group=quo, projection=coset_of, subgroup=nset)

@@ -72,12 +72,6 @@ class HypergroupModel:
     dimension_weight: Callable[[int], float]
     character_sq_norm: Callable[[int], float]
 
-    def character(self, k: int, theta):
-        """chi_k at theta: a float for a scalar theta, an array otherwise."""
-        theta = np.asarray(theta, dtype=np.float64)
-        row = _character_rows(self, k, theta.reshape(-1))[k]
-        return float(row[0]) if theta.ndim == 0 else row.reshape(theta.shape)
-
 
 @dataclass(frozen=True)
 class CoefficientScheme:

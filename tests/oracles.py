@@ -8,6 +8,11 @@ with no shortcut that the package itself takes:
 - ``closure_perms`` and ``composition_table``: a permutation group closed
   breadth first in the documented discovery order, and the Cayley table of
   composing its permutations;
+- ``quotient_loop`` and ``semidirect_table_loop``: the quotient G/N by
+  conjugating every element of N by every g, numbering cosets as they are
+  met, and the semidirect table row by row from (a, h)(b, k) = (a*h(b), hk);
+- ``special_linear``: SL(2, p) as the 2 x 2 matrices of determinant 1 over
+  F_p acting on the p^2 - 1 nonzero vectors, closed from two transvections;
 - ``convolve_direct``, ``central_projection`` and ``quotient_pushforward``:
   the elementwise convolution, class averaging and fiber averaging on the
   centre of L1(G), with ``indicator``, ``expand_to_elements`` and ``l1_norm``
@@ -19,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from zamen.central import ClassFunction
-from zamen.groups import ConjugacyStructure, FiniteGroup, Quotient, conjugacy_structure
+from zamen.groups import ConjugacyStructure, FiniteGroup, Quotient, conjugacy_structure, from_permutation_generators
 
 
 def conjugate(group: FiniteGroup, t: int, s: int) -> int:
@@ -67,6 +72,51 @@ def composition_table(perms) -> np.ndarray:
     """table[a, b] is the index of perms[a] o perms[b], looked up among ``perms``."""
     index = {p: i for i, p in enumerate(perms)}
     return np.array([[index[tuple(pa[j] for j in pb)] for pb in perms] for pa in perms])
+
+
+def quotient_loop(group: FiniteGroup, subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """(table, projection) of G/N, or ValueError("not normal ...") at the first g with gNg^-1 != N.
+
+    Cosets sN are numbered in the order their first element s is met, s = 0, 1, ...
+    """
+    nset = np.unique(np.asarray(list(subgroup), dtype=np.int64))
+    inside = np.zeros(group.order, dtype=bool)
+    inside[nset] = True
+    for g in range(group.order):
+        if not inside[group.table[group.table[g, nset], group.inverses[g]]].all():
+            raise ValueError(f"not normal: some element of N conjugated by {g} falls outside N")
+    coset_of = np.full(group.order, -1, dtype=np.int64)
+    reps: list[int] = []
+    for s in range(group.order):
+        if coset_of[s] < 0:
+            coset_of[group.table[s, nset]] = len(reps)
+            reps.append(s)
+    table = np.empty((len(reps), len(reps)), dtype=np.int64)
+    for i, r in enumerate(reps):
+        table[i] = coset_of[group.table[r, reps]]
+    return table, coset_of
+
+
+def semidirect_table_loop(normal: FiniteGroup, acting: FiniteGroup, maps) -> np.ndarray:
+    """The table of N x| H on packed indices (a, h) -> a*|H| + h, one row per pair (a, h)."""
+    n, m = normal.order, acting.order
+    table = np.empty((n * m, n * m), dtype=np.int64)
+    for a in range(n):
+        for h in range(m):
+            row = normal.table[a, np.asarray(maps[h])][:, None] * m + acting.table[h][None, :]
+            table[a * m + h, :] = row.reshape(-1)
+    return table
+
+
+def special_linear(p: int) -> FiniteGroup:
+    """SL(2, p), p prime, closed from [[1, 1], [0, 1]] and [[1, 0], [1, 1]] acting on vectors (x, y) != 0.
+
+    The vector (x, y) is point x*p + y - 1, and -I is the one central involution.
+    """
+    x, y = np.divmod(np.arange(1, p * p), p)
+    upper = ((x + y) % p) * p + y - 1
+    lower = x * p + (x + y) % p - 1
+    return from_permutation_generators([upper, lower], label=f"SL(2,{p})")
 
 
 def indicator(holder, cls: int) -> ClassFunction:

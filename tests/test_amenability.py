@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import indicator
+from oracles import indicator, special_linear
 from zamen.amenability import (
     NONABELIAN_GAP,
     amenability_constant,
@@ -35,6 +35,7 @@ from zamen.amenability import (
 from zamen.central import ClassFunction, convolve, gelfand_transform
 from zamen.characters import character_table, tensor_table
 from zamen.groups import (
+    alternating,
     center,
     conjugacy_structure,
     cyclic,
@@ -306,6 +307,19 @@ def test_quotient_monotonicity():
     report = quotient_monotonicity_check(d6, center(d6))
     assert report.am_quotient == pytest.approx(7.0 / 3.0, abs=1e-9)
     assert report.am_group >= 7.0 / 3.0 - 1e-9
+
+
+def test_psl_2_5_is_a5_and_sl_2_5_passes_monotonicity():
+    # SL(2,5) / {+-I} = PSL(2,5), which is isomorphic to A5.
+    sl25 = special_linear(5)
+    quo = quotient_group(sl25, center(sl25))
+    am_a5 = amenability_constant(character_table(alternating(5))).value
+    assert amenability_constant(character_table(quo.group)).value == pytest.approx(am_a5, rel=1e-12)
+    assert am_a5 == pytest.approx(1699 / 75, rel=1e-12)  # 22.65333...
+    report = quotient_monotonicity_check(sl25, center(sl25))
+    assert report.passed
+    assert report.am_group == pytest.approx(1757 / 60, rel=1e-12)
+    assert report.am_quotient == pytest.approx(1699 / 75, rel=1e-12)
 
 
 def test_nonabelian_gap():

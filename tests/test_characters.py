@@ -104,7 +104,16 @@ def test_class_constants_s3_frozen():
     assert np.array_equal(a, brute_class_constants(g, cs))
 
 
-@pytest.mark.parametrize("builder", [lambda: dihedral(4), lambda: quaternion_group(), lambda: alternating(4)])
+@pytest.mark.parametrize(
+    "builder",
+    [
+        lambda: dihedral(4),
+        lambda: quaternion_group(),
+        lambda: alternating(4),
+        lambda: symmetric(4),
+        lambda: direct_product(symmetric(3), cyclic(4)),
+    ],
+)
 def test_class_constants_brute_force(builder):
     g = builder()
     cs = conjugacy_structure(g)

@@ -11,11 +11,20 @@ import dataclasses
 import hashlib
 import itertools
 import struct
+import time
 
 import numpy as np
 import pytest
 
-from oracles import brute_classes, closure_perms, composition_table
+from oracles import (
+    brute_classes,
+    closure_perms,
+    composition_table,
+    quotient_loop,
+    semidirect_table_loop,
+    special_linear,
+)
+from zamen import groups
 from zamen.groups import (
     DEFAULT_CLOSURE_CAP,
     ConjugacyStructure,
@@ -476,6 +485,116 @@ def test_quotient_rejects_bad_inputs():
         cs = conjugacy_structure(g)
         transposition = int(cs.classes[1][0])
         quotient_group(g, [0, transposition])  # order-2 subgroup, not normal
+
+
+def test_quotient_rejects_indices_outside_the_group():
+    # A negative index would wrap to n - 2 and one past the end would index out of range.
+    with pytest.raises(ValidationError, match="index -2 is outside 0..3"):
+        quotient_group(cyclic(4), [0, -2])
+    with pytest.raises(ValidationError, match="index 6 is outside 0..5"):
+        quotient_group(dihedral(3), [0, 6])
+
+
+def test_cayley_table_rejects_ragged_and_empty_input():
+    with pytest.raises(ValidationError, match="square array of integers"):
+        from_cayley_table([[0, 1], [1]])
+    for empty in ([], [[]]):
+        with pytest.raises(ValidationError, match="square and nonempty"):
+            from_cayley_table(empty)
+
+
+def cyclic_action(n, unit, m):
+    """Z_n x| Z_m with h acting as multiplication by unit^h (unit^m = 1 mod n)."""
+    return [[pow(unit, h, n) * b % n for b in range(n)] for h in range(m)]
+
+
+def by_centre(g):
+    return g, center(g)
+
+
+def by_class_union(g, size):
+    """g and the identity with the first class of the given size, a normal subgroup where used below."""
+    cs = conjugacy_structure(g)
+    return g, [g.identity, *cs.classes[int(np.flatnonzero(cs.sizes == size)[0])]]
+
+
+NORMAL_CASES = {
+    "S3/A3": lambda: by_class_union(symmetric(3), 2),
+    "D4/Z": lambda: by_centre(dihedral(4)),
+    "S4/V4": lambda: by_class_union(symmetric(4), 3),
+    "SL(2,5)/Z": lambda: by_centre(special_linear(5)),
+}
+
+
+SEMIDIRECT_CASES = {
+    "Z5:Z4": (5, 2, 4),
+    "Z13:Z12": (13, 2, 12),
+    "Z2:Z1000": (2, 1, 1000),
+}
+
+
+def semidirect(n, unit, m):
+    return semidirect_product(cyclic(n), cyclic(m), cyclic_action(n, unit, m))
+
+
+CONSTRUCTED = {
+    "Z12": lambda: cyclic(12),
+    "D7": lambda: dihedral(7),
+    "S1": lambda: symmetric(1),
+    "S4": lambda: symmetric(4),
+    "A5": lambda: alternating(5),
+    "Q8": quaternion_group,
+    "S3xZ4": lambda: direct_product(symmetric(3), cyclic(4)),
+    **{label: (lambda args=args: semidirect(*args)) for label, args in SEMIDIRECT_CASES.items()},
+    **{label: (lambda case=case: quotient_group(*case()).group) for label, case in NORMAL_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("make_group", CONSTRUCTED.values(), ids=CONSTRUCTED.keys())
+def test_every_constructor_builds_a_table_that_passes_validation(make_group):
+    # Only from_cayley_table validates; everything else is a group by construction.
+    groups._validate_table(np.asarray(make_group().table, dtype=np.int64))
+
+
+def test_only_from_cayley_table_validates(monkeypatch):
+    calls = []
+    monkeypatch.setattr(groups, "_validate_table", calls.append)
+    for make_group in CONSTRUCTED.values():
+        make_group()
+    assert calls == []
+    from_cayley_table(cyclic(3).table)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("label", SEMIDIRECT_CASES)
+def test_semidirect_table_matches_the_loop_oracle(label):
+    n, unit, m = SEMIDIRECT_CASES[label]
+    maps = cyclic_action(n, unit, m)
+    g = semidirect_product(cyclic(n), cyclic(m), maps)
+    assert np.array_equal(g.table, semidirect_table_loop(cyclic(n), cyclic(m), maps))
+
+
+@pytest.mark.parametrize("case", NORMAL_CASES.values(), ids=NORMAL_CASES.keys())
+def test_quotient_matches_the_loop_oracle(case):
+    g, sub = case()
+    quo = quotient_group(g, sub)
+    table, projection = quotient_loop(g, sub)
+    assert np.array_equal(quo.group.table, table)
+    assert quo.projection.dtype == projection.dtype and np.array_equal(quo.projection, projection)
+    assert quo.subgroup.tolist() == sorted(int(x) for x in sub)
+
+
+def test_quotient_of_sl_2_17_by_its_centre_within_a_second():
+    # PSL(2,17), order 2448: about 0.07 s; the coset loop took 1.6 s on a 2-vCPU x86-64 VM.
+    g = special_linear(17)
+    z = center(g)
+    assert g.order == 4896 and z.size == 2
+    start = time.perf_counter()
+    quo = quotient_group(g, z)
+    elapsed = time.perf_counter() - start
+    assert quo.group.order == 2448
+    assert np.array_equal(quo.projection[g.table[z[1]]], quo.projection)  # x and -I x share a coset
+    assert elapsed < 1.0, f"SL(2,17)/Z took {elapsed:.2f} s"
 
 
 def test_content_hash_ignores_labels():
