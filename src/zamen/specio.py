@@ -34,6 +34,8 @@ import numpy as np
 
 from .characters import CharacterTable, _round_array, canonical_form
 from .groups import (
+    DEFAULT_CLOSURE_CAP,
+    TABLE_DTYPE,
     ConjugacyStructure,
     FiniteGroup,
     direct_product,
@@ -248,7 +250,9 @@ def load_experiment_spec(payload: dict) -> dict:
     """Validate a ``zamen-experiment`` document.
 
     Model and scheme names are resolved by ``zamen.hypergroups``; the
-    quadrature settings must be accepted by ``QuadratureConfig``.
+    quadrature settings must be accepted by ``QuadratureConfig``.  A level
+    whose character-row matrix would exceed DEFAULT_CLOSURE_CAP^2 int32
+    entries (1.6 GB) is refused before any work starts.
     """
     _check_header(payload, EXPERIMENT_FORMAT)
     model = payload.get("model")
@@ -269,9 +273,16 @@ def load_experiment_spec(payload: dict) -> dict:
     if unknown:
         raise SpecError(f"unknown quadrature settings {unknown}")
     try:
-        QuadratureConfig(**quadrature)
+        quad = QuadratureConfig(**quadrature)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
+    # Level n fills an (n+1) x ceil(points/2) float64 matrix of character rows on the refined
+    # grid; refuse one larger than the largest Cayley table the closure cap admits.
+    half = (quad.panels * quad.refinement_factor * quad.nodes_per_panel + 1) // 2
+    cap_bytes = DEFAULT_CLOSURE_CAP**2 * np.dtype(TABLE_DTYPE).itemsize
+    for n in levels:
+        if 8 * (n + 1) * half > cap_bytes:
+            raise SpecError(f"level n = {n} needs a {n + 1} x {half} float64 matrix, above {cap_bytes} bytes")
     return {
         "model": model,
         "scheme": scheme,

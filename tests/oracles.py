@@ -4,7 +4,12 @@ Each helper follows its mathematical definition literally, element by element,
 with no shortcut that the package itself takes:
 
 - ``conjugate`` and ``brute_classes``: conjugation t s t^{-1} read off the
-  Cayley table, and the classes as its orbits;
+  Cayley table, and the classes as its orbits; ``loop_conjugacy_structure``:
+  the same classes one orbit at a time, with the arrays of a
+  ``ConjugacyStructure``;
+- ``associativity_failure``: (a*b)*c against a*(b*c) over every triple, and
+  ``swap_intercalate``, which exchanges x and y in a 2 x 2 subsquare
+  ab = cd = x, ad = cb = y of a table, keeping it a Latin square;
 - ``closure_perms`` and ``composition_table``: a permutation group closed
   breadth first in the documented discovery order, and the Cayley table of
   composing its permutations;
@@ -43,6 +48,47 @@ def brute_classes(group: FiniteGroup) -> list[list[int]]:
         seen |= orbit
         classes.append(sorted(orbit))
     return classes
+
+
+def loop_conjugacy_structure(group):
+    """The classes one orbit {t s t^-1 : t} at a time, for each s not yet classed,
+    as (class_of, classes, sizes, reps, inverse_class)."""
+    n = group.order
+    class_of = np.full(n, -1, dtype=np.int64)
+    classes = []
+    for s in range(n):
+        if class_of[s] >= 0:
+            continue
+        orbit = np.unique(group.table[group.table[:, s], group.inverses]).astype(np.int64)
+        class_of[orbit] = len(classes)
+        classes.append(orbit)
+    sizes = np.array([c.size for c in classes], dtype=np.int64)
+    reps = np.array([int(c[0]) for c in classes], dtype=np.int64)
+    inverse_class = np.array([class_of[group.inverses[r]] for r in reps], dtype=np.int64)
+    return class_of, classes, sizes, reps, inverse_class
+
+
+def associativity_failure(table) -> tuple[int, int, int] | None:
+    """The first triple (a, b, c) with (a*b)*c != a*(b*c), in row order of a, or None."""
+    table = np.asarray(table)
+    for a in range(table.shape[0]):
+        left = table[table[a], :]
+        right = table[a][table]
+        if not np.array_equal(left, right):
+            b, c = np.argwhere(left != right)[0]
+            return a, int(b), int(c)
+    return None
+
+
+def swap_intercalate(table, rows, cols) -> np.ndarray:
+    """A copy of ``table`` with x and y exchanged in rows (a, c) x columns (b, d), where ab = cd = x and ad = cb = y."""
+    (a, c), (b, d) = rows, cols
+    swapped = np.array(table, dtype=np.int64)
+    x, y = swapped[a, b], swapped[a, d]
+    assert swapped[c, d] == x and swapped[c, b] == y and x != y, "not an intercalate"
+    swapped[a, b] = swapped[c, d] = y
+    swapped[a, d] = swapped[c, b] = x
+    return swapped
 
 
 def closure_perms(generators) -> list[tuple[int, ...]]:

@@ -92,6 +92,16 @@ class TestGroupInfo:
         assert err.startswith("error: out of memory")
         assert "Traceback" not in err
 
+    def test_a_point_in_two_cycles_exits_2_naming_it(self, tmp_path, capsys):
+        # This once closed to a 3-element "group" and failed later as "not a permutation of 0..2: [1, 2, 1]".
+        path = tmp_path / "repeated.json"
+        spec = {"kind": "perm", "degree": 3, "generators": ["(1 2)(2 3)"]}
+        path.write_text(json.dumps({"format": "zamen-group", "version": 1, **spec}))
+        assert run_cli("group", "info", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: point 2 appears more than once in cycle notation")
+        assert "Traceback" not in err
+
     def test_product_above_the_cap_exits_2(self, tmp_path, capsys):
         # S7 x S3 has order 30240; the S7 factor builds, the product is refused.
         s7 = {"kind": "perm", "degree": 7, "generators": ["(1 2)", "(1 2 3 4 5 6 7)"]}
@@ -382,6 +392,15 @@ class TestHypergroupRun:
         spec = self.make_spec(tmp_path, scheme="mystery")
         assert run_cli("hypergroup", "run", str(spec)) == 2
         assert "unknown coefficient scheme" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", [10**9, 10**20])
+    def test_a_level_too_large_to_hold_exits_2_naming_it(self, tmp_path, capsys, level):
+        # Both levels once ran past a 60 s timeout building their coefficient lists.
+        spec = self.make_spec(tmp_path, n=[4, level])
+        assert run_cli("hypergroup", "run", str(spec)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: level n = {level} needs a {level + 1} x 256 float64 matrix")
+        assert captured.out == ""
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert run_cli("hypergroup", "run", str(tmp_path / "nope.json")) == 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import re
 import struct
 import time
 
@@ -17,12 +18,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    associativity_failure,
     brute_classes,
     closure_perms,
     composition_table,
+    loop_conjugacy_structure,
     quotient_loop,
     semidirect_table_loop,
     special_linear,
+    swap_intercalate,
 )
 from zamen import groups
 from zamen.groups import (
@@ -60,6 +64,16 @@ def test_parse_cycle_notation():
         parse_permutation("(1 1 2)")
     with pytest.raises(ValidationError, match="exceeds the degree 2"):
         parse_permutation("(1 3)", degree=2)
+
+
+def test_a_point_in_two_cycles_is_refused():
+    # "(1 2)(2 3)" once parsed to [1, 2, 1] and closed to a 3-element "group".
+    with pytest.raises(ValidationError, match="point 2 appears more than once"):
+        parse_permutation("(1 2)(2 3)")
+    with pytest.raises(ValidationError, match="point 2 appears more than once"):
+        from_permutation_generators(["(1 2)(2 3)"])
+    with pytest.raises(ValidationError, match="point 3 appears more than once"):
+        parse_permutation("(3)(1 3 2)", degree=4)
 
 
 def test_s3_closure_order_and_structure():
@@ -272,24 +286,6 @@ def test_conjugacy_structure_is_kept_and_read_only():
             array[0] = 0
 
 
-def loop_conjugacy_structure(group):
-    """The per-class orbit loop, which noncommutative groups still run, kept as
-    the oracle for every group: (class_of, classes, sizes, reps, inverse_class)."""
-    n = group.order
-    class_of = np.full(n, -1, dtype=np.int64)
-    classes = []
-    for s in range(n):
-        if class_of[s] >= 0:
-            continue
-        orbit = np.unique(group.table[group.table[:, s], group.inverses]).astype(np.int64)
-        class_of[orbit] = len(classes)
-        classes.append(orbit)
-    sizes = np.array([c.size for c in classes], dtype=np.int64)
-    reps = np.array([int(c[0]) for c in classes], dtype=np.int64)
-    inverse_class = np.array([class_of[group.inverses[r]] for r in reps], dtype=np.int64)
-    return class_of, classes, sizes, reps, inverse_class
-
-
 def relabelled_s3():
     """S3 with elements 0 and 4 swapped, so that the identity is element 4."""
     sigma = np.array([4, 1, 2, 3, 0, 5])  # an involution, so it is its own inverse
@@ -366,9 +362,9 @@ def test_a_table_handed_in_is_stored_read_only():
     assert (g.order, g.identity, g.inverses.tolist()) == (4, 0, [0, 3, 2, 1])
 
 
-def test_abelian_fast_path_reads_a_commutative_table_only():
-    # D10xZ16 lists its 16 central elements (e, h) first, so the first
-    # commutativity block matches its transpose and a later one must differ.
+def test_a_table_that_commutes_on_its_first_rows_is_not_abelian():
+    # D10xZ16 lists its 16 central elements (e, h) first, so its first rows
+    # commute with everything and only later ones tell it is not abelian.
     g = direct_product(dihedral(10), cyclic(16))
     assert np.array_equal(g.table[:8], g.table[:, :8].T)
     assert not g.is_abelian
@@ -421,6 +417,26 @@ def test_semidirect_rejects_non_homomorphism():
         semidirect_product(z5, z4, maps)
 
 
+@pytest.mark.parametrize(
+    "broken", [[0, 2, 1, 3, 4], [0, 0, 0, 0, 0]], ids=["non-automorphism", "non-permutation"]
+)
+def test_semidirect_rejects_a_non_generator_map_that_breaks_the_law(broken):
+    # Z4's greedy generating set is {1}: element 2's map is checked as maps[1*1] = maps[1] o maps[1].
+    squaring = [0, 2, 4, 1, 3]
+    maps = [[0, 1, 2, 3, 4], squaring, broken, [0, 3, 1, 4, 2]]
+    with pytest.raises(ValidationError, match=r"homomorphism: maps\[1\*1\] != maps\[1\] o maps\[1\]"):
+        semidirect_product(cyclic(5), cyclic(4), maps)
+
+
+@pytest.mark.parametrize(
+    "maps", [[[0, 1, 2]], [[0, 1, 2], [0, 2]], [[0, 1, 2], [0, 2, 3]], [[0, 1, 2], [0, -1, 1]]],
+    ids=["one map short", "ragged", "index past the end", "negative index"],
+)
+def test_semidirect_rejects_maps_of_the_wrong_shape_or_range(maps):
+    with pytest.raises(ValidationError, match=r"action must supply 2 maps of 3 indices into 0\.\.2"):
+        semidirect_product(cyclic(3), cyclic(2), maps)
+
+
 def test_semidirect_with_the_trivial_action_is_the_direct_product():
     z2, z1000 = cyclic(2), cyclic(1000)
     g = semidirect_product(z2, z1000, [[0, 1]] * 1000)
@@ -448,10 +464,54 @@ def test_cayley_table_roundtrip_and_validation():
         from_cayley_table(loop)
 
 
+@pytest.mark.parametrize("n", [600, 1000, 2000])
+def test_an_intercalate_swap_above_order_512_is_refused(n):
+    # Rows 1 and 1 + n/2 meet columns 2 and 2 + n/2 of Z_n in 3 and 3 + n/2 crosswise; exchanging
+    # them keeps a Latin square with identity 0 that 10^4 sampled triples did not catch.
+    table = swap_intercalate(cyclic(n).table, (1, 1 + n // 2), (2, 2 + n // 2))
+    assert associativity_failure(table) is not None
+    with pytest.raises(ValidationError, match="associativity fails"):
+        from_cayley_table(table)
+
+
+def test_the_associativity_message_names_a_failing_triple():
+    table = swap_intercalate(cyclic(600).table, (1, 301), (2, 302))
+    with pytest.raises(ValidationError) as refused:
+        from_cayley_table(table)
+    x, y, g = (int(v) for v in re.search(r"triple \((\d+), (\d+), (\d+)\)", str(refused.value)).groups())
+    assert f"({x}*{y})*{g} = {table[table[x, y], g]} but {x}*({y}*{g}) = {table[x, table[y, g]]}" in str(refused.value)
+    assert table[table[x, y], g] != table[x, table[y, g]]
+
+
+def test_a_table_of_order_512_is_validated_within_a_tenth_of_a_second():
+    # About 0.013 s; the exhaustive triple loop took 0.36-0.41 s on a 2-vCPU x86-64 VM.
+    table = cyclic(512).table
+    timings = []
+    for _ in range(3):
+        start = time.perf_counter()
+        from_cayley_table(table)
+        timings.append(time.perf_counter() - start)
+    assert min(timings) < 0.1, f"validating Z512 took {min(timings):.3f} s"
+
+
+def test_classes_of_q8_x_z2000_are_the_product_partition_within_a_second():
+    # About 0.2 s, inverses included; the per-class loop took 8-12 s on a 2-vCPU x86-64 VM.
+    g = direct_product(quaternion_group(), cyclic(2000))
+    g.content_hash  # hashing the 1 GB table is not part of finding the classes
+    start = time.perf_counter()
+    cs = conjugacy_structure(g)
+    elapsed = time.perf_counter() - start
+    # The class of (q, b) is (class of q in Q8, b), numbered in least-element order.
+    x = np.arange(g.order)
+    product = conjugacy_structure(quaternion_group()).class_of[x // 2000] * 2000 + x % 2000
+    assert np.array_equal(cs.class_of, np.unique(product, return_inverse=True)[1])
+    assert elapsed < 1.0, f"classes of Q8xZ2000 took {elapsed:.2f} s"
+
+
 def test_closure_cap():
     with pytest.raises(SizeLimitError):
         symmetric_gen = [parse_permutation("(1 2)", degree=8), np.roll(np.arange(8), -1)]
-        from_permutation_generators(symmetric_gen, label="S8", max_order=1000)
+        from_permutation_generators(symmetric_gen, label="S8")
 
 
 def test_quotient_s3_by_a3():

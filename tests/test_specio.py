@@ -231,6 +231,16 @@ class TestExperimentSpecs:
         with pytest.raises(SpecError, match="nonnegative integers"):
             load_experiment_spec({**base, "n": [2, True]})
 
+    def test_rejects_a_level_whose_character_rows_exceed_the_size_cap(self):
+        # The default refined grid has 2048 points, so a level holds (n+1) x 1024 float64 values;
+        # 20000^2 int32 entries (1.6e9 bytes) admit n = 195311 and not one more.
+        base = {"format": "zamen-experiment", "version": 1, "model": "su2", "scheme": "dirichlet"}
+        assert load_experiment_spec({**base, "n": [195_311]})["n"] == [195_311]
+        with pytest.raises(SpecError, match=r"level n = 195312 needs a 195313 x 1024 float64 matrix"):
+            load_experiment_spec({**base, "n": [2, 195_312]})
+        with pytest.raises(SpecError, match="level n = 0 needs a 1 x 400000000 float64 matrix"):
+            load_experiment_spec({**base, "n": [0], "quadrature": {"panels": 25_000_000}})
+
 
 ENTRY_ARRAYS = ("values", "degrees", "class_sizes", "class_reps", "inverse_class")
 
