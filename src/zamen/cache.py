@@ -5,8 +5,8 @@ their label share an entry.  An entry holds the table's ``TABLE_ARRAYS``, which
 reload bit for bit; ``CharacterTable.from_arrays``, the check that
 ``specio.load_character_table`` applies to documents too, binds them to the
 group.  It stores no residual, since a loaded table computes its own from its
-values.  ``.json`` entries and ``.npz`` entries under ``group-v1`` hashes, both
-of earlier versions, are never read.  The directory is an explicit argument,
+values.  ``.json`` entries and ``.npz`` entries under ``group-v1`` or
+``group-v2`` hashes, all of earlier versions, are never read.  The directory is an explicit argument,
 else ZAMEN_CACHE_DIR, else ``.zamen-cache`` in the current directory; a temp
 file and rename keep entries whole.
 """

@@ -8,8 +8,10 @@ Theory*, ch. 4): each generator's left-multiplication row costs n lookups and
 every other row is one gather of an earlier row.  Everything downstream
 (conjugacy data, characters, class functions) works in terms of these indices,
 so construction order fixes all later orderings.  Associativity, the semidirect
-laws and the conjugacy classes are found on a greedy generating set of at most
-log2(n) + 1 elements.
+laws, the conjugacy classes and the content hash are found on a greedy
+generating set of at most log2(n) + 1 elements, and inverses by
+square-and-multiply, so only the validation of a table from outside reads all
+n^2 of its entries.
 """
 
 from __future__ import annotations
@@ -112,9 +114,9 @@ class FiniteGroup:
     """A finite group on indices 0..order-1, given by its Cayley table.
 
     ``table[a, b] = a*b`` is stored read-only as C-contiguous ``TABLE_DTYPE``.
-    ``order``, ``identity``, ``inverses``, ``content_hash`` and the conjugacy
-    classes are derived from the table on first use, so none of them can go
-    stale.
+    ``order``, ``identity``, ``generators``, ``inverses``, ``content_hash``
+    and the conjugacy classes are derived from the table on first use, so
+    none of them can go stale.
     """
 
     label: str
@@ -133,11 +135,23 @@ class FiniteGroup:
         return int(np.flatnonzero(self.table[:, 0] == 0)[0])
 
     @cached_property
+    def generators(self) -> np.ndarray:
+        """The greedy generating set of ``_generating_set``: at most log2(n) + 1 elements, int64."""
+        return _read_only(np.array(list(_generating_set(self.table, self.identity)), dtype=np.int64))
+
+    @cached_property
     def inverses(self) -> np.ndarray:
-        """inverses[a] is the b with a*b = e, searched in row blocks of about 2^20 entries."""
-        rows = max(1, (1 << 20) // self.order)
-        blocks = [np.argmax(self.table[i : i + rows] == self.identity, axis=1) for i in range(0, self.order, rows)]
-        return _read_only(np.concatenate(blocks).astype(np.int64, copy=False))
+        """inverses[a] = a^(n-1), since a^n = e (Lagrange): square-and-multiply, about 2 log2(n) gathers of n."""
+        table, power = self.table, np.arange(self.order)
+        inverse = np.full(self.order, self.identity)
+        exponent = self.order - 1
+        while exponent:
+            if exponent & 1:
+                inverse = table[inverse, power]
+            exponent >>= 1
+            if exponent:
+                power = table[power, power]
+        return _read_only(inverse.astype(np.int64, copy=False))
 
     @property
     def is_abelian(self) -> bool:
@@ -146,13 +160,18 @@ class FiniteGroup:
 
     @cached_property
     def content_hash(self) -> str:
-        """sha256 of b"group-v2", the order as 8 little-endian bytes, then the table as <i4.
+        """sha256 of b"group-v3", the order and the identity as 8 little-endian bytes each, then
+        ``generators`` and ``table[:, generators]`` (C order) as <i4.
 
-        Labels do not enter.  On a little-endian machine the table is hashed in place, in one pass.
+        These bytes determine the table: column b*s is column s gathered at column b, because
+        a*(b*s) = (a*b)*s, so from the identity's column the generators' columns reach every
+        column.  Labels do not enter, and only n * len(generators) entries are hashed.
         """
-        digest = hashlib.sha256(b"group-v2")
+        digest = hashlib.sha256(b"group-v3")
         digest.update(self.order.to_bytes(8, "little"))
-        digest.update(np.ascontiguousarray(self.table, dtype="<i4"))
+        digest.update(self.identity.to_bytes(8, "little"))
+        digest.update(self.generators.astype("<i4"))
+        digest.update(np.ascontiguousarray(self.table[:, self.generators], dtype="<i4"))
         return digest.hexdigest()
 
     @cached_property
@@ -194,14 +213,19 @@ def _validate_table(table: np.ndarray) -> None:
     if table.min() < 0 or table.max() >= n:
         raise ValidationError("Cayley table entries must be indices into 0..n-1")
 
-    # Latin square: every row and column is a permutation.
-    expect = np.arange(n)
-    for axis, word in ((1, "row"), (0, "column")):
-        sorted_lines = np.sort(table, axis=axis)
-        bad = np.nonzero((sorted_lines != (expect[None, :] if axis == 1 else expect[:, None])).any(axis=axis))[0]
-        if bad.size:
-            raise ValidationError(f"{word} {bad[0]} of the Cayley table is not a permutation")
+    # Latin square: a line of n entries in 0..n-1 is a permutation when it shows every value, which
+    # is marked in blocks of about 2^20 entries: all rows first, then all columns.
+    lines = max(1, (1 << 20) // n)
+    for word in ("row", "column"):
+        for start in range(0, n, lines):
+            block = table[start : start + lines] if word == "row" else table[:, start : start + lines].T
+            seen = np.zeros(block.size, dtype=bool)  # seen[i*n + v]: line start + i shows v
+            seen[(block + np.arange(0, block.size, n)[:, None]).ravel()] = True
+            bad = np.flatnonzero(~seen.reshape(block.shape).all(axis=1))
+            if bad.size:
+                raise ValidationError(f"{word} {start + bad[0]} of the Cayley table is not a permutation")
 
+    expect = np.arange(n)
     two_sided = np.flatnonzero((table == expect).all(axis=1) & (table.T == expect).all(axis=1))
     if two_sided.size != 1:
         raise ValidationError(f"expected exactly one two-sided identity, found {two_sided.size}")
@@ -385,9 +409,8 @@ def semidirect_product(
     if not np.array_equal(maps[acting.identity], np.arange(n)):
         raise ValidationError("action of the identity must be the identity map")
 
-    tn = normal.table
-    sgens = list(_generating_set(tn, normal.identity))
-    for h in _generating_set(acting.table, acting.identity):
+    tn, sgens = normal.table, normal.generators
+    for h in acting.generators:
         phi = maps[h]
         if np.bincount(phi, minlength=n).max() > 1:
             raise ValidationError(f"action of element {h} is not a permutation of the normal factor")
@@ -427,7 +450,7 @@ def _orbit_minima(maps: list[np.ndarray], n: int) -> np.ndarray:
 def _conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
     """Classes are the orbits of x -> s*x*s^-1 for the generators s, numbered by least element."""
     table, invs = group.table, group.inverses
-    conjugations = [table[:, invs[s]][table[s]] for s in _generating_set(table, group.identity)]
+    conjugations = [table[:, invs[s]][table[s]] for s in group.generators]
     reps, class_of = np.unique(_orbit_minima(conjugations, group.order), return_inverse=True)
     class_of = class_of.astype(np.int64, copy=False)
     if np.any(group.order % np.bincount(class_of)):

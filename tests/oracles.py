@@ -7,6 +7,14 @@ with no shortcut that the package itself takes:
   Cayley table, and the classes as its orbits; ``loop_conjugacy_structure``:
   the same classes one orbit at a time, with the arrays of a
   ``ConjugacyStructure``;
+- ``scan_inverses``: each a's inverse found by scanning row a for the identity;
+- ``greedy_generators``: each generator the least element outside the subgroup
+  the earlier ones generate, that subgroup closed by multiplying until nothing
+  new appears; ``table_from_generator_columns``: a table rebuilt breadth
+  first from the identity and its generators' columns, the bytes
+  ``FiniteGroup.content_hash`` hashes;
+- ``latin_failure``: the first row, then column, of a table that sorted is not
+  0..n-1;
 - ``associativity_failure``: (a*b)*c against a*(b*c) over every triple, and
   ``swap_intercalate``, which exchanges x and y in a 2 x 2 subsquare
   ab = cd = x, ad = cb = y of a table, keeping it a Latin square;
@@ -66,6 +74,60 @@ def loop_conjugacy_structure(group):
     reps = np.array([int(c[0]) for c in classes], dtype=np.int64)
     inverse_class = np.array([class_of[group.inverses[r]] for r in reps], dtype=np.int64)
     return class_of, classes, sizes, reps, inverse_class
+
+
+def scan_inverses(group: FiniteGroup) -> np.ndarray:
+    """inverses[a] is the b with a*b = e, searched in row blocks of about 2^20 entries."""
+    rows = max(1, (1 << 20) // group.order)
+    blocks = [np.argmax(group.table[i : i + rows] == group.identity, axis=1) for i in range(0, group.order, rows)]
+    return np.concatenate(blocks).astype(np.int64)
+
+
+def greedy_generators(group: FiniteGroup) -> list[int]:
+    """Each generator the least element outside the subgroup generated by the earlier ones."""
+    gens: list[int] = []
+    inside = {group.identity}
+    while len(inside) < group.order:
+        gens.append(min(set(range(group.order)) - inside))
+        inside.add(gens[-1])
+        grown = True
+        while grown:
+            products = {int(group.table[a, b]) for a in inside for b in gens}
+            grown = not products <= inside
+            inside |= products
+    return gens
+
+
+def table_from_generator_columns(n: int, e: int, gens, cols) -> np.ndarray:
+    """The table whose identity is e and whose column gens[i] is cols[:, i], or -1 where unreached.
+
+    Column e is 0..n-1.  Breadth first from e, column b*s = cols_s[b] is cols_s gathered at
+    column b, because a*(b*s) = (a*b)*s.
+    """
+    table = np.full((n, n), -1, dtype=np.int64)
+    table[:, e] = np.arange(n)
+    frontier = [e]
+    while frontier:
+        found = []
+        for b in frontier:
+            for col in np.asarray(cols, dtype=np.int64).T:
+                c = int(col[b])
+                if table[0, c] < 0:
+                    table[:, c] = col[table[:, b]]
+                    found.append(c)
+        frontier = found
+    return table
+
+
+def latin_failure(table) -> tuple[str, int] | None:
+    """("row", i) for the first row that sorted is not 0..n-1, else ("column", j) likewise, else None."""
+    table = np.asarray(table)
+    expect = np.arange(table.shape[0])
+    for word, lines in (("row", table), ("column", table.T)):
+        for i, line in enumerate(lines):
+            if not np.array_equal(np.sort(line), expect):
+                return word, i
+    return None
 
 
 def associativity_failure(table) -> tuple[int, int, int] | None:

@@ -8,7 +8,16 @@ it exactly when the oracle finds a conjugate outside it.  A randomly
 relabelled table must pass ``from_cayley_table`` with the relabelled classes
 of ``oracles.loop_conjugacy_structure``, and a table with one intercalate
 swapped must be refused exactly when ``oracles.associativity_failure`` finds a
-failing triple.
+failing triple, and a table with damaged entries at the first row, else
+column, that ``oracles.latin_failure`` names.
+
+The same groups, relabelled or multiplied by a cyclic group (directly, or
+semidirectly acting by conjugation), key the content hash and inverses:
+``inverses`` equals ``oracles.scan_inverses``, ``generators`` equals
+``oracles.greedy_generators``, the hashed columns rebuild the table through
+``oracles.table_from_generator_columns``, one table has one hash whichever
+constructor built it, and a relabelling that changes the table changes the
+hash.
 """
 
 from __future__ import annotations
@@ -20,16 +29,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import associativity_failure, loop_conjugacy_structure, quotient_loop, swap_intercalate
+from oracles import (
+    associativity_failure,
+    greedy_generators,
+    latin_failure,
+    loop_conjugacy_structure,
+    quotient_loop,
+    scan_inverses,
+    swap_intercalate,
+    table_from_generator_columns,
+)
 from zamen.groups import (
+    FiniteGroup,
     ValidationError,
     conjugacy_structure,
+    cyclic,
+    direct_product,
     from_cayley_table,
     from_permutation_generators,
     quotient_group,
+    semidirect_product,
 )
 
 generators = st.integers(1, 6).flatmap(lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+degree_3_to_6 = st.integers(3, 6).flatmap(lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3))
 deterministic = settings(derandomize=True, deadline=None, max_examples=75)
 
 
@@ -50,6 +73,31 @@ def powers(group, s):
         seen.append(x)
         x = int(group.table[x, s])
     return seen
+
+
+def relabel(group, seed):
+    """The group with element a renamed sigma[a] for a random permutation sigma."""
+    sigma = np.random.default_rng(seed).permutation(group.order)
+    back = np.argsort(sigma)
+    return FiniteGroup("relabelled", sigma[group.table[np.ix_(back, back)]])
+
+
+def build(gens, shape, seed):
+    """The closure of ``gens``; relabelled; times Z2 or Z3; or by Z_m acting as conjugation by t^j, t of order m."""
+    group = from_permutation_generators(gens)
+    if shape == "relabelled":
+        return relabel(group, seed)
+    assume(shape == "closure" or group.order <= 120)
+    if shape == "direct":
+        return direct_product(group, cyclic(2 + seed % 2))
+    if shape == "semidirect":
+        ts = powers(group, seed % group.order)  # t^0, t^1, ..., t^(m-1)
+        maps = [group.table[group.table[t], group.inverses[t]] for t in ts]  # x -> t^j x t^-j
+        return semidirect_product(group, cyclic(len(ts)), maps)
+    return group
+
+
+shapes = st.sampled_from(["closure", "relabelled", "direct", "semidirect"])
 
 
 def assert_matches_oracle(group, subgroup):
@@ -117,3 +165,63 @@ def test_an_intercalate_swap_is_refused_exactly_when_a_triple_fails(gens, picks)
         from_cayley_table(swapped)
     x, y, g = (int(v) for v in re.search(r"triple \((\d+), (\d+), (\d+)\)", str(refused.value)).groups())
     assert swapped[swapped[x, y], g] != swapped[x, swapped[y, g]]
+
+
+@deterministic
+@given(gens=degree_3_to_6, shape=shapes, seed=st.integers(0, 2**32 - 1))
+def test_inverses_equal_the_row_scan(gens, shape, seed):
+    group = build(gens, shape, seed)
+    assert group.inverses.dtype == np.int64 and np.array_equal(group.inverses, scan_inverses(group))
+
+
+@deterministic
+@given(gens=degree_3_to_6, shape=shapes, seed=st.integers(0, 2**32 - 1))
+def test_the_hashed_columns_rebuild_the_table(gens, shape, seed):
+    group = build(gens, shape, seed)
+    assert group.generators.dtype == np.int64 and group.generators.tolist() == greedy_generators(group)
+    columns = group.table[:, group.generators]
+    rebuilt = table_from_generator_columns(group.order, group.identity, group.generators, columns)
+    assert np.array_equal(rebuilt, group.table)
+
+
+@deterministic
+@given(gens=degree_3_to_6, shape=shapes, seed=st.integers(0, 2**32 - 1))
+def test_one_table_from_two_constructors_has_one_hash(gens, shape, seed):
+    group = build(gens, shape, seed)
+    assert from_cayley_table(group.table, label="validated").content_hash == group.content_hash
+
+
+@deterministic
+@given(gens=degree_3_to_6, shape=shapes, seed=st.integers(0, 2**32 - 1))
+def test_a_relabelling_that_changes_the_table_changes_the_hash(gens, shape, seed):
+    group = build(gens, shape, seed)
+    relabelled = relabel(group, seed + 1)
+    same_table = np.array_equal(relabelled.table, group.table)
+    assert (relabelled.content_hash == group.content_hash) == same_table
+
+
+damage = st.lists(st.tuples(st.booleans(), *[st.integers(0, 2**31)] * 3), min_size=1, max_size=3)
+
+
+@deterministic
+@given(gens=degree_3_to_6, damage=damage)
+def test_a_damaged_table_is_refused_at_the_line_the_sort_oracle_names(gens, damage):
+    # A swap of two entries in a row keeps that row a permutation and can break only columns.
+    group = from_permutation_generators(gens)
+    table, n = np.array(group.table, dtype=np.int64), group.order
+    for swap, i, j, k in damage:
+        i, j, k = i % n, j % n, k % n
+        if swap:
+            table[i, [j, k]] = table[i, [k, j]]
+        else:
+            table[i, j] = k
+    failure = latin_failure(table)
+    if failure is None:
+        try:
+            from_cayley_table(table)
+        except ValidationError as refused:
+            assert "not a permutation" not in str(refused)
+        return
+    word, line = failure
+    with pytest.raises(ValidationError, match=rf"^{word} {line} of the Cayley table is not a permutation$"):
+        from_cayley_table(table)

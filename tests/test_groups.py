@@ -22,8 +22,10 @@ from oracles import (
     brute_classes,
     closure_perms,
     composition_table,
+    latin_failure,
     loop_conjugacy_structure,
     quotient_loop,
+    scan_inverses,
     semidirect_table_loop,
     special_linear,
     swap_intercalate,
@@ -159,10 +161,10 @@ def test_tables_are_int32_for_every_construction():
 
 
 PINNED_HASHES = {
-    "S3": "15802758ca0ac76159bcf47448c7136ca5dea3920fb587a79544fed487b8726d",
-    "Q8": "5c0a6724ebdba8fede29d387d09b248415b0bc427dc7b0a8a7df39a7dfea5fac",
-    "S4": "d20953c0ba721b2010dc5ad429411dc437325a9e4d7ae663efe5128a6076dea1",
-    "Z2xZ2xZ2": "81a071e12570242385094a1e6a0d194e1dc9ef76a63dd0c7648ac07f564c91e8",
+    "S3": "e39add2af0814049f8840b139c4fe3f444fd3deb5a72ff490557f979ca40adbd",
+    "Q8": "261853524f19c4b83d3a2864bc5b84a280387ae256ea297a936bfdc7ce40a34c",
+    "S4": "147c154ff9d4a2a8d3852db12c0110fe677a560923060047092fc524b71d4f22",
+    "Z2xZ2xZ2": "0cfa171582f159b9a00b5a2f5cdb704d2b030b9e7eed08b1335f0dd07df3ef71",
 }
 
 
@@ -175,27 +177,33 @@ def test_content_hash_is_pinned(name, digest):
 
 
 def test_content_hash_is_pinned_a5xa5():
-    # Order 3600: a 52 MB int32 table, the largest pinned, hashed in one pass.
+    # Order 3600, the largest pinned: 4 generators, so 14 400 of its 13 million entries are hashed.
     g = direct_product(alternating(5), alternating(5))
-    assert g.content_hash == "9ab6d533bdf5967645a09f200120d07319263b47d171c0bfe7eee1235e24c98d"
+    assert g.content_hash == "e6e133a6dd3a8f8baf90bfaa06ff39850579cb79ba84f9620a6251d6976a1591"
 
 
-def expected_group_v2_hash(order, entries):
-    """The documented formula, byte by byte: tag, order, little-endian int32 table."""
+def expected_group_v3_hash(order, identity, gens, entries):
+    """The documented formula, byte by byte: tag, order, identity, generators, their columns as little-endian int32."""
+    gens = np.asarray(gens, dtype=np.int64)
     digest = hashlib.sha256()
-    digest.update(b"group-v2")
+    digest.update(b"group-v3")
     digest.update(struct.pack("<Q", order))
-    digest.update(np.asarray(entries, dtype=np.int64).astype("<i4").tobytes(order="C"))
+    digest.update(struct.pack("<Q", identity))
+    digest.update(gens.astype("<i4").tobytes())
+    digest.update(np.asarray(entries, dtype=np.int64)[:, gens].astype("<i4").tobytes(order="C"))
     return digest.hexdigest()
 
 
-def test_content_hash_is_the_group_v2_formula():
-    # A table handed in as int64 hashes like its int32 copy.
+def test_content_hash_is_the_group_v3_formula():
+    # A table handed in as int64 hashes like its int32 copy.  D5's elements 1 and 2 are the
+    # rotation and a reflection, the least elements outside {0} and outside the rotations.
     source = np.asarray(dihedral(5).table, dtype=np.int64)
     g = from_cayley_table(source, label="from int64")
-    assert g.content_hash == expected_group_v2_hash(10, source)
+    assert g.generators.tolist() == [1, 2]
+    assert g.content_hash == expected_group_v3_hash(10, 0, [1, 2], source)
+    assert g.content_hash == FiniteGroup("int32 copy", source.astype(np.int32)).content_hash
     big = direct_product(alternating(5), alternating(5))
-    assert big.content_hash == expected_group_v2_hash(3600, big.table)
+    assert big.content_hash == expected_group_v3_hash(3600, 0, big.generators, big.table)
 
 
 def test_products_above_the_cap_are_refused_before_allocation():
@@ -328,9 +336,9 @@ def test_identity_is_read_from_the_table():
     ids=["S7", "Z2000", "D10xZ16", "trivial"],
 )
 def test_inverses_match_the_full_table_oracle(make_group):
-    # S7's 5040 rows span 25 blocks of about 2^20 entries.
+    # S7's inverses are a^5039, 13 squarings; the oracle scans its 5040 rows in 25 blocks.
     g = make_group()
-    oracle = np.argmax(g.table == g.identity, axis=1).astype(np.int64)
+    oracle = scan_inverses(g)
     assert g.inverses.dtype == oracle.dtype and np.array_equal(g.inverses, oracle)
     assert not g.inverses.flags.writeable
 
@@ -346,7 +354,7 @@ def test_a_group_keeps_only_what_its_table_cannot_give():
 
 def test_a_group_and_its_arrays_are_read_only():
     g = symmetric(3)
-    for array in (g.table, g.inverses):
+    for array in (g.table, g.inverses, g.generators):
         with pytest.raises(ValueError):
             array[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -464,6 +472,21 @@ def test_cayley_table_roundtrip_and_validation():
         from_cayley_table(loop)
 
 
+@pytest.mark.parametrize("row, cols", [(1700, None), (1600, (1999, 700)), (3, (1500, 5))])
+def test_a_damaged_line_past_the_first_block_is_named_as_the_sort_oracle_names_it(row, cols):
+    # Z2000's lines are marked 524 at a time, so rows and columns 1500-1999 lie in the fourth block.
+    # Overwriting an entry breaks its row; swapping two entries of a row breaks only their columns.
+    table = np.array(cyclic(2000).table, dtype=np.int64)
+    if cols is None:
+        table[row, 0] = table[row, 1]
+    else:
+        table[row, list(cols)] = table[row, list(cols[::-1])]
+    word, line = latin_failure(table)
+    assert (word, line) == (("row", row) if cols is None else ("column", min(cols)))
+    with pytest.raises(ValidationError, match=rf"^{word} {line} of the Cayley table is not a permutation$"):
+        from_cayley_table(table)
+
+
 @pytest.mark.parametrize("n", [600, 1000, 2000])
 def test_an_intercalate_swap_above_order_512_is_refused(n):
     # Rows 1 and 1 + n/2 meet columns 2 and 2 + n/2 of Z_n in 3 and 3 + n/2 crosswise; exchanging
@@ -495,12 +518,17 @@ def test_a_table_of_order_512_is_validated_within_a_tenth_of_a_second():
 
 
 def test_classes_of_q8_x_z2000_are_the_product_partition_within_a_second():
-    # About 0.2 s, inverses included; the per-class loop took 8-12 s on a 2-vCPU x86-64 VM.
+    # On a 2-vCPU x86-64 VM the hash and inverses take about 0.02 s (sha256 over the 1 GB table
+    # and a scan of its rows for the identity took about 1.1 s) and the classes about 0.012 s
+    # (the per-class loop took 8-12 s).
     g = direct_product(quaternion_group(), cyclic(2000))
-    g.content_hash  # hashing the 1 GB table is not part of finding the classes
+    start = time.perf_counter()
+    g.content_hash, g.inverses
+    keyed = time.perf_counter() - start
     start = time.perf_counter()
     cs = conjugacy_structure(g)
     elapsed = time.perf_counter() - start
+    assert keyed < 0.1, f"hash and inverses of Q8xZ2000 took {keyed:.3f} s"
     # The class of (q, b) is (class of q in Q8, b), numbered in least-element order.
     x = np.arange(g.order)
     product = conjugacy_structure(quaternion_group()).class_of[x // 2000] * 2000 + x % 2000
