@@ -11,10 +11,11 @@ One random combination of those operators suffices when its spectrum is
 simple.  With conjugation-paired coefficients and a diagonal similarity by
 sqrt(class sizes), the combination is a Hermitian k x k matrix h, so numpy
 eigh gives orthonormal eigenvectors and the recovery stays well conditioned.
-h is accumulated straight from the Cayley table: for each class
+h is accumulated straight from the group's multiplication: for each class
 representative z and each element x, the coefficient of x's class lands on
-the class of x^{-1} z.  That is O(k |G|) work per attempt, and the k x k x k
-tensor of structure constants (``class_constants``) is never formed.
+the class of x^{-1} z, read from the rows of the z^{-1} (``FiniteGroup.rows``)
+without the Cayley table.  That is O(k |G|) work per attempt, and the
+k x k x k tensor of structure constants (``class_constants``) is never formed.
 
 Rows and columns are ordered by rounded value keys with ``np.lexsort``;
 ``_round_array`` rounds a whole array exactly as Python's ``round`` does.
@@ -30,7 +31,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .groups import ConjugacyStructure, FiniteGroup, conjugacy_structure
+from .groups import MAX_PAIR_ENTRIES, ConjugacyStructure, FiniteGroup, SizeLimitError, conjugacy_structure
 
 __all__ = [
     "DegeneracyError",
@@ -147,8 +148,19 @@ class OrthogonalityReport:
 
 
 def _pair_classes(group: FiniteGroup, cs: ConjugacyStructure) -> np.ndarray:
-    """The k x |G| pair index pair[m, x] = class of x^{-1} z_m, z_m the representative of class m."""
-    return cs.class_of[group.table[group.inverses[None, :], cs.reps[:, None]]]
+    """The k x |G| pair index pair[m, x] = class of x^{-1} z_m, z_m the representative of class m.
+
+    x^{-1} z_m is the inverse of z_m^{-1} x, so the index is the inverse class
+    of one ``group.rows`` pass over the k elements z_m^{-1}.  SizeLimitError
+    refuses an index of more than ``MAX_PAIR_ENTRIES`` entries before it is
+    allocated.
+    """
+    if group.order * cs.num_classes > MAX_PAIR_ENTRIES:
+        raise SizeLimitError(
+            f"{group.label!r} has {cs.num_classes} classes of {group.order} elements: its pair index "
+            f"of {group.order * cs.num_classes} entries is above the cap of {MAX_PAIR_ENTRIES}"
+        )
+    return cs.inverse_class[cs.class_of[group.rows(group.inverses[cs.reps])]]
 
 
 def class_constants(group: FiniteGroup, cs: ConjugacyStructure | None = None) -> np.ndarray:

@@ -1,25 +1,32 @@
 """Finite groups on integer indices, with the structure needed downstream.
 
-Elements of a group of order n are the indices 0..n-1, and a group is its
-read-only int32 Cayley table, ``table[a, b] = a*b``: all else is derived from it.
-Groups closed from permutation generators build that table from the Schreier
-graph of the closure (Holt, Eick and O'Brien, *Handbook of Computational Group
-Theory*, ch. 4): each generator's left-multiplication row costs n lookups and
-every other row is one gather of an earlier row.  Everything downstream
-(conjugacy data, characters, class functions) works in terms of these indices,
-so construction order fixes all later orderings.  Associativity, the semidirect
-laws, the conjugacy classes and the content hash are found on a greedy
-generating set of at most log2(n) + 1 elements, and inverses by
-square-and-multiply, so only the validation of a table from outside reads all
-n^2 of its entries.
+Elements of a group of order n are the indices 0..n-1.  A group is its
+identity, a few right-multiplication columns ``columns[i, x] = x*s_i`` for
+steps s_i that generate it, and a spanning tree over those steps: each element
+x other than the identity hangs off a tree edge x = w*s_i (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, ch. 4).  Left
+multiplication by any y is one pass down the tree, y*x = (y*w)*s_i, from
+y*e = y, so any rows of the Cayley table come from one pass batched over
+them, level by level.  Inverses follow the tree too (x^-1 = s_i^-1 * w^-1),
+conjugation by a step is x -> s_i^-1 * x * s_i, and ``table`` is a read-only
+view built on demand, refused above ``MAX_TABLE_ORDER`` elements.
+
+The steps are the constructor's generators and their repeated squares g, g^2,
+g^4, ..., so the tree stays shallow even along a long cycle, and a direct
+product composes its factors' trees.  Groups closed from permutations keep
+their breadth-first discovery order, so every downstream ordering is
+reproducible.  Associativity, the semidirect laws and the content hash are
+found on a greedy generating set of at most log2(n) + 1 elements, so only the
+validation of a table from outside reads all n^2 of its entries.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,10 +51,20 @@ __all__ = [
     "quotient_group",
 ]
 
-DEFAULT_CLOSURE_CAP = 20_000
+# The most elements a group may have.  A closure holds one bytes key per element until its columns
+# and tree are built: S9 (362 880 elements of degree 9) builds in about 1 s at a peak RSS of about
+# 150 MiB on a 2-vCPU x86-64 VM, about 0.35 KiB per element, so a group at the cap needs about 350 MB.
+MAX_ORDER = 1_000_000
+# The most entries n*k of a group's k x n pair index (``characters._pair_classes``), checked once
+# the k classes are known and before the index is allocated.  The index and the class combination
+# built from it take about 32 bytes per entry (S9: 10.9 million entries, about 330 MiB), so an
+# index at the cap needs about 1 GB.
+MAX_PAIR_ENTRIES = 1 << 25
+# The most elements of a group whose Cayley table is built: 20 000^2 int32 entries are 1.6 GB.
+MAX_TABLE_ORDER = 20_000
 
-# Every Cayley table is stored with this dtype: half the memory of int64, and
-# indices up to DEFAULT_CLOSURE_CAP fit with room to spare.
+# Columns and Cayley tables are stored with this dtype: half the memory of int64, and indices up
+# to MAX_ORDER fit with room to spare.
 TABLE_DTYPE = np.int32
 
 
@@ -56,7 +73,7 @@ class ValidationError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """Raised when a construction exceeds its configured element cap."""
+    """Raised when a construction exceeds one of the size caps."""
 
 
 def parse_permutation(spec: Sequence[int] | str, degree: int | None = None) -> np.ndarray:
@@ -109,49 +126,129 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _check_order(order: int, what: str) -> None:
+    if order > MAX_ORDER:
+        raise SizeLimitError(f"{what} has order {order}, above the cap of {MAX_ORDER} elements")
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group on indices 0..order-1, given by its Cayley table.
+    """A finite group on indices 0..order-1, given by right-multiplication columns and a spanning tree.
 
-    ``table[a, b] = a*b`` is stored read-only as C-contiguous ``TABLE_DTYPE``.
-    ``order``, ``identity``, ``generators``, ``inverses``, ``content_hash``
-    and the conjugacy classes are derived from the table on first use, so
-    none of them can go stale.
+    ``columns[i, x] = x*s_i`` for steps s_i = ``columns[i, identity]`` that
+    generate the group, stored read-only as C-contiguous ``TABLE_DTYPE``.
+    ``tree`` is a read-only int64 array of shape (3, order): each element x
+    other than the identity is x = w*s_i with w = ``tree[0, x]`` and
+    i = ``tree[1, x]``, at depth ``tree[2, x]`` = depth of w + 1; the identity
+    is its own parent, with step -1 and depth 0.  ``order``, ``generators``,
+    ``inverses``, ``content_hash``, ``table`` and the conjugacy classes are
+    derived on first use, so none of them can go stale.
     """
 
     label: str
-    table: np.ndarray
+    identity: int
+    columns: np.ndarray
+    tree: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", _read_only(np.ascontiguousarray(self.table, dtype=TABLE_DTYPE)))
+        object.__setattr__(self, "identity", int(self.identity))
+        object.__setattr__(self, "columns", _read_only(np.ascontiguousarray(self.columns, dtype=TABLE_DTYPE)))
+        object.__setattr__(self, "tree", _read_only(np.ascontiguousarray(self.tree, dtype=np.int64)))
 
     @property
     def order(self) -> int:
-        return self.table.shape[0]
+        return self.tree.shape[1]
 
     @cached_property
-    def identity(self) -> int:
-        """The one row r with r*0 = 0: column 0 of a Latin square holds 0 once."""
-        return int(np.flatnonzero(self.table[:, 0] == 0)[0])
+    def _levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """For each tree level below the identity: its elements x, their parents w, and the offsets
+        i*order of their steps in ``columns.ravel()``."""
+        parent, step, depth = self.tree
+        by_depth = np.argsort(depth, kind="stable")
+        levels = np.split(by_depth, np.cumsum(np.bincount(depth))[:-1])[1:]
+        return [(x, parent[x], step[x] * self.order) for x in levels]
+
+    def rows(self, ys: Sequence[int] | np.ndarray) -> np.ndarray:
+        """``table[ys]`` without the table, as a (len(ys), order) int64 array.
+
+        Row y is filled down the tree: y*e = y, and y*x = (y*w)*s_i =
+        ``columns[i, y*w]`` for each tree edge x = w*s_i, one gather per level
+        for all the rows at once.
+        """
+        ys = np.asarray(ys, dtype=np.intp)
+        out = np.empty((self.order, ys.size), dtype=np.intp)  # out[x, b] = ys[b]*x
+        out[self.identity] = ys
+        flat = self.columns.ravel()
+        for x, w, offsets in self._levels:
+            out[x] = flat[out[w] + offsets[:, None]]
+        return out.T
 
     @cached_property
+    def table(self) -> np.ndarray:
+        """The Cayley table ``table[a, b] = a*b``, read-only C-contiguous ``TABLE_DTYPE``.
+
+        It is built on first use, level by level down the tree: row x = w*s_i is
+        row w gathered at row s_i, since x*b = w*(s_i*b), in blocks of about
+        2^22 entries; the rows of the steps come from ``rows``.  SizeLimitError
+        refuses it above ``MAX_TABLE_ORDER`` elements.
+        """
+        n = self.order
+        if n > MAX_TABLE_ORDER:
+            raise SizeLimitError(
+                f"the Cayley table of {self.label!r} has {n}^2 entries, above the cap of {MAX_TABLE_ORDER}^2"
+            )
+        table = np.empty((n, n), dtype=TABLE_DTYPE)
+        table[self.identity] = np.arange(n)
+        step_rows = self.rows(self.columns[:, self.identity])
+        block = max(1, (1 << 22) // n)
+        for x, w, offsets in self._levels:
+            step = offsets // n
+            for i in np.unique(step):
+                edges = np.flatnonzero(step == i)
+                for start in range(0, edges.size, block):
+                    at = edges[start : start + block]
+                    table[x[at]] = np.take(table[w[at]], step_rows[i], axis=1)
+        return _read_only(table)
+
+    def _column(self, g: int) -> np.ndarray:
+        """``table[:, g]``: x*g = x*s_1*...*s_d along the tree path e, s_1, s_1*s_2, ..., g."""
+        parent, step, _ = self.tree
+        path = []
+        while g != self.identity:
+            path.append(step[g])
+            g = parent[g]
+        column = np.arange(self.order)
+        for i in reversed(path):
+            column = self.columns[i][column]
+        return column
+
+    @cached_property
+    def _greedy(self) -> tuple[np.ndarray, np.ndarray]:
+        """The greedy generators of ``_generating_set`` (read-only int64) and their columns, one per row."""
+        found = [(g, powers[0]) for g, powers in _generating_set(self._column, self.order, self.identity)]
+        generators = np.array([g for g, _ in found], dtype=np.int64)
+        columns = np.array([column for _, column in found], dtype=np.int64).reshape(len(found), self.order)
+        return _read_only(generators), columns
+
+    @property
     def generators(self) -> np.ndarray:
         """The greedy generating set of ``_generating_set``: at most log2(n) + 1 elements, int64."""
-        return _read_only(np.array(list(_generating_set(self.table, self.identity)), dtype=np.int64))
+        return self._greedy[0]
+
+    @cached_property
+    def _step_inverse_rows(self) -> np.ndarray:
+        """Row i is ``table[s_i^-1]``, where s_i^-1 is the x with x*s_i = e."""
+        return np.ascontiguousarray(self.rows(np.argmax(self.columns == self.identity, axis=1)))
 
     @cached_property
     def inverses(self) -> np.ndarray:
-        """inverses[a] = a^(n-1), since a^n = e (Lagrange): square-and-multiply, about 2 log2(n) gathers of n."""
-        table, power = self.table, np.arange(self.order)
-        inverse = np.full(self.order, self.identity)
-        exponent = self.order - 1
-        while exponent:
-            if exponent & 1:
-                inverse = table[inverse, power]
-            exponent >>= 1
-            if exponent:
-                power = table[power, power]
-        return _read_only(inverse.astype(np.int64, copy=False))
+        """x^-1 = s_i^-1 * w^-1 for each tree edge x = w*s_i, one level at a time; read-only int64."""
+        flat = self._step_inverse_rows.ravel()
+        inverse = np.empty(self.order, dtype=np.int64)
+        inverse[self.identity] = self.identity
+        for x, w, offsets in self._levels:
+            inverse[x] = flat[offsets + inverse[w]]
+        return _read_only(inverse)
 
     @property
     def is_abelian(self) -> bool:
@@ -167,11 +264,12 @@ class FiniteGroup:
         a*(b*s) = (a*b)*s, so from the identity's column the generators' columns reach every
         column.  Labels do not enter, and only n * len(generators) entries are hashed.
         """
+        generators, columns = self._greedy
         digest = hashlib.sha256(b"group-v3")
         digest.update(self.order.to_bytes(8, "little"))
         digest.update(self.identity.to_bytes(8, "little"))
-        digest.update(self.generators.astype("<i4"))
-        digest.update(np.ascontiguousarray(self.table[:, self.generators], dtype="<i4"))
+        digest.update(generators.astype("<i4"))
+        digest.update(np.ascontiguousarray(columns.T, dtype="<i4"))
         return digest.hexdigest()
 
     @cached_property
@@ -182,27 +280,84 @@ class FiniteGroup:
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
 
-def _generating_set(table: np.ndarray, identity: int) -> Iterator[int]:
-    """Yield greedy generators, each the least element outside the subgroup the earlier ones generate.
+def _generating_set(
+    column: Callable[[int], np.ndarray], n: int, identity: int
+) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """Yield greedy generators g, each the least element outside the subgroup the earlier ones
+    generate, with the columns of g, g^2, g^4, ... (``column(g)`` is ``table[:, g]``).
 
     That subgroup at least doubles with each one, so there are at most log2(n) + 1.  A generator is
     closed in (breadth first) only when the caller resumes, so a caller may check it first.
     """
-    inside = np.arange(table.shape[0]) == identity
-    steps: list[int] = []
+    inside = np.arange(n) == identity
+    steps = np.empty((0, n), dtype=np.int64)
     while not inside.all():
         g = int(np.argmin(inside))
-        yield g
-        powers = [g]  # g, g^2, g^4, ...: a cycle of length L is closed in about log2(L) rounds, not L
-        while len(powers) < inside.size.bit_length() and table[powers[-1], powers[-1]] not in (identity, *powers):
-            powers.append(int(table[powers[-1], powers[-1]]))
-        steps += powers
-        frontier, step = np.flatnonzero(inside), powers  # the old steps keep the old subgroup
+        # g, g^2, g^4, ...: a cycle of length L is closed in about log2(L) rounds, not L.
+        powers, elements = [np.asarray(column(g))], [g]
+        while len(powers) < n.bit_length() and int(powers[-1][elements[-1]]) not in (identity, *elements):
+            elements.append(int(powers[-1][elements[-1]]))
+            powers.append(powers[-1][powers[-1]])
+        yield g, powers
+        new = np.array(powers)
+        steps = np.concatenate([steps, new])  # the old steps keep the old subgroup
+        frontier, step = np.flatnonzero(inside), new
         while frontier.size:
-            reached = np.bincount(table[np.ix_(frontier, step)].ravel(), minlength=inside.size) > 0
+            reached = np.bincount(step[:, frontier].ravel(), minlength=n) > 0
             frontier = np.flatnonzero(reached & ~inside)
             inside |= reached
             step = steps
+
+
+def _spanning_tree(columns: np.ndarray, identity: int) -> np.ndarray:
+    """The ``FiniteGroup.tree`` of a breadth-first search from the identity over the steps."""
+    n = columns.shape[1]
+    tree = np.empty((3, n), dtype=np.int64)
+    tree[:, identity] = (identity, -1, 0)
+    reached = np.arange(n) == identity
+    edge = np.empty(n, dtype=np.int64)  # edge[x]: the position in ``found`` that x keeps
+    frontier, depth = np.array([identity]), 0
+    while frontier.size:
+        depth += 1
+        found = columns[:, frontier].ravel()  # found[i*f + j] = frontier[j]*s_i
+        fresh = np.flatnonzero(~reached[found])
+        edge[found[fresh]] = fresh  # of the positions of a repeated x, one is stored: keep that one
+        at = fresh[edge[found[fresh]] == fresh]
+        x = found[at]
+        tree[0, x], tree[1, x], tree[2, x] = frontier[at % frontier.size], at // frontier.size, depth
+        reached[x] = True
+        frontier = x
+    return tree
+
+
+def _from_columns(label: str, identity: int, generators: np.ndarray) -> FiniteGroup:
+    """The group generated by the right-multiplication columns ``generators`` (one per row).
+
+    Each generator's repeated squares g, g^2, g^4, ... (at most bit_length(n)
+    of them, up to the first repeated element) join it as steps, so the
+    breadth-first tree over the steps has depth about log2 of a cycle's
+    length, not the length.
+    """
+    n = generators.shape[1]
+    steps, seen = [], {identity}
+    for column in generators:
+        for _ in range(n.bit_length()):
+            s = int(column[identity])
+            if s in seen:
+                break
+            seen.add(s)
+            steps.append(column)
+            column = column[column]
+    columns = np.array(steps, dtype=np.int64).reshape(len(steps), n)
+    return FiniteGroup(label, identity, columns, _spanning_tree(columns, identity))
+
+
+def _from_table(label: str, table: np.ndarray) -> FiniteGroup:
+    """The group of a Cayley table known to be one, keeping only its greedy generators' columns."""
+    n = table.shape[0]
+    identity = int(np.flatnonzero(table[:, 0] == 0)[0])  # column 0 of a Latin square holds 0 once
+    found = _generating_set(lambda g: table[:, g], n, identity)
+    return _from_columns(label, identity, np.array([powers[0] for _, powers in found]).reshape(-1, n))
 
 
 def _validate_table(table: np.ndarray) -> None:
@@ -225,16 +380,18 @@ def _validate_table(table: np.ndarray) -> None:
             if bad.size:
                 raise ValidationError(f"{word} {start + bad[0]} of the Cayley table is not a permutation")
 
+    # A left identity e has e*0 = 0, and column 0 holds 0 in one row only, so that row is the one
+    # candidate; a group has at most one two-sided identity.
+    e = int(np.argmax(table[:, 0] == 0))
     expect = np.arange(n)
-    two_sided = np.flatnonzero((table == expect).all(axis=1) & (table.T == expect).all(axis=1))
-    if two_sided.size != 1:
-        raise ValidationError(f"expected exactly one two-sided identity, found {two_sided.size}")
+    if not (np.array_equal(table[e], expect) and np.array_equal(table[:, e], expect)):
+        raise ValidationError("expected exactly one two-sided identity, found 0")
 
     # Light's test: the g with g*(x*y) = (g*x)*y for all x, y are closed under products, so checking
     # each generator before it is closed in proves associativity.  With row = table[g], compare
     # table[row] (a gather of whole rows) with row[table] in row blocks of about 2^20 entries.
     rows = max(1, (1 << 20) // n)
-    for g in _generating_set(table, int(two_sided[0])):
+    for g, _ in _generating_set(lambda g: table[:, g], n, e):
         row = table[g]
         for start in range(0, n, rows):
             left, right = table[row[start : start + rows]], row[table[start : start + rows]]
@@ -252,14 +409,41 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray, label: str = 
     This is the one constructor that validates a table: every other one
     builds a group by construction.  Rows, columns and the identity are
     checked in full, and associativity exactly at every order by Light's test
-    on a greedy generating set, at O(n^2 log n) cost.
+    on a greedy generating set, at O(n^2 log n) cost.  The group keeps only
+    the columns of that generating set and their repeated squares.
     """
     try:
         arr = np.asarray(table, dtype=np.int64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"Cayley table must be a square array of integers: {exc}") from None
     _validate_table(arr)
-    return FiniteGroup(label, arr)
+    return _from_table(label, arr)
+
+
+def _composer(gens: list[np.ndarray]) -> tuple[bytes, list, Callable[[bytes, object], bytes]]:
+    """The identity's bytes key, the generators in the form ``compose`` takes, and ``compose(p, g)``,
+    the bytes key of x -> p[g[x]] for the bytes key p of a permutation.
+
+    Up to 256 points a key holds one byte per point, and composing is
+    ``bytes.translate``; beyond that it is a 16- or 32-bit gather.
+    """
+    degree = gens[0].size
+    if degree <= 256:
+        tail = bytes(range(degree, 256))
+        return bytes(range(degree)), [bytes(g.tolist()) for g in gens], lambda p, g: g.translate(p + tail)
+    dtype = np.dtype(np.uint16 if degree <= 1 << 16 else np.uint32)
+    return np.arange(degree, dtype=dtype).tobytes(), gens, lambda p, g: np.frombuffer(p, dtype)[g].tobytes()
+
+
+def _permutation_order(perm: np.ndarray) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    images, seen, order = perm.tolist(), [False] * perm.size, 1
+    for start in range(perm.size):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x], x, length = True, images[x], length + 1
+        order = math.lcm(order, max(length, 1))
+    return order
 
 
 def from_permutation_generators(generators: Sequence[Sequence[int] | str], label: str = "G") -> FiniteGroup:
@@ -268,54 +452,40 @@ def from_permutation_generators(generators: Sequence[Sequence[int] | str], label
     The element order is the BFS discovery order (identity first, then
     products ``word * generator`` in word-then-generator order), which makes
     every downstream ordering reproducible.  Raises SizeLimitError when the
-    closure exceeds ``DEFAULT_CLOSURE_CAP`` elements.
+    closure exceeds ``MAX_ORDER`` elements, and before it starts when a
+    generator's order does.
 
-    The BFS records each new element as x = w*g (its Schreier-graph edge).
-    Since (w*g)*b = w*(g*b), row x of the Cayley table is row w gathered at
-    the left-multiplication map of g, so only those maps need lookups.
+    Looking up each product w*g_i gives the generators' columns R_i[w] = w*g_i
+    as a by-product; they are all the group keeps of the permutations.
     """
     if not generators:
         raise ValidationError("at least one generator is required")
     parsed = [parse_permutation(g) for g in generators]
+    for i, perm in enumerate(parsed):  # a generator's order is at most the group's (Lagrange)
+        _check_order(_permutation_order(perm), f"generator {i} of {label!r}")
     degree = max(p.size for p in parsed)
-    gens = [np.concatenate([p, np.arange(p.size, degree)]) if p.size < degree else p for p in parsed]
+    identity, gens, compose = _composer([np.concatenate([p, np.arange(p.size, degree)]) for p in parsed])
 
-    ident = np.arange(degree, dtype=np.int64)
-    elements: list[np.ndarray] = [ident]
-    index: dict[bytes, int] = {ident.tobytes(): 0}
-    edges: list[tuple[int, int]] = []  # edges[x - 1] = (w, i): element x was found as w * gens[i]
-    frontier = [0]
-    while frontier:
-        next_frontier: list[int] = []
-        for w in frontier:
-            for i, g in enumerate(gens):
-                p = elements[w][g]
-                key = p.tobytes()
-                if key not in index:
-                    if len(elements) >= DEFAULT_CLOSURE_CAP:
-                        raise SizeLimitError(f"closure of {label!r} exceeded the cap of {DEFAULT_CLOSURE_CAP} elements")
-                    index[key] = len(elements)
-                    elements.append(p)
-                    edges.append((w, i))
-                    next_frontier.append(index[key])
-        frontier = next_frontier
-
-    perms = np.array(elements, dtype=np.int64)
-    n = perms.shape[0]
-    # left[i][b] = index of gens[i] * b.
-    left = [np.array([index[p.tobytes()] for p in g[perms]], dtype=np.intp) for g in gens]
-    table = np.empty((n, n), dtype=TABLE_DTYPE)
-    table[0] = np.arange(n)
-    for x, (w, i) in enumerate(edges, start=1):
-        table[x] = table[w][left[i]]
-    return FiniteGroup(label, table)
+    elements = [identity]
+    index = {identity: 0}
+    columns: list[list[int]] = [[] for _ in gens]  # columns[i][w] = index of w * gens[i]
+    for p in elements:  # a queue: each new element is appended behind those still to visit
+        for g, column in zip(gens, columns):
+            q = compose(p, g)
+            x = index.setdefault(q, len(elements))
+            if x == len(elements):
+                if x == MAX_ORDER:
+                    raise SizeLimitError(f"closure of {label!r} exceeded the cap of {MAX_ORDER} elements")
+                elements.append(q)
+            column.append(x)
+    return _from_columns(label, 0, np.array(columns, dtype=np.int64))
 
 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError(f"cyclic group order must be >= 1, got {n}")
-    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return FiniteGroup(f"Z{n}", table)
+    _check_order(n, f"Z{n}")
+    return _from_columns(f"Z{n}", 0, ((np.arange(n) + 1) % n)[None, :])
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -331,7 +501,7 @@ def symmetric(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError(f"symmetric group degree must be >= 1, got {n}")
     if n == 1:
-        return FiniteGroup("S1", [[0]])
+        return from_permutation_generators([[0]], label="S1")
     swap = np.arange(n)
     swap[[0, 1]] = [1, 0]
     cyc = np.roll(np.arange(n), -1)
@@ -359,26 +529,31 @@ def quaternion_group() -> FiniteGroup:
     axis, neg = np.divmod(np.arange(8), 2)
     flip = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
     a, b = axis[:, None], axis[None, :]
-    return FiniteGroup("Q8", 2 * (a ^ b) + (neg[:, None] ^ neg[None, :] ^ flip[a, b]))
-
-
-def _check_product_order(left: FiniteGroup, right: FiniteGroup) -> None:
-    order = left.order * right.order
-    if order > DEFAULT_CLOSURE_CAP:
-        raise SizeLimitError(
-            f"product of {left.label!r} and {right.label!r} has order {order}, "
-            f"above the cap of {DEFAULT_CLOSURE_CAP} elements"
-        )
+    return _from_table("Q8", 2 * (a ^ b) + (neg[:, None] ^ neg[None, :] ^ flip[a, b]))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Direct product with index packing (a, b) -> a*|H| + b."""
-    _check_product_order(g, h)
+    """Direct product with index packing (a, b) -> a*|H| + b.
+
+    Each step s of G becomes (s, e) with column (a*s)*|H| + b, each step t of
+    H becomes (e, t) with column a*|H| + b*t, and the tree reaches (a, b)
+    from (a, e) along H's tree after reaching (a, e) along G's, so its depth
+    is the sum of the factors' depths.
+    """
+    _check_order(g.order * h.order, f"the product of {g.label!r} and {h.label!r}")
     m = h.order
-    table = (g.table[:, None, :, None] * m + h.table[None, :, None, :]).reshape(
-        g.order * m, g.order * m
+    a, b = np.divmod(np.arange(g.order * m), m)
+    columns = np.concatenate([g.columns[:, a] * m + b, a * m + h.columns[:, b]])
+    (g_parent, g_step, g_depth), (h_parent, h_step, h_depth) = g.tree, h.tree
+    along_h = h_step[b] >= 0
+    tree = np.stack(
+        [
+            np.where(along_h, a * m + h_parent[b], g_parent[a] * m + b),
+            np.where(along_h, g.columns.shape[0] + h_step[b], g_step[a]),
+            g_depth[a] + h_depth[b],
+        ]
     )
-    return FiniteGroup(f"{g.label}x{h.label}", table)
+    return FiniteGroup(f"{g.label}x{h.label}", g.identity * m + h.identity, columns, tree)
 
 
 def semidirect_product(
@@ -396,10 +571,16 @@ def semidirect_product(
     N, and maps[h*h2] = maps[h] o maps[h2] for every h2.  The elements for
     which such a law holds are closed under products, so every map is an
     automorphism and the assignment a homomorphism; together they make the
-    product associative, so its table is not validated again.
+    product associative, so its table is not validated again.  The product's
+    table is built from the factors' tables, so its order is capped at
+    ``MAX_TABLE_ORDER``.
     """
-    _check_product_order(normal, acting)
     n, m = normal.order, acting.order
+    if n * m > MAX_TABLE_ORDER:
+        raise SizeLimitError(
+            f"semidirect product of {normal.label!r} and {acting.label!r} has order {n * m}, "
+            f"above the cap of {MAX_TABLE_ORDER} elements"
+        )
     try:
         maps = np.asarray(action, dtype=np.int64)
     except (TypeError, ValueError, OverflowError):
@@ -423,7 +604,7 @@ def semidirect_product(
 
     # Index packing (a, h) -> a*m + h; product rule (a, h)(b, k) = (a*phi_h(b), hk).
     table = (tn[:, maps][:, :, :, None] * m + acting.table[None, :, None, :]).reshape(n * m, n * m)
-    return FiniteGroup(label or f"{normal.label}:{acting.label}", table)
+    return _from_table(label or f"{normal.label}:{acting.label}", table)
 
 
 def conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
@@ -448,15 +629,14 @@ def _orbit_minima(maps: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def _conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
-    """Classes are the orbits of x -> s*x*s^-1 for the generators s, numbered by least element."""
-    table, invs = group.table, group.inverses
-    conjugations = [table[:, invs[s]][table[s]] for s in group.generators]
+    """Classes are the orbits of x -> s^-1*x*s for the steps s, which generate the group, numbered by least element."""
+    conjugations = [column[row] for column, row in zip(group.columns, group._step_inverse_rows)]
     reps, class_of = np.unique(_orbit_minima(conjugations, group.order), return_inverse=True)
     class_of = class_of.astype(np.int64, copy=False)
     if np.any(group.order % np.bincount(class_of)):
         raise ValidationError("a conjugacy class size fails to divide the group order")
 
-    inverse_class = class_of[invs[reps]]
+    inverse_class = class_of[group.inverses[reps]]
     if not np.array_equal(inverse_class[inverse_class], np.arange(reps.size)):
         raise ValidationError("inverse-class map is not an involution")
     return ConjugacyStructure(
@@ -563,5 +743,5 @@ def quotient_group(group: FiniteGroup, subgroup: Iterable[int]) -> Quotient:
     rows = max(1, (1 << 20) // nset.size)
     least = np.concatenate([group.table[i : i + rows][:, nset].min(axis=1) for i in range(0, n, rows)])
     reps, coset_of = np.unique(least, return_inverse=True)
-    quo = FiniteGroup(f"{group.label}/N{nset.size}", coset_of[group.table[np.ix_(reps, reps)]])
+    quo = _from_table(f"{group.label}/N{nset.size}", coset_of[group.table[np.ix_(reps, reps)]])
     return Quotient(group=quo, projection=coset_of, subgroup=nset)

@@ -327,10 +327,11 @@ def su2_divergence_lower_bound(scheme: CoefficientScheme, n: int) -> float:
 
     (2/pi)^2 sum over odd k = 2j+1 <= n of (a(k,n) (k+1) / (k (k+2)))^2.
     Each term is the squared pairing of the kernel against the sign-type
-    test function supported on half the interval.
+    test function supported on half the interval.  At n = 0 no odd k is
+    left, so the bound is the empty sum 0.0.
     """
-    if n < 1:
-        raise ValueError(f"divergence bound needs n >= 1, got {n}")
+    if n < 0:
+        raise ValueError(f"divergence bound needs n >= 0, got {n}")
     total = 0.0
     j = 0
     while 2 * j + 1 <= n:

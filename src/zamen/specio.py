@@ -34,8 +34,6 @@ import numpy as np
 
 from .characters import CharacterTable, _round_array, canonical_form
 from .groups import (
-    DEFAULT_CLOSURE_CAP,
-    TABLE_DTYPE,
     ConjugacyStructure,
     FiniteGroup,
     direct_product,
@@ -65,6 +63,8 @@ GROUP_FORMAT = "zamen-group"
 CHARTABLE_FORMAT = "zamen-chartable"
 EXPERIMENT_FORMAT = "zamen-experiment"
 FORMAT_VERSION = 1
+# The largest matrix of character rows an experiment level may need: 1.6e9 bytes.
+MAX_LEVEL_BYTES = 1_600_000_000
 
 
 class SpecError(ValueError):
@@ -251,8 +251,8 @@ def load_experiment_spec(payload: dict) -> dict:
 
     Model and scheme names are resolved by ``zamen.hypergroups``; the
     quadrature settings must be accepted by ``QuadratureConfig``.  A level
-    whose character-row matrix would exceed DEFAULT_CLOSURE_CAP^2 int32
-    entries (1.6 GB) is refused before any work starts.
+    whose character-row matrix would exceed ``MAX_LEVEL_BYTES`` (1.6 GB) is
+    refused before any work starts.
     """
     _check_header(payload, EXPERIMENT_FORMAT)
     model = payload.get("model")
@@ -276,13 +276,11 @@ def load_experiment_spec(payload: dict) -> dict:
         quad = QuadratureConfig(**quadrature)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
-    # Level n fills an (n+1) x ceil(points/2) float64 matrix of character rows on the refined
-    # grid; refuse one larger than the largest Cayley table the closure cap admits.
+    # Level n fills an (n+1) x ceil(points/2) float64 matrix of character rows on the refined grid.
     half = (quad.panels * quad.refinement_factor * quad.nodes_per_panel + 1) // 2
-    cap_bytes = DEFAULT_CLOSURE_CAP**2 * np.dtype(TABLE_DTYPE).itemsize
     for n in levels:
-        if 8 * (n + 1) * half > cap_bytes:
-            raise SpecError(f"level n = {n} needs a {n + 1} x {half} float64 matrix, above {cap_bytes} bytes")
+        if 8 * (n + 1) * half > MAX_LEVEL_BYTES:
+            raise SpecError(f"level n = {n} needs a {n + 1} x {half} float64 matrix, above {MAX_LEVEL_BYTES} bytes")
     return {
         "model": model,
         "scheme": scheme,

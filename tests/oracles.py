@@ -13,6 +13,9 @@ with no shortcut that the package itself takes:
   new appears; ``table_from_generator_columns``: a table rebuilt breadth
   first from the identity and its generators' columns, the bytes
   ``FiniteGroup.content_hash`` hashes;
+- ``group_v3_hash``: the documented ``group-v3`` content hash, byte by byte;
+- ``pair_classes_loop``: the class of x^-1 z for each class representative z
+  and each element x, one lookup at a time;
 - ``latin_failure``: the first row, then column, of a table that sorted is not
   0..n-1;
 - ``associativity_failure``: (a*b)*c against a*(b*c) over every triple, and
@@ -33,6 +36,9 @@ with no shortcut that the package itself takes:
 """
 
 from __future__ import annotations
+
+import hashlib
+import struct
 
 import numpy as np
 
@@ -117,6 +123,23 @@ def table_from_generator_columns(n: int, e: int, gens, cols) -> np.ndarray:
                     found.append(c)
         frontier = found
     return table
+
+
+def group_v3_hash(order, identity, gens, entries) -> str:
+    """The documented formula, byte by byte: tag, order, identity, generators, their columns as little-endian int32."""
+    gens = np.asarray(gens, dtype=np.int64)
+    digest = hashlib.sha256()
+    digest.update(b"group-v3")
+    digest.update(struct.pack("<Q", order))
+    digest.update(struct.pack("<Q", identity))
+    digest.update(gens.astype("<i4").tobytes())
+    digest.update(np.asarray(entries, dtype=np.int64)[:, gens].astype("<i4").tobytes(order="C"))
+    return digest.hexdigest()
+
+
+def pair_classes_loop(table, inverses, class_of, reps) -> np.ndarray:
+    """pair[m, x] = class_of[x^-1 * reps[m]], one table lookup per entry."""
+    return np.array([[class_of[table[inverses[x], z]] for x in range(len(table))] for z in reps], dtype=np.int64)
 
 
 def latin_failure(table) -> tuple[str, int] | None:

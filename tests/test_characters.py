@@ -7,6 +7,7 @@ closed-form discrete Fourier characters of cyclic groups.
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from zamen.characters import (
     verify_orthogonality,
 )
 from zamen.groups import (
+    MAX_PAIR_ENTRIES,
+    SizeLimitError,
     alternating,
     conjugacy_structure,
     cyclic,
@@ -457,3 +460,18 @@ def test_direct_combination_matches_the_tensor_contraction(make_group):
         c = _paired_coefficients(np.random.default_rng([3, attempt]), cs.inverse_class)
         want = np.einsum("i,ijk->jk", c, class_constants(g, cs) * scale)
         assert np.abs(combine(c) - want).max() <= 1e-12
+
+
+def test_a_pair_index_above_the_cap_is_refused_before_it_is_allocated():
+    # Z80xZ80 has 6400 classes of one element: 40 960 000 pair entries, above the cap of 2^25.
+    g = direct_product(cyclic(80), cyclic(80))
+    cs = conjugacy_structure(g)
+    assert g.order * cs.num_classes > MAX_PAIR_ENTRIES
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="pair index of 40960000 entries is above the cap"):
+            character_table(g, cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"the refusal allocated {peak} bytes"

@@ -103,16 +103,15 @@ class TestGroupInfo:
         assert "Traceback" not in err
 
     def test_product_above_the_cap_exits_2(self, tmp_path, capsys):
-        # S7 x S3 has order 30240; the S7 factor builds, the product is refused.
+        # S7 x S7 has order 25401600; the S7 factors build, the product is refused.
         s7 = {"kind": "perm", "degree": 7, "generators": ["(1 2)", "(1 2 3 4 5 6 7)"]}
-        s3 = {"kind": "perm", "degree": 3, "generators": ["(1 2)", "(1 2 3)"]}
-        path = tmp_path / "s7xs3.json"
+        path = tmp_path / "s7xs7.json"
         path.write_text(
-            json.dumps({"format": "zamen-group", "version": 1, "kind": "product", "factors": [s7, s3]})
+            json.dumps({"format": "zamen-group", "version": 1, "kind": "product", "factors": [s7, s7]})
         )
         assert run_cli("group", "info", str(path)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "30240" in err
+        assert err.startswith("error:") and "25401600" in err
         assert "Traceback" not in err
 
 
@@ -146,6 +145,18 @@ def test_malformed_group_spec_exits_2_without_a_traceback(body, tmp_path, capsys
 
 
 class TestChartable:
+    def test_a_pair_index_above_the_cap_exits_2(self, tmp_path, capsys):
+        # Z80xZ80 builds, with 6400 classes; its 6400 x 6400 pair index is refused.
+        z80 = {"kind": "perm", "degree": 80, "generators": [[*range(1, 80), 0]]}
+        path = tmp_path / "z80xz80.json"
+        path.write_text(json.dumps({"format": "zamen-group", "version": 1, "kind": "product", "factors": [z80, z80]}))
+        assert run_cli("group", "info", str(path)) == 0
+        capsys.readouterr()
+        assert run_cli("group", "chartable", str(path), "--cache-dir", str(tmp_path / "c")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "pair index of 40960000 entries" in err
+        assert "Traceback" not in err
+
     def test_text_output(self, tmp_path, capsys):
         assert run_cli("group", "chartable", "S3", "--cache-dir", str(tmp_path)) == 0
         out = capsys.readouterr().out
@@ -387,6 +398,17 @@ class TestHypergroupRun:
         assert run_cli("hypergroup", "run", str(spec), "--json") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["rows"][0]["lower_bound"] > 0
+
+    def test_su2_level_zero_is_a_row_with_bound_zero(self, tmp_path, capsys):
+        # This document once ended in a traceback: the lower bound raised ValueError at n = 0.
+        spec = tmp_path / "level0.json"
+        doc = {"format": "zamen-experiment", "version": 1, "model": "su2", "scheme": "dirichlet", "n": [0, 8]}
+        spec.write_text(json.dumps(doc))
+        assert run_cli("hypergroup", "run", str(spec), "--json") == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        first = json.loads(captured.out)["rows"][0]
+        assert (first["n"], first["diagonal_norm"], first["lower_bound"]) == (0, 1.0, 0.0)
 
     def test_bad_spec_exits_2(self, tmp_path, capsys):
         spec = self.make_spec(tmp_path, scheme="mystery")

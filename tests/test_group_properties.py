@@ -18,11 +18,24 @@ semidirectly acting by conjugation), key the content hash and inverses:
 ``oracles.table_from_generator_columns``, one table has one hash whichever
 constructor built it, and a relabelling that changes the table changes the
 hash.
+
+A group stores only right-multiplication columns and a spanning tree, so
+everything else is checked against what its elements are: the permutations
+``oracles.closure_perms`` lists in discovery order.  On groups of degree at
+most 7 (closed, relabelled, or times a cyclic group), the derived ``table``
+composes those permutations; the content hash is ``oracles.group_v3_hash``
+of it, the inverses compose to the identity and equal the row scan, the
+classes and inverse classes equal ``oracles.loop_conjugacy_structure``'s, and
+the pair index equals ``oracles.pair_classes_loop``.  Degree-7 closures of
+two permutations, mostly S7 and A7, are checked on sampled ``rows`` without
+their tables, and tracemalloc shows that building, keying and classing S7
+and A5xA5 allocates far less than one table.
 """
 
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,17 +44,21 @@ from hypothesis import strategies as st
 
 from oracles import (
     associativity_failure,
+    closure_perms,
     greedy_generators,
+    group_v3_hash,
     latin_failure,
     loop_conjugacy_structure,
+    pair_classes_loop,
     quotient_loop,
     scan_inverses,
     swap_intercalate,
     table_from_generator_columns,
 )
+from zamen.characters import _pair_classes
 from zamen.groups import (
-    FiniteGroup,
     ValidationError,
+    alternating,
     conjugacy_structure,
     cyclic,
     direct_product,
@@ -49,6 +66,7 @@ from zamen.groups import (
     from_permutation_generators,
     quotient_group,
     semidirect_product,
+    symmetric,
 )
 
 generators = st.integers(1, 6).flatmap(lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3))
@@ -79,7 +97,7 @@ def relabel(group, seed):
     """The group with element a renamed sigma[a] for a random permutation sigma."""
     sigma = np.random.default_rng(seed).permutation(group.order)
     back = np.argsort(sigma)
-    return FiniteGroup("relabelled", sigma[group.table[np.ix_(back, back)]])
+    return from_cayley_table(sigma[group.table[np.ix_(back, back)]], label="relabelled")
 
 
 def build(gens, shape, seed):
@@ -225,3 +243,83 @@ def test_a_damaged_table_is_refused_at_the_line_the_sort_oracle_names(gens, dama
     word, line = failure
     with pytest.raises(ValidationError, match=rf"^{word} {line} of the Cayley table is not a permutation$"):
         from_cayley_table(table)
+
+
+# With one generator, degree 7 gives a cyclic group of order at most 12; two or three of degree 7
+# mostly give S7 or A7, which the sampled-rows test below covers.
+up_to_degree_7 = st.integers(1, 7).flatmap(
+    lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3 if d < 7 else 1)
+)
+
+
+def with_permutations(gens, shape, seed):
+    """The group ``build`` makes from ``gens`` for shape closure, relabelled or direct (times Z2 or Z3),
+    and the permutation each of its elements is, from ``oracles.closure_perms`` alone."""
+    perms = np.array(closure_perms(gens), dtype=np.int64)
+    if shape == "relabelled":  # element sigma[a] is perms[a], with sigma drawn as relabel draws it
+        sigma = np.random.default_rng(seed).permutation(len(perms))
+        return relabel(from_permutation_generators(gens), seed), perms[np.argsort(sigma)]
+    if shape == "direct":  # element a*m + b is perms[a] beside the shift by b on m more points
+        assume(len(perms) <= 120)
+        m = 2 + seed % 2
+        shifts = perms.shape[1] + (np.arange(m)[:, None] + np.arange(m)) % m
+        element = np.concatenate([np.repeat(perms, m, axis=0), np.tile(shifts, (len(perms), 1))], axis=1)
+        return direct_product(from_permutation_generators(gens), cyclic(m)), element
+    return from_permutation_generators(gens), perms
+
+
+def composed(element, a, b):
+    """The permutation of a*b for every a in ``a`` and b in ``b``: element[a] after element[b]."""
+    return element[np.asarray(a)[:, None, None], element[np.asarray(b)][None, :, :]]
+
+
+@deterministic
+@given(gens=up_to_degree_7, shape=st.sampled_from(["closure", "relabelled", "direct"]), seed=st.integers(0, 2**32 - 1))
+def test_what_the_columns_and_tree_derive_equals_the_loop_oracles(gens, shape, seed):
+    group, element = with_permutations(gens, shape, seed)
+    n, everything = group.order, np.arange(group.order)
+    parent, step, depth = group.tree  # each x = parent * s_step, one level below its parent
+    below = everything != group.identity
+    assert (parent[group.identity], step[group.identity], depth[group.identity]) == (group.identity, -1, 0)
+    assert np.array_equal(group.columns[step[below], parent[below]], everything[below])
+    assert np.array_equal(depth[below], depth[parent[below]] + 1)
+    steps = group.columns[:, group.identity]  # distinct, and none of them the identity
+    assert np.unique(steps).size == steps.size and group.identity not in steps
+    table = group.table
+    assert np.array_equal(element[table], composed(element, everything, everything))
+    assert np.array_equal(element[group.identity], np.arange(element.shape[1]))
+    inverses = scan_inverses(group)
+    assert group.inverses.dtype == np.int64 and np.array_equal(group.inverses, inverses)
+    assert group.content_hash == group_v3_hash(n, group.identity, greedy_generators(group), table)
+    cs = conjugacy_structure(group)
+    class_of, classes, sizes, reps, inverse_class = loop_conjugacy_structure(group)
+    assert np.array_equal(cs.class_of, class_of) and np.array_equal(cs.inverse_class, inverse_class)
+    assert np.array_equal(_pair_classes(group, cs), pair_classes_loop(table, inverses, class_of, reps))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(gens=st.lists(st.permutations(range(7)), min_size=2, max_size=2), picks=st.lists(st.integers(0, 5039), min_size=1, max_size=64))
+def test_sampled_rows_of_a_degree_7_closure_compose_its_permutations(gens, picks):
+    group = from_permutation_generators(gens)
+    element = np.array(closure_perms(gens), dtype=np.int8)
+    ys, everything = np.array(picks) % group.order, np.arange(group.order)
+    assert np.array_equal(element[group.rows(ys)], composed(element, ys, everything))
+    x_after_inverse = np.take_along_axis(element, element[group.inverses], axis=1)
+    assert np.array_equal(x_after_inverse, np.broadcast_to(np.arange(7), element.shape))
+    assert "table" not in vars(group)
+
+
+@pytest.mark.parametrize(
+    "make_group", [lambda: symmetric(7), lambda: direct_product(alternating(5), alternating(5))], ids=["S7", "A5xA5"]
+)
+def test_building_keying_and_classing_allocates_far_less_than_a_table(make_group):
+    tracemalloc.start()
+    try:
+        group = make_group()
+        cs = conjugacy_structure(group)
+        _pair_classes(group, cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "table" not in vars(group)
+    assert peak < group.order**2 * 4 / 16, f"{group.label} peaked at {peak} bytes"

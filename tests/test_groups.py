@@ -8,10 +8,8 @@ Expected values here are frozen from independent brute-force computations
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import re
-import struct
 import time
 
 import numpy as np
@@ -22,6 +20,7 @@ from oracles import (
     brute_classes,
     closure_perms,
     composition_table,
+    group_v3_hash,
     latin_failure,
     loop_conjugacy_structure,
     quotient_loop,
@@ -32,7 +31,8 @@ from oracles import (
 )
 from zamen import groups
 from zamen.groups import (
-    DEFAULT_CLOSURE_CAP,
+    MAX_ORDER,
+    MAX_TABLE_ORDER,
     ConjugacyStructure,
     FiniteGroup,
     SizeLimitError,
@@ -182,36 +182,27 @@ def test_content_hash_is_pinned_a5xa5():
     assert g.content_hash == "e6e133a6dd3a8f8baf90bfaa06ff39850579cb79ba84f9620a6251d6976a1591"
 
 
-def expected_group_v3_hash(order, identity, gens, entries):
-    """The documented formula, byte by byte: tag, order, identity, generators, their columns as little-endian int32."""
-    gens = np.asarray(gens, dtype=np.int64)
-    digest = hashlib.sha256()
-    digest.update(b"group-v3")
-    digest.update(struct.pack("<Q", order))
-    digest.update(struct.pack("<Q", identity))
-    digest.update(gens.astype("<i4").tobytes())
-    digest.update(np.asarray(entries, dtype=np.int64)[:, gens].astype("<i4").tobytes(order="C"))
-    return digest.hexdigest()
-
-
 def test_content_hash_is_the_group_v3_formula():
     # A table handed in as int64 hashes like its int32 copy.  D5's elements 1 and 2 are the
     # rotation and a reflection, the least elements outside {0} and outside the rotations.
     source = np.asarray(dihedral(5).table, dtype=np.int64)
     g = from_cayley_table(source, label="from int64")
     assert g.generators.tolist() == [1, 2]
-    assert g.content_hash == expected_group_v3_hash(10, 0, [1, 2], source)
-    assert g.content_hash == FiniteGroup("int32 copy", source.astype(np.int32)).content_hash
+    assert g.content_hash == group_v3_hash(10, 0, [1, 2], source)
+    assert g.content_hash == from_cayley_table(source.astype(np.int32), label="int32 copy").content_hash
     big = direct_product(alternating(5), alternating(5))
-    assert big.content_hash == expected_group_v3_hash(3600, 0, big.generators, big.table)
+    assert big.content_hash == group_v3_hash(3600, 0, big.generators, big.table)
 
 
 def test_products_above_the_cap_are_refused_before_allocation():
-    with pytest.raises(SizeLimitError, match="30240"):
-        direct_product(symmetric(7), symmetric(3))
+    # A direct product is built from its factors' columns, so only MAX_ORDER bounds it; a
+    # semidirect product is built from its factors' tables, so MAX_TABLE_ORDER does.
+    assert symmetric(7).order ** 2 > MAX_ORDER
+    with pytest.raises(SizeLimitError, match="25401600"):
+        direct_product(symmetric(7), symmetric(7))
     big, small = cyclic(200), cyclic(101)
-    assert big.order * small.order > DEFAULT_CLOSURE_CAP
-    with pytest.raises(SizeLimitError):
+    assert big.order * small.order > MAX_TABLE_ORDER
+    with pytest.raises(SizeLimitError, match="20200"):
         semidirect_product(big, small, [range(200)] * 101)
 
 
@@ -343,8 +334,8 @@ def test_inverses_match_the_full_table_oracle(make_group):
     assert not g.inverses.flags.writeable
 
 
-def test_a_group_keeps_only_what_its_table_cannot_give():
-    assert [f.name for f in dataclasses.fields(FiniteGroup)] == ["label", "table"]
+def test_a_group_keeps_its_label_identity_columns_and_tree():
+    assert [f.name for f in dataclasses.fields(FiniteGroup)] == ["label", "identity", "columns", "tree"]
     assert [f.name for f in dataclasses.fields(ConjugacyStructure)] == [
         "group_hash", "class_of", "inverse_class", "identity_class"
     ]
@@ -354,20 +345,29 @@ def test_a_group_keeps_only_what_its_table_cannot_give():
 
 def test_a_group_and_its_arrays_are_read_only():
     g = symmetric(3)
-    for array in (g.table, g.inverses, g.generators):
+    for array in (g.columns, g.tree, g.table, g.inverses, g.generators):
         with pytest.raises(ValueError):
             array[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.label = "other"
     renamed = dataclasses.replace(g, label="renamed")
-    assert renamed.table is g.table
+    assert renamed.columns is g.columns and renamed.tree is g.tree
 
 
 def test_a_table_handed_in_is_stored_read_only():
-    table = np.asarray(cyclic(4).table, dtype=np.int64)
-    g = FiniteGroup("Z4", table)
-    assert g.table.dtype == np.int32 and g.table.flags.c_contiguous and not g.table.flags.writeable
+    # from_cayley_table keeps the columns of Z4's greedy generator 1 and of its square 2.
+    g = from_cayley_table(np.asarray(cyclic(4).table, dtype=np.int64), label="Z4")
+    assert g.columns.tolist() == [[1, 2, 3, 0], [2, 3, 0, 1]]
+    parent, step, depth = g.tree
+    assert (parent[0], step[0], depth[0]) == (0, -1, 0) and (step[1:] >= 0).all()
+    assert np.array_equal(g.columns[step[1:], parent[1:]], [1, 2, 3])  # x = parent * s_step
+    assert np.array_equal(depth[1:], depth[parent[1:]] + 1) and depth.max() == 2
+    for stored, dtype in ((g.columns, np.int32), (g.tree, np.int64)):
+        assert stored.dtype == dtype and stored.flags.c_contiguous and not stored.flags.writeable
     assert (g.order, g.identity, g.inverses.tolist()) == (4, 0, [0, 3, 2, 1])
+    copy = FiniteGroup("Z4", np.int64(0), g.columns.astype(np.int64), g.tree.astype(np.int32))
+    assert copy.columns.dtype == np.int32 and copy.tree.dtype == np.int64 and type(copy.identity) is int
+    assert np.array_equal(copy.table, cyclic(4).table)
 
 
 def test_a_table_that_commutes_on_its_first_rows_is_not_abelian():
@@ -472,6 +472,17 @@ def test_cayley_table_roundtrip_and_validation():
         from_cayley_table(loop)
 
 
+@pytest.mark.parametrize(
+    "table",
+    [[[0, 1, 2], [2, 0, 1], [1, 2, 0]], [[0, 2, 1], [1, 0, 2], [2, 1, 0]]],
+    ids=["left identity only", "right identity only"],
+)
+def test_a_one_sided_identity_is_refused(table):
+    # x*y = y - x and x*y = x - y (mod 3) are Latin squares in which 0 is an identity on one side only.
+    with pytest.raises(ValidationError, match="^expected exactly one two-sided identity, found 0$"):
+        from_cayley_table(table)
+
+
 @pytest.mark.parametrize("row, cols", [(1700, None), (1600, (1999, 700)), (3, (1500, 5))])
 def test_a_damaged_line_past_the_first_block_is_named_as_the_sort_oracle_names_it(row, cols):
     # Z2000's lines are marked 524 at a time, so rows and columns 1500-1999 lie in the fourth block.
@@ -518,9 +529,10 @@ def test_a_table_of_order_512_is_validated_within_a_tenth_of_a_second():
 
 
 def test_classes_of_q8_x_z2000_are_the_product_partition_within_a_second():
-    # On a 2-vCPU x86-64 VM the hash and inverses take about 0.02 s (sha256 over the 1 GB table
-    # and a scan of its rows for the identity took about 1.1 s) and the classes about 0.012 s
-    # (the per-class loop took 8-12 s).
+    # On a 2-vCPU x86-64 VM the hash and inverses take about 0.01 s and the classes about 0.004 s,
+    # from the product's columns and tree, with no 1 GB table.  When the group was its table,
+    # sha256 over it and a scan of its rows for the identity took about 1.1 s, and a per-class
+    # loop 8-12 s.
     g = direct_product(quaternion_group(), cyclic(2000))
     start = time.perf_counter()
     g.content_hash, g.inverses
@@ -534,12 +546,23 @@ def test_classes_of_q8_x_z2000_are_the_product_partition_within_a_second():
     product = conjugacy_structure(quaternion_group()).class_of[x // 2000] * 2000 + x % 2000
     assert np.array_equal(cs.class_of, np.unique(product, return_inverse=True)[1])
     assert elapsed < 1.0, f"classes of Q8xZ2000 took {elapsed:.2f} s"
+    assert "table" not in vars(g)
 
 
 def test_closure_cap():
-    with pytest.raises(SizeLimitError):
-        symmetric_gen = [parse_permutation("(1 2)", degree=8), np.roll(np.arange(8), -1)]
-        from_permutation_generators(symmetric_gen, label="S8")
+    # One permutation of cycle type 3, 4, 5, 7, 11, 13, 17 generates a cyclic group of order
+    # 1 021 020, above the cap: it is refused from the generator's order, before the closure starts.
+    cycles, start = [], 1
+    for length in (3, 4, 5, 7, 11, 13, 17):
+        cycles.append("(" + " ".join(map(str, range(start, start + length))) + ")")
+        start += length
+    assert 3 * 4 * 5 * 7 * 11 * 13 * 17 > MAX_ORDER
+    begin = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="order 1021020"):
+        from_permutation_generators(["".join(cycles)], label="Z1021020")
+    assert time.perf_counter() - begin < 0.1
+    with pytest.raises(SizeLimitError, match="above the cap"):
+        cyclic(MAX_ORDER + 1)
 
 
 def test_quotient_s3_by_a3():
@@ -673,7 +696,8 @@ def test_quotient_matches_the_loop_oracle(case):
 
 
 def test_quotient_of_sl_2_17_by_its_centre_within_a_second():
-    # PSL(2,17), order 2448: about 0.07 s; the coset loop took 1.6 s on a 2-vCPU x86-64 VM.
+    # PSL(2,17), order 2448: about 0.2 s on a 2-vCPU x86-64 VM, 0.12 s of it building the view of
+    # SL(2,17)'s table (0.07 s when the group stored its table); the coset loop took 1.6 s.
     g = special_linear(17)
     z = center(g)
     assert g.order == 4896 and z.size == 2

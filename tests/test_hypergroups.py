@@ -391,9 +391,11 @@ class TestDivergenceBound:
         scheme = dirichlet_scheme(su2_model())
         assert su2_divergence_lower_bound(scheme, 25) > 5.0
 
-    def test_rejects_level_zero(self):
-        with pytest.raises(ValueError, match="n >= 1"):
-            su2_divergence_lower_bound(dirichlet_scheme(su2_model()), 0)
+    def test_level_zero_is_the_empty_sum(self):
+        # No odd k <= 0 exists; only a negative level is refused.
+        assert su2_divergence_lower_bound(dirichlet_scheme(su2_model()), 0) == 0.0
+        with pytest.raises(ValueError, match="n >= 0"):
+            su2_divergence_lower_bound(dirichlet_scheme(su2_model()), -1)
 
     def test_diagonal_norm_dominates_bound(self):
         model = su2_model()

@@ -371,7 +371,8 @@ class TestCache:
         s3 = symmetric(3)
         conjugacy_structure(s3)
         cached_character_table(s3, cache_dir=tmp_path)
-        z6 = dataclasses.replace(s3, table=cyclic(6).table, label="Z6")
+        z6 = cyclic(6)
+        z6 = dataclasses.replace(s3, identity=z6.identity, columns=z6.columns, tree=z6.tree, label="Z6")
         assert z6.content_hash == cyclic(6).content_hash != s3.content_hash
         assert conjugacy_structure(z6).num_classes == 6
         table, hit = cached_character_table(z6, cache_dir=tmp_path)
