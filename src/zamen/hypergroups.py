@@ -26,7 +26,12 @@ estimate, never an order-based claim.  The grids and Haar weights are
 symmetric under theta -> pi - theta, where chi_k changes by (-1)^k, so a
 kernel e + o (even and odd k) takes the values e + o and e - o at mirrored
 points; as |e + o| + |e - o| = 2 max(|e|, |o|), both norms are summed over
-the half grid theta <= pi/2, at a quarter of the kernel's flops.
+the half grid theta <= pi/2 of P points.  The two P x P kernels there are
+symmetric, so the diagonal norm forms them as strips of _STRIP rows of
+their upper triangle and reduces each strip while it is in cache: half the
+parity-folded flops, in O(_STRIP P) memory besides the character rows and
+one coefficient-scaled copy of them.  A study builds its character rows
+once per grid, at its largest level, and each level reads its first n+1.
 """
 
 from __future__ import annotations
@@ -256,38 +261,99 @@ def orthogonality_residual(
     return float(np.abs(gram - expected).max())
 
 
-def _two_grid(
+# Kernel rows formed at a time.  On the compact studies 64 and 128 run within 1 % of each
+# other and 32 and 256 about 8 % slower; 64 rows of the default 1024-point refined half
+# grid are 0.5 MiB.
+_STRIP = 64
+
+
+def _folded_diagonal(even: np.ndarray, odd: np.ndarray, tensor: np.ndarray, u: np.ndarray) -> float:
+    """sum_ij u_i u_j max(|K_e|, |K_o|)_ij for K_e = even.T diag(tensor[0::2]) even, K_o alike.
+
+    Both kernels are symmetric, so only row strips of their upper triangle
+    are formed, _STRIP rows at a time; a strip's diagonal block counts once
+    and the rest of it twice.
+    """
+    scaled_even = tensor[0::2, None] * even
+    scaled_odd = tensor[1::2, None] * odd
+    twice = 2.0 * u
+    total = 0.0
+    for start in range(0, u.size, _STRIP):
+        stop = min(start + _STRIP, u.size)
+        strip = even[:, start:stop].T @ scaled_even[:, start:]
+        odd_strip = odd[:, start:stop].T @ scaled_odd[:, start:]
+        np.maximum(np.abs(strip, out=strip), np.abs(odd_strip, out=odd_strip), out=strip)
+        block = stop - start
+        total += float(u[start:stop] @ (strip[:, :block] @ u[start:stop] + strip[:, block:] @ twice[stop:]))
+    return total
+
+
+def _grid_norms(
+    model: HypergroupModel,
+    levels: list[int],
+    coefs: list[np.ndarray],
+    tensors: list[np.ndarray | None],
+    panels: int,
+    nodes_per_panel: int,
+) -> list[tuple[float, float]]:
+    """(diagonal, bai) of each level on one grid, summed over its half theta <= pi/2.
+
+    The rows chi_0, chi_2, ... and chi_1, chi_3, ... there carry the Haar
+    weights, a middle node at pi/2 at half its weight (see the module
+    docstring).  The rows are built once, at the largest level: level n reads
+    the first n+1, which the three-term recurrence makes the same numbers as
+    rows built at n.  A level whose tensor is None gets no diagonal (nan).
+    """
+    points, weights = _grid(panels, nodes_per_panel)
+    half = (points.size + 1) // 2
+    u = weights[:half] * model.weight(points[:half])
+    u[points.size // 2 :] /= 2.0  # a middle node, on an odd grid, is its own mirror
+    rows = _character_rows(model, max(levels), points[:half])
+    norms = []
+    for n, coef, tensor in zip(levels, coefs, tensors):
+        even, odd = rows[0 : n + 1 : 2], rows[1 : n + 1 : 2]
+        diagonal = np.nan if tensor is None else 4.0 * _folded_diagonal(even, odd, tensor, u)
+        bai = 2.0 * float(u @ np.maximum(np.abs(coef[0::2] @ even), np.abs(coef[1::2] @ odd)))
+        norms.append((diagonal, bai))
+    return norms
+
+
+def _norms(
     model: HypergroupModel,
     scheme: CoefficientScheme,
-    n: int,
+    levels: list[int],
     quad: QuadratureConfig,
-    integral: Callable[[np.ndarray, np.ndarray, np.ndarray], float],
-) -> QuadratureResult:
-    """Integrate on the configured grid and on the refined one.
+    with_diagonal: bool = True,
+) -> list[tuple[QuadratureResult, QuadratureResult]]:
+    """(diagonal_norm, bai_norm) at each level, on the configured grid and the refined one.
 
-    ``integral(even, odd, u)`` gets the half grid theta <= pi/2 only (see
-    the module docstring): the rows chi_0, chi_2, ... and chi_1, chi_3, ...
-    there, and the Haar quadrature weights, with a middle node at pi/2 at
-    half its weight.  The refined value is reported with |refined - base|
-    as the error estimate; a result whose estimate exceeds the configured
-    tolerance is flagged as non-converged rather than rejected.
+    One grid's character rows are alive at a time.  The refined value is
+    reported with |refined - base| as the error estimate; a result whose
+    estimate exceeds the configured tolerance is flagged as non-converged
+    rather than rejected.  Without ``with_diagonal`` the diagonal results
+    are nan.
     """
-    values = []
-    for panels in (quad.panels, quad.panels * quad.refinement_factor):
-        points, weights = _grid(panels, quad.nodes_per_panel)
-        half = (points.size + 1) // 2
-        u = weights[:half] * model.weight(points[:half])
-        u[points.size // 2 :] /= 2.0  # a middle node, on an odd grid, is its own mirror
-        v = _character_rows(model, n, points[:half])
-        values.append(integral(v[0::2], v[1::2], u))
-    base, refined = values
-    err = abs(refined - base)
-    return QuadratureResult(
-        value=refined,
-        error_estimate=err,
-        converged=err <= quad.tolerance * max(1.0, abs(refined)),
-        config_hash=_config_hash(model, scheme.name, n, quad),
+    if not levels:
+        return []
+    coefs = [np.array([scheme.coefficient(k, n) for k in range(n + 1)]) for n in levels]
+    tensors = [
+        np.array([scheme.tensor_coefficient(k, n) for k in range(n + 1)]) if with_diagonal else None
+        for n in levels
+    ]
+    base, refined = (
+        _grid_norms(model, levels, coefs, tensors, panels, quad.nodes_per_panel)
+        for panels in (quad.panels, quad.panels * quad.refinement_factor)
     )
+    results = []
+    for n, base_pair, refined_pair in zip(levels, base, refined):
+        config_hash = _config_hash(model, scheme.name, n, quad)
+        pair = []
+        for base_value, value in zip(base_pair, refined_pair):
+            err = abs(value - base_value)
+            converged = err <= quad.tolerance * max(1.0, abs(value))
+            pair.append(QuadratureResult(value, err, converged, config_hash))
+        results.append(tuple(pair))
+    return results
 
 
 def diagonal_norm(
@@ -297,15 +363,7 @@ def diagonal_norm(
     quad: QuadratureConfig | None = None,
 ) -> QuadratureResult:
     """L1(lambda x lambda) norm of sum_k coef(k,n) chi_k (x) chi_k, on two grids."""
-    coefs = np.array([scheme.tensor_coefficient(k, n) for k in range(n + 1)])
-
-    def integral(even: np.ndarray, odd: np.ndarray, u: np.ndarray) -> float:
-        kernel = even.T @ (coefs[0::2, None] * even)
-        odd_part = odd.T @ (coefs[1::2, None] * odd)
-        np.maximum(np.abs(kernel, out=kernel), np.abs(odd_part, out=odd_part), out=kernel)
-        return 4.0 * float(u @ kernel @ u)
-
-    return _two_grid(model, scheme, n, quad or QuadratureConfig(), integral)
+    return _norms(model, scheme, [n], quad or QuadratureConfig())[0][0]
 
 
 def bai_norm(
@@ -315,11 +373,7 @@ def bai_norm(
     quad: QuadratureConfig | None = None,
 ) -> QuadratureResult:
     """L1(lambda) norm of the level-n kernel sum_k a(k,n) chi_k, on two grids."""
-    coefs = np.array([scheme.coefficient(k, n) for k in range(n + 1)])
-    return _two_grid(
-        model, scheme, n, quad or QuadratureConfig(),
-        lambda even, odd, u: 2.0 * float(u @ np.maximum(np.abs(coefs[0::2] @ even), np.abs(coefs[1::2] @ odd))),
-    )
+    return _norms(model, scheme, [n], quad or QuadratureConfig(), with_diagonal=False)[0][1]
 
 
 def su2_divergence_lower_bound(scheme: CoefficientScheme, n: int) -> float:
@@ -418,10 +472,9 @@ def run_experiment(spec: dict) -> list[dict]:
     model = model_by_name(spec["model"])
     scheme = scheme_by_name(model, spec["scheme"])
     quad = QuadratureConfig(**spec.get("quadrature", {}))
+    levels = [int(n) for n in spec["n"]]
     rows = []
-    for n in map(int, spec["n"]):
-        dn = diagonal_norm(model, scheme, n, quad)
-        bn = bai_norm(model, scheme, n, quad)
+    for n, (dn, bn) in zip(levels, _norms(model, scheme, levels, quad)):
         rows.append(
             {
                 "model": model.label,

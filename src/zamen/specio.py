@@ -65,6 +65,10 @@ EXPERIMENT_FORMAT = "zamen-experiment"
 FORMAT_VERSION = 1
 # The largest matrix of character rows an experiment level may need: 1.6e9 bytes.
 MAX_LEVEL_BYTES = 1_600_000_000
+# The most points a refined quadrature grid may have.  The diagonal norm's time grows
+# as their square: at 2**16 points one level takes 3-5 s (n <= 64, one BLAS thread on a
+# 2-vCPU x86-64 VM), and the next doubling would take four times as long.
+MAX_GRID_POINTS = 2**16
 
 
 class SpecError(ValueError):
@@ -250,8 +254,9 @@ def load_experiment_spec(payload: dict) -> dict:
     """Validate a ``zamen-experiment`` document.
 
     Model and scheme names are resolved by ``zamen.hypergroups``; the
-    quadrature settings must be accepted by ``QuadratureConfig``.  A level
-    whose character-row matrix would exceed ``MAX_LEVEL_BYTES`` (1.6 GB) is
+    quadrature settings must be accepted by ``QuadratureConfig``.  A refined
+    grid of more than ``MAX_GRID_POINTS`` points, and a level whose
+    character-row matrix would exceed ``MAX_LEVEL_BYTES`` (1.6 GB), are
     refused before any work starts.
     """
     _check_header(payload, EXPERIMENT_FORMAT)
@@ -277,10 +282,13 @@ def load_experiment_spec(payload: dict) -> dict:
     except ValueError as exc:
         raise SpecError(str(exc)) from None
     # Level n fills an (n+1) x ceil(points/2) float64 matrix of character rows on the refined grid.
-    half = (quad.panels * quad.refinement_factor * quad.nodes_per_panel + 1) // 2
+    points = quad.panels * quad.refinement_factor * quad.nodes_per_panel
+    half = (points + 1) // 2
     for n in levels:
         if 8 * (n + 1) * half > MAX_LEVEL_BYTES:
             raise SpecError(f"level n = {n} needs a {n + 1} x {half} float64 matrix, above {MAX_LEVEL_BYTES} bytes")
+    if points > MAX_GRID_POINTS:
+        raise SpecError(f"the refined grid has {points} points, above {MAX_GRID_POINTS}")
     return {
         "model": model,
         "scheme": scheme,

@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -408,7 +409,9 @@ class TestHypergroupRun:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         first = json.loads(captured.out)["rows"][0]
-        assert (first["n"], first["diagonal_norm"], first["lower_bound"]) == (0, 1.0, 0.0)
+        assert (first["n"], first["lower_bound"]) == (0, 0.0)
+        # 4 (sum u)^2 on the half grid, which is 1 up to rounding, not by an identity.
+        assert abs(first["diagonal_norm"] - 1.0) <= 1e-15
 
     def test_bad_spec_exits_2(self, tmp_path, capsys):
         spec = self.make_spec(tmp_path, scheme="mystery")
@@ -422,6 +425,18 @@ class TestHypergroupRun:
         assert run_cli("hypergroup", "run", str(spec)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: level n = {level} needs a {level + 1} x 256 float64 matrix")
+        assert captured.out == ""
+
+    def test_a_grid_too_fine_to_run_exits_2_at_once(self, tmp_path, capsys):
+        # 3.2e6 refined points: the character rows fit, but the diagonal norm would take hours.
+        spec = tmp_path / "fine.json"
+        doc = {"format": "zamen-experiment", "version": 1, "model": "su2", "scheme": "dirichlet", "n": [0]}
+        spec.write_text(json.dumps({**doc, "quadrature": {"panels": 100000}}))
+        start = time.perf_counter()
+        assert run_cli("hypergroup", "run", str(spec)) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the refined grid has 3200000 points, above 65536")
         assert captured.out == ""
 
     def test_missing_file_exits_2(self, tmp_path, capsys):

@@ -6,7 +6,8 @@ Oracles:
   cross-checks the diagonal norm on a small case.
 - The unfolded full-grid products v.T @ (coefs[:, None] * v) and
   coefs @ v on all of [0, pi] check both norms, which integrate over the
-  half grid theta <= pi/2 by the theta -> pi - theta parity.
+  half grid theta <= pi/2 by the theta -> pi - theta parity, the diagonal
+  norm in strips of its kernel's upper triangle.
 - The circle-quotient Fejer kernel is nonnegative with unit mass, so its
   diagonal norm is exactly 1 at every level.
 - The SU(2) lower bound at n = 1 is (2/pi)^2 (4/3)^2 by hand.
@@ -293,14 +294,17 @@ class TestParityFold:
     # Coefficients of both signs and no parity pattern, used unsquared.
     MIXED = CoefficientScheme("mixed", lambda k, n: (k % 3 - 1) * (k + 1.5) if k <= n else 0.0, False)
     CASES = [*STUDIES, ("su2", MIXED), ("chebyshev", MIXED)]
-    # Panels and nodes_per_panel both odd put a node at pi/2 on the base grid.
+    # Panels and nodes_per_panel both odd put a node at pi/2 on the base grid.  The 9 x 15
+    # grid's half grids (68 and 135 points) are longer than one strip of the diagonal
+    # norm and not a multiple of it.
     GRIDS = [
         QuadratureConfig(),
         QuadratureConfig(panels=3, nodes_per_panel=5),
         QuadratureConfig(panels=4, nodes_per_panel=5),
+        QuadratureConfig(panels=9, nodes_per_panel=15),
     ]
 
-    @pytest.mark.parametrize("quad", GRIDS, ids=["default", "3x5-middle-node", "4x5"])
+    @pytest.mark.parametrize("quad", GRIDS, ids=["default", "3x5-middle-node", "4x5", "9x15-partial-strip"])
     @pytest.mark.parametrize("model_name,scheme", CASES, ids=lambda c: getattr(c, "name", c))
     def test_matches_full_grid_oracle(self, model_name, scheme, quad):
         model = model_by_name(model_name)
@@ -329,16 +333,30 @@ class TestParityFold:
         converged = {(r["model"], r["scheme"], r["n"]) for r in benchmark_rows if r["diagonal_converged"]}
         assert converged == {("chebyshev", "fejer", n) for n in BENCHMARK_LEVELS}
 
-    def test_su2_level_800_peak_memory(self):
-        # Two half-grid kernels of 1024 x 1024 float64 at the refined grid, against
-        # one 2048 x 2048 kernel (57.7 MiB peak) unfolded.
-        model = su2_model()
+    @staticmethod
+    def peak_bytes(call):
         tracemalloc.start()
         try:
-            diagonal_norm(model, dirichlet_scheme(model), 800)
+            call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak
+
+    def test_su2_level_800_peak_memory(self):
+        # The 801 x 1024 character rows of the refined half grid, their coefficient-scaled
+        # copy and two 64 x 1024 kernel strips (14.7 MiB peak), against one 2048 x 2048
+        # kernel (57.7 MiB peak) unfolded.
+        model = su2_model()
+        peak = self.peak_bytes(lambda: diagonal_norm(model, dirichlet_scheme(model), 800))
+        assert peak < 32 * 2**20, peak / 2**20
+
+    def test_fine_grid_peak_memory(self):
+        # 16384 refined points: two 64 x 8192 strips (13 MiB peak), where two 8192 x 8192
+        # half-grid kernels took 1 GiB.
+        model = su2_model()
+        quad = QuadratureConfig(panels=512)
+        peak = self.peak_bytes(lambda: diagonal_norm(model, dirichlet_scheme(model), 4, quad))
         assert peak < 32 * 2**20, peak / 2**20
 
 
@@ -437,6 +455,24 @@ class TestRunExperiment:
         assert all(r["model"] == "chebyshev" for r in rows)
         assert all(abs(r["diagonal_norm"] - 1.0) < 1e-5 for r in rows)
         assert all(r["lower_bound"] == "" for r in rows)
+
+    @pytest.mark.parametrize("model_name,scheme", STUDIES)
+    def test_shared_rows_match_one_level_calls_exactly(self, model_name, scheme):
+        # Rows built once at n = 800 and cut at each level give the same numbers as rows built at it.
+        model = model_by_name(model_name)
+        scheme_obj = scheme_by_name(model, scheme)
+        levels = [200, 7, 50, 800, 7, 0]
+        rows = run_experiment({"model": model_name, "scheme": scheme, "n": levels})
+        assert [r["n"] for r in rows] == levels
+        for row in rows:
+            dn = diagonal_norm(model, scheme_obj, row["n"])
+            bn = bai_norm(model, scheme_obj, row["n"])
+            assert (row["diagonal_norm"], row["diagonal_error_estimate"]) == (dn.value, dn.error_estimate)
+            assert (row["bai_norm"], row["bai_error_estimate"]) == (bn.value, bn.error_estimate)
+            assert (row["diagonal_converged"], row["config_hash"]) == (dn.converged, dn.config_hash)
+
+    def test_no_levels_give_no_rows(self):
+        assert run_experiment({"model": "su2", "scheme": "dirichlet", "n": []}) == []
 
     def test_su2_rows_carry_bound(self):
         spec = {

@@ -241,6 +241,15 @@ class TestExperimentSpecs:
         with pytest.raises(SpecError, match="level n = 0 needs a 1 x 400000000 float64 matrix"):
             load_experiment_spec({**base, "n": [0], "quadrature": {"panels": 25_000_000}})
 
+    def test_rejects_a_refined_grid_above_the_point_cap(self):
+        # 2048 panels x 2 x 16 nodes is 2**16 points, the most allowed.
+        base = {"format": "zamen-experiment", "version": 1, "model": "su2", "scheme": "dirichlet", "n": [4]}
+        assert load_experiment_spec({**base, "quadrature": {"panels": 2048}})["quadrature"] == {"panels": 2048}
+        with pytest.raises(SpecError, match="the refined grid has 65538 points, above 65536"):
+            load_experiment_spec({**base, "quadrature": {"panels": 1, "nodes_per_panel": 32769}})
+        with pytest.raises(SpecError, match="the refined grid has 98304 points, above 65536"):
+            load_experiment_spec({**base, "quadrature": {"panels": 2048, "refinement_factor": 3}})
+
 
 ENTRY_ARRAYS = ("values", "degrees", "class_sizes", "class_reps", "inverse_class")
 
