@@ -9,12 +9,14 @@ multiplication by any y is one pass down the tree, y*x = (y*w)*s_i, from
 y*e = y, so any rows of the Cayley table come from one pass batched over
 them, level by level.  Inverses follow the tree too (x^-1 = s_i^-1 * w^-1),
 conjugation by a step is x -> s_i^-1 * x * s_i, and ``table`` is a read-only
-view built on demand, refused above ``MAX_TABLE_ORDER`` elements.
+view built on demand.  ``MAX_ORDER`` bounds every constructor, and
+``MAX_TABLE_ORDER`` only that view.
 
 The steps are the constructor's generators and their repeated squares g, g^2,
-g^4, ..., so the tree stays shallow even along a long cycle, and a direct
-product composes its factors' trees.  Groups closed from permutations keep
-their breadth-first discovery order, so every downstream ordering is
+g^4, ..., so the tree stays shallow even along a long cycle.  A direct or
+semidirect product composes its factors' columns and trees, and a quotient is
+the group of the steps' columns on cosets.  Groups closed from permutations
+keep their breadth-first discovery order, so every downstream ordering is
 reproducible.  Associativity, the semidirect laws and the content hash are
 found on a greedy generating set of at most log2(n) + 1 elements, so only the
 validation of a table from outside reads all n^2 of its entries.
@@ -60,7 +62,7 @@ MAX_ORDER = 1_000_000
 # built from it take about 32 bytes per entry (S9: 10.9 million entries, about 330 MiB), so an
 # index at the cap needs about 1 GB.
 MAX_PAIR_ENTRIES = 1 << 25
-# The most elements of a group whose Cayley table is built: 20 000^2 int32 entries are 1.6 GB.
+# The most elements of a group whose ``table`` view is built: 20 000^2 int32 entries are 1.6 GB.
 MAX_TABLE_ORDER = 20_000
 
 # Columns and Cayley tables are stored with this dtype: half the memory of int64, and indices up
@@ -352,16 +354,9 @@ def _from_columns(label: str, identity: int, generators: np.ndarray) -> FiniteGr
     return FiniteGroup(label, identity, columns, _spanning_tree(columns, identity))
 
 
-def _from_table(label: str, table: np.ndarray) -> FiniteGroup:
-    """The group of a Cayley table known to be one, keeping only its greedy generators' columns."""
-    n = table.shape[0]
-    identity = int(np.flatnonzero(table[:, 0] == 0)[0])  # column 0 of a Latin square holds 0 once
-    found = _generating_set(lambda g: table[:, g], n, identity)
-    return _from_columns(label, identity, np.array([powers[0] for _, powers in found]).reshape(-1, n))
-
-
-def _validate_table(table: np.ndarray) -> None:
-    """Check the group axioms for a candidate Cayley table."""
+def _validate_table(table: np.ndarray) -> tuple[int, np.ndarray]:
+    """Check the group axioms for a candidate Cayley table; return its identity and the columns of
+    the greedy generators that Light's test checked, one per row."""
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
         raise ValidationError(f"Cayley table must be square and nonempty, got shape {table.shape}")
     n = table.shape[0]
@@ -390,7 +385,7 @@ def _validate_table(table: np.ndarray) -> None:
     # Light's test: the g with g*(x*y) = (g*x)*y for all x, y are closed under products, so checking
     # each generator before it is closed in proves associativity.  With row = table[g], compare
     # table[row] (a gather of whole rows) with row[table] in row blocks of about 2^20 entries.
-    rows = max(1, (1 << 20) // n)
+    rows, found = max(1, (1 << 20) // n), []
     for g, _ in _generating_set(lambda g: table[:, g], n, e):
         row = table[g]
         for start in range(0, n, rows):
@@ -401,23 +396,22 @@ def _validate_table(table: np.ndarray) -> None:
                     f"associativity fails at triple ({g}, {start + i}, {y}): "
                     f"({g}*{start + i})*{y} = {left[i, y]} but {g}*({start + i}*{y}) = {right[i, y]}"
                 )
+        found.append(g)
+    return e, table[:, found].T
 
 
 def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray, label: str = "G") -> FiniteGroup:
     """Build a group from an explicit Cayley table, validating the axioms.
 
-    This is the one constructor that validates a table: every other one
-    builds a group by construction.  Rows, columns and the identity are
-    checked in full, and associativity exactly at every order by Light's test
-    on a greedy generating set, at O(n^2 log n) cost.  The group keeps only
-    the columns of that generating set and their repeated squares.
+    The one constructor that validates: rows, columns and the identity in
+    full, and associativity exactly by Light's test on a greedy generating
+    set, at O(n^2 log n) cost.  The group keeps that set's columns.
     """
     try:
         arr = np.asarray(table, dtype=np.int64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"Cayley table must be a square array of integers: {exc}") from None
-    _validate_table(arr)
-    return _from_table(label, arr)
+    return _from_columns(label, *_validate_table(arr))
 
 
 def _composer(gens: list[np.ndarray]) -> tuple[bytes, list, Callable[[bytes, object], bytes]]:
@@ -528,32 +522,42 @@ def quaternion_group() -> FiniteGroup:
     """
     axis, neg = np.divmod(np.arange(8), 2)
     flip = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
-    a, b = axis[:, None], axis[None, :]
-    return _from_table("Q8", 2 * (a ^ b) + (neg[:, None] ^ neg[None, :] ^ flip[a, b]))
+    b = np.array([[1], [2]])  # the axes of i and j, whose columns x*i and x*j generate Q8
+    return _from_columns("Q8", 0, 2 * (axis ^ b) + (neg ^ flip[axis, b]))
+
+
+def _product(label: str, normal: FiniteGroup, acting: FiniteGroup, normal_columns: np.ndarray) -> FiniteGroup:
+    """The product of N = ``normal`` and H = ``acting`` on index packing (a, h) -> a*|H| + h, given
+    the columns of its N-steps (s, e); each step t of H becomes (e, t) with column (a, h*t).
+
+    The tree reaches (a, h) from (a, e) along H's tree after reaching (a, e)
+    along N's, as (a, e)*(s, e) = (a*s, e) when H's identity acts trivially.
+    """
+    m = acting.order
+    a, h = np.divmod(np.arange(normal.order * m), m)
+    acting_columns = (a * m).astype(TABLE_DTYPE) + acting.columns[:, h]
+    columns = np.concatenate([normal_columns, acting_columns], dtype=TABLE_DTYPE)
+    (n_parent, n_step, n_depth), (h_parent, h_step, h_depth) = normal.tree, acting.tree
+    along_h = h_step[h] >= 0
+    tree = np.stack(
+        [
+            np.where(along_h, a * m + h_parent[h], n_parent[a] * m + h),
+            np.where(along_h, normal.columns.shape[0] + h_step[h], n_step[a]),
+            n_depth[a] + h_depth[h],
+        ]
+    )
+    return FiniteGroup(label, normal.identity * m + acting.identity, columns, tree)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with index packing (a, b) -> a*|H| + b.
 
-    Each step s of G becomes (s, e) with column (a*s)*|H| + b, each step t of
-    H becomes (e, t) with column a*|H| + b*t, and the tree reaches (a, b)
-    from (a, e) along H's tree after reaching (a, e) along G's, so its depth
-    is the sum of the factors' depths.
+    Each step s of G becomes (s, e) with column (a*s)*|H| + b, and each step t
+    of H becomes (e, t) with column a*|H| + b*t.
     """
     _check_order(g.order * h.order, f"the product of {g.label!r} and {h.label!r}")
-    m = h.order
-    a, b = np.divmod(np.arange(g.order * m), m)
-    columns = np.concatenate([g.columns[:, a] * m + b, a * m + h.columns[:, b]])
-    (g_parent, g_step, g_depth), (h_parent, h_step, h_depth) = g.tree, h.tree
-    along_h = h_step[b] >= 0
-    tree = np.stack(
-        [
-            np.where(along_h, a * m + h_parent[b], g_parent[a] * m + b),
-            np.where(along_h, g.columns.shape[0] + h_step[b], g_step[a]),
-            g_depth[a] + h_depth[b],
-        ]
-    )
-    return FiniteGroup(f"{g.label}x{h.label}", g.identity * m + h.identity, columns, tree)
+    columns = g.columns[:, :, None] * h.order + np.arange(h.order, dtype=TABLE_DTYPE)
+    return _product(f"{g.label}x{h.label}", g, h, columns.reshape(-1, g.order * h.order))
 
 
 def semidirect_product(
@@ -571,16 +575,12 @@ def semidirect_product(
     N, and maps[h*h2] = maps[h] o maps[h2] for every h2.  The elements for
     which such a law holds are closed under products, so every map is an
     automorphism and the assignment a homomorphism; together they make the
-    product associative, so its table is not validated again.  The product's
-    table is built from the factors' tables, so its order is capped at
-    ``MAX_TABLE_ORDER``.
+    product associative, so it is not validated again.  A step s of N
+    becomes (s, e) with column (a, h)*(s, e) = (a*h(s), h), where
+    a*h(s) = h(h^-1(a)*s).
     """
     n, m = normal.order, acting.order
-    if n * m > MAX_TABLE_ORDER:
-        raise SizeLimitError(
-            f"semidirect product of {normal.label!r} and {acting.label!r} has order {n * m}, "
-            f"above the cap of {MAX_TABLE_ORDER} elements"
-        )
+    _check_order(n * m, f"semidirect product of {normal.label!r} and {acting.label!r}")
     try:
         maps = np.asarray(action, dtype=np.int64)
     except (TypeError, ValueError, OverflowError):
@@ -590,21 +590,25 @@ def semidirect_product(
     if not np.array_equal(maps[acting.identity], np.arange(n)):
         raise ValidationError("action of the identity must be the identity map")
 
-    tn, sgens = normal.table, normal.generators
+    sgens, scolumns = normal._greedy
     for h in acting.generators:
         phi = maps[h]
         if np.bincount(phi, minlength=n).max() > 1:
             raise ValidationError(f"action of element {h} is not a permutation of the normal factor")
-        if not np.array_equal(phi[tn[:, sgens]], tn[np.ix_(phi, phi[sgens])]):
-            raise ValidationError(f"action of element {h} is not an automorphism")
+        for s, column in zip(sgens, scolumns):  # h(a*s) against h(a)*h(s) for every a
+            if not np.array_equal(phi[column], normal._column(phi[s])[phi]):
+                raise ValidationError(f"action of element {h} is not an automorphism")
         # Row h2 compares maps[h*h2] with maps[h] o maps[h2].
-        bad = np.flatnonzero((maps[acting.table[h]] != phi[maps]).any(axis=1))
+        bad = np.flatnonzero((maps[acting.rows([h])[0]] != phi[maps]).any(axis=1))
         if bad.size:
             raise ValidationError(f"action is not a homomorphism: maps[{h}*{bad[0]}] != maps[{h}] o maps[{bad[0]}]")
 
-    # Index packing (a, h) -> a*m + h; product rule (a, h)(b, k) = (a*phi_h(b), hk).
-    table = (tn[:, maps][:, :, :, None] * m + acting.table[None, :, None, :]).reshape(n * m, n * m)
-    return _from_table(label or f"{normal.label}:{acting.label}", table)
+    inverse_maps = maps[acting.inverses]
+    columns = np.empty((normal.columns.shape[0], n * m), dtype=TABLE_DTYPE)
+    for column, out in zip(normal.columns, columns):  # twisted[h, a] = a*h(s)
+        twisted = np.take_along_axis(maps, column[inverse_maps], axis=1)
+        out.reshape(n, m)[:] = twisted.T * m + np.arange(m)
+    return _product(label or f"{normal.label}:{acting.label}", normal, acting, columns)
 
 
 def conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
@@ -644,11 +648,6 @@ def _conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
     )
 
 
-def _least_elements(class_of: np.ndarray) -> np.ndarray:
-    """The first occurrence of each class id, which is the least element of its class."""
-    return np.unique(class_of, return_index=True)[1].astype(np.int64, copy=False)
-
-
 @dataclass(frozen=True)
 class ConjugacyStructure:
     """Conjugacy classes of a group, in least-element order.
@@ -670,7 +669,7 @@ class ConjugacyStructure:
 
     @cached_property
     def reps(self) -> np.ndarray:
-        return _read_only(_least_elements(self.class_of))
+        return _read_only(np.unique(self.class_of, return_index=True)[1].astype(np.int64, copy=False))
 
     @cached_property
     def classes(self) -> tuple[np.ndarray, ...]:
@@ -707,10 +706,11 @@ class Quotient:
 def quotient_group(group: FiniteGroup, subgroup: Iterable[int]) -> Quotient:
     """Form G/N for a normal subgroup N given by element indices.
 
-    N is normal when it is a union of conjugacy classes.  Each coset sN is
-    named by its least element, and the cosets are numbered in the order of
-    those elements.  A quotient by a normal subgroup is a group, so its table
-    is not validated again.
+    N is normal when it is a union of conjugacy classes.  Each coset Nx = xN
+    is named by its least element, found with the subgroup check from the
+    rows of N's elements, and the cosets are numbered in the order of those
+    elements.  The quotient is the group of the steps' columns on cosets,
+    xN*s = (x*s)N.
 
     Raises ValidationError if an index is outside 0..n-1, if the indices are
     not a subgroup, or, naming a violating conjugation, if the subgroup is
@@ -723,25 +723,25 @@ def quotient_group(group: FiniteGroup, subgroup: Iterable[int]) -> Quotient:
         raise ValidationError(f"subgroup index {int(stray[0])} is outside 0..{n - 1}")
     if nset.size == 0 or group.identity not in nset:
         raise ValidationError("subgroup must contain the identity")
-    inside = np.zeros(n, dtype=bool)
-    inside[nset] = True
-    prods = group.table[np.ix_(nset, nset)]
-    if not inside[prods].all():
-        a, b = np.argwhere(~inside[prods])[0]
-        raise ValidationError(
-            f"not a subgroup: {int(nset[a])}*{int(nset[b])} = {int(prods[a, b])} falls outside"
-        )
+    inside = np.bincount(nset, minlength=n) > 0
+    least, rows = np.arange(n), max(1, (1 << 20) // n)
+    for start in range(0, nset.size, rows):
+        block = group.rows(nset[start : start + rows])  # block[i, x] = nset[start + i]*x
+        prods = block[:, nset]
+        if not inside[prods].all():
+            i, j = np.argwhere(~inside[prods])[0]
+            raise ValidationError(f"not a subgroup: {nset[start + i]}*{nset[j]} = {prods[i, j]} falls outside")
+        least = np.minimum(least, block.min(axis=0))
     cs = conjugacy_structure(group)
     counts = np.bincount(cs.class_of[nset], minlength=cs.num_classes)
     split = np.flatnonzero((counts > 0) & (counts < cs.sizes))
     if split.size:
         a = int(nset[cs.class_of[nset] == split[0]][0])
         b = int(np.flatnonzero((cs.class_of == split[0]) & ~inside)[0])
-        g = int(np.argmax(group.table[group.table[:, a], group.inverses] == b))
+        # g*a*g^-1 = b exactly when a*y = y*b for y = g^-1.
+        g = int(np.argmax(group.rows([a])[0][group.inverses] == group._column(b)[group.inverses]))
         raise ValidationError(f"not normal: conjugating {a} by {g} gives {b}, which is outside the subgroup")
 
-    rows = max(1, (1 << 20) // nset.size)
-    least = np.concatenate([group.table[i : i + rows][:, nset].min(axis=1) for i in range(0, n, rows)])
     reps, coset_of = np.unique(least, return_inverse=True)
-    quo = _from_table(f"{group.label}/N{nset.size}", coset_of[group.table[np.ix_(reps, reps)]])
+    quo = _from_columns(f"{group.label}/N{nset.size}", coset_of[group.identity], coset_of[group.columns[:, reps]])
     return Quotient(group=quo, projection=coset_of, subgroup=nset)

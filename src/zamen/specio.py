@@ -91,7 +91,7 @@ def _check_header(payload: dict, expected_format: str) -> None:
     if fmt != expected_format:
         raise SpecError(f"expected format {expected_format!r}, got {fmt!r}")
     version = payload.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # not a bool, not a float
         raise SpecError(f"unsupported {expected_format} version {version!r}")
 
 

@@ -145,6 +145,24 @@ def test_malformed_group_spec_exits_2_without_a_traceback(body, tmp_path, capsys
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (["group", "info"], {"format": "zamen-group", "kind": "perm", "degree": 2, "generators": ["(1 2)"]}),
+        (["hypergroup", "run"], {"format": "zamen-experiment", "model": "su2", "scheme": "dirichlet", "n": [2]}),
+    ],
+    ids=["group", "experiment"],
+)
+def test_a_version_that_is_not_an_integer_exits_2(argv, body, version, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**body, "version": version}))
+    assert run_cli(*argv, str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unsupported {body['format']} version {version!r}")
+
+
 class TestChartable:
     def test_a_pair_index_above_the_cap_exits_2(self, tmp_path, capsys):
         # Z80xZ80 builds, with 6400 classes; its 6400 x 6400 pair index is refused.

@@ -11,6 +11,8 @@ import dataclasses
 import itertools
 import re
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from oracles import (
     brute_classes,
     closure_perms,
     composition_table,
+    conjugate,
     group_v3_hash,
     latin_failure,
     loop_conjugacy_structure,
@@ -29,7 +32,9 @@ from oracles import (
     special_linear,
     swap_intercalate,
 )
-from zamen import groups
+from zamen import cli, groups
+from zamen.amenability import amenability_constant, quotient_monotonicity_check
+from zamen.characters import character_table
 from zamen.groups import (
     MAX_ORDER,
     MAX_TABLE_ORDER,
@@ -53,6 +58,8 @@ from zamen.groups import (
 )
 from zamen.zoo import build as zoo_build
 from zamen.zoo import zoo_names
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_parse_cycle_notation():
@@ -195,15 +202,25 @@ def test_content_hash_is_the_group_v3_formula():
 
 
 def test_products_above_the_cap_are_refused_before_allocation():
-    # A direct product is built from its factors' columns, so only MAX_ORDER bounds it; a
-    # semidirect product is built from its factors' tables, so MAX_TABLE_ORDER does.
+    # Direct and semidirect products are both built from their factors' columns, so MAX_ORDER
+    # bounds both; Z200 x| Z101 (order 20 200) was refused by the 20 000-element table cap.
     assert symmetric(7).order ** 2 > MAX_ORDER
     with pytest.raises(SizeLimitError, match="25401600"):
         direct_product(symmetric(7), symmetric(7))
     big, small = cyclic(200), cyclic(101)
     assert big.order * small.order > MAX_TABLE_ORDER
-    with pytest.raises(SizeLimitError, match="20200"):
-        semidirect_product(big, small, [range(200)] * 101)
+    trivial = semidirect_product(big, small, [range(200)] * 101)
+    assert trivial.content_hash == direct_product(big, small).content_hash
+
+    class Unread:  # any attempt to read the action fails the test
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("the action was read")
+
+        __len__ = __iter__ = __getitem__ = __array__
+
+    assert 1000 * 1001 > MAX_ORDER
+    with pytest.raises(SizeLimitError, match="1001000"):
+        semidirect_product(cyclic(1000), cyclic(1001), Unread())
 
 
 @pytest.mark.parametrize(
@@ -668,8 +685,8 @@ def test_every_constructor_builds_a_table_that_passes_validation(make_group):
 
 
 def test_only_from_cayley_table_validates(monkeypatch):
-    calls = []
-    monkeypatch.setattr(groups, "_validate_table", calls.append)
+    calls, validate = [], groups._validate_table
+    monkeypatch.setattr(groups, "_validate_table", lambda table: calls.append(table) or validate(table))
     for make_group in CONSTRUCTED.values():
         make_group()
     assert calls == []
@@ -696,8 +713,8 @@ def test_quotient_matches_the_loop_oracle(case):
 
 
 def test_quotient_of_sl_2_17_by_its_centre_within_a_second():
-    # PSL(2,17), order 2448: about 0.2 s on a 2-vCPU x86-64 VM, 0.12 s of it building the view of
-    # SL(2,17)'s table (0.07 s when the group stored its table); the coset loop took 1.6 s.
+    # PSL(2,17), order 2448: about 0.015 s on a 2-vCPU x86-64 VM from the rows of the centre's two
+    # elements; 0.2 s when the quotient read SL(2,17)'s table view, 1.6 s with a loop over cosets.
     g = special_linear(17)
     z = center(g)
     assert g.order == 4896 and z.size == 2
@@ -707,6 +724,82 @@ def test_quotient_of_sl_2_17_by_its_centre_within_a_second():
     assert quo.group.order == 2448
     assert np.array_equal(quo.projection[g.table[z[1]]], quo.projection)  # x and -I x share a coset
     assert elapsed < 1.0, f"SL(2,17)/Z took {elapsed:.2f} s"
+
+
+def test_quotient_of_sl_2_23_by_its_centre_within_half_a_second():
+    # PSL(2,23), order 6072: about 0.005 s on a 2-vCPU x86-64 VM; 1.3-1.7 s when the quotient read
+    # SL(2,23)'s 12 144 x 12 144 table view.
+    g = special_linear(23)
+    z = center(g)
+    assert g.order == 12144 and z.size == 2
+    start = time.perf_counter()
+    quo = quotient_group(g, z)
+    elapsed = time.perf_counter() - start
+    assert quo.group.order == 6072
+    assert np.array_equal(quo.projection[g.rows([z[1]])[0]], quo.projection)
+    assert elapsed < 0.5, f"SL(2,23)/Z took {elapsed:.2f} s"
+
+
+def affine(p):
+    """AGL(1, p) = Z_p x| Z_p^*, with Z_p^* as Z_{p-1} acting by powers of a primitive root."""
+    root = next(u for u in range(2, p) if len({pow(u, k, p) for k in range(p - 1)}) == p - 1)
+    return semidirect_product(cyclic(p), cyclic(p - 1), cyclic_action(p, root, p - 1))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_affine_groups_have_am_5_minus_8_over_p(p):
+    g = affine(p)
+    assert (g.order, conjugacy_structure(g).num_classes) == (p * (p - 1), p)
+    assert amenability_constant(character_table(g)).rational == Fraction(5 * p - 8, p)
+
+
+def test_agl_1_211_builds_with_211_classes_within_a_second():
+    # Order 44 310, above the 20 000-element table cap that bounded semidirect products before:
+    # about 0.2 s to build and class on a 2-vCPU x86-64 VM, most of it the classes.
+    start = time.perf_counter()
+    g = affine(211)
+    cs = conjugacy_structure(g)
+    elapsed = time.perf_counter() - start
+    assert g.order == 44310 and cs.num_classes == 211
+    assert sorted(cs.sizes.tolist()) == [1, 210] + [211] * 209
+    assert elapsed < 1.0, f"AGL(1,211) took {elapsed:.2f} s"
+
+
+def test_a_semidirect_product_by_a_non_cyclic_group_matches_the_loop_oracle():
+    # Z15 x| (Z15)^*, with the units {1, 2, 4, 7, 8, 11, 13, 14} as Z2 x Z4: (a, b) acts as 14^a 2^b.
+    acting = direct_product(cyclic(2), cyclic(4))
+    maps = [[pow(14, a, 15) * pow(2, b, 15) * x % 15 for x in range(15)] for a in range(2) for b in range(4)]
+    g = semidirect_product(cyclic(15), acting, maps)
+    assert np.array_equal(g.table, semidirect_table_loop(cyclic(15), acting, maps))
+    assert conjugacy_structure(g).num_classes == len(brute_classes(g))
+
+
+def test_no_constructor_or_computation_reads_the_table_view(monkeypatch, tmp_path, capsys):
+    # Every constructor builds from columns and trees, and everything downstream reads rows, so
+    # the n x n view is built only when a caller asks for it.
+    s3, table = symmetric(3), cyclic(6).table.tolist()
+    conjugation = [list(range(6)), [conjugate(s3, 1, x) for x in range(6)]]  # by the transposition 1
+    reads = []
+
+    def unread(group):
+        reads.append(group.label)
+        raise AssertionError(f"the table of {group.label!r} was read")
+
+    monkeypatch.setattr(FiniteGroup, "table", property(unread))
+    built = [zoo_build(name) for name in zoo_names()]
+    built += [direct_product(symmetric(3), cyclic(4)), affine(7), from_cayley_table(table, label="Z6")]
+    built.append(semidirect_product(s3, cyclic(2), conjugation))
+    built += [quotient_group(*case()).group for case in NORMAL_CASES.values()]
+    for g in built:
+        assert amenability_constant(character_table(g)).value > 1 - 1e-9
+    assert quotient_monotonicity_check(*by_centre(special_linear(5))).passed
+    fixtures = sorted(str(path) for path in FIXTURES.glob("*.json") if "zamen-group" in path.read_text())
+    assert len(fixtures) == 9
+    for path in fixtures:
+        assert cli.main(["group", "info", path]) == 0
+        assert cli.main(["group", "amconst", path, "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert reads == []
 
 
 def test_content_hash_ignores_labels():

@@ -77,6 +77,12 @@ class TestGroupSpecs:
         with pytest.raises(SpecError, match="version"):
             load_group_spec({"format": "zamen-group", "version": 99, "kind": "perm"})
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_a_version_that_is_not_an_integer_is_refused(self, version):
+        # Both compare equal to 1; both were once read as version 1.
+        with pytest.raises(SpecError, match=f"unsupported zamen-group version {version!r}"):
+            load_group_spec({**spec_doc(kind="perm", degree=2, generators=["(1 2)"]), "version": version})
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(SpecError, match="unknown group spec kind"):
             load_group_spec(spec_doc(kind="free"))
@@ -101,6 +107,13 @@ class TestCharacterTableDocuments:
         assert np.allclose(loaded.values, table.values, atol=1e-11)
         assert np.array_equal(loaded.degrees, table.degrees)
         assert np.array_equal(loaded.inverse_class, table.inverse_class)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_a_version_that_is_not_an_integer_is_refused(self, version):
+        cs = conjugacy_structure(symmetric(3))
+        payload = {**character_table_payload(character_table(symmetric(3), cs)), "version": version}
+        with pytest.raises(SpecError, match=f"unsupported zamen-chartable version {version!r}"):
+            load_character_table(payload, cs)
 
     def test_reserialization_is_byte_stable(self):
         group = dihedral(5)
@@ -214,6 +227,12 @@ class TestExperimentSpecs:
         )
         assert spec["model"] == "su2"
         assert spec["quadrature"] == {}
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_a_version_that_is_not_an_integer_is_refused(self, version):
+        doc = {"format": "zamen-experiment", "version": version, "model": "su2", "scheme": "dirichlet", "n": [2]}
+        with pytest.raises(SpecError, match=f"unsupported zamen-experiment version {version!r}"):
+            load_experiment_spec(doc)
 
     def test_rejects_unknown_model_and_scheme(self):
         base = {"format": "zamen-experiment", "version": 1, "n": [1]}
