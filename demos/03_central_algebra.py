@@ -45,7 +45,7 @@ def main():
     report = verify_diagonal(table, dc)
     print(f"  diagonal is a module map + unit: residual {report.max_residual:.2e}")
 
-    am = amenability_constant(table, dc)
+    am = amenability_constant(table)
     print(f"  AM(ZL1(S4)) = {am.value:.10f}" + (f" = {am.rational}" if am.rational else ""))
 
 

@@ -83,13 +83,10 @@ def snap_rational(value: float, max_denominator: int = 64, tol: float = 1e-9) ->
     return None
 
 
-def amenability_constant(
-    table: CharacterTable, dc: DiagonalCoefficients | None = None
-) -> AmenabilityConstant:
-    """AM(ZL1(G)) evaluated from the character table."""
-    dc = dc or diagonal(table)
+def amenability_constant(table: CharacterTable) -> AmenabilityConstant:
+    """AM(ZL1(G)) evaluated from the character table and its own diagonal."""
     sizes = table.class_sizes.astype(np.float64)
-    total = float(sizes @ np.abs(dc.matrix) @ sizes)
+    total = float(sizes @ np.abs(diagonal(table).matrix) @ sizes)
     value = total / float(table.order) ** 2
     return AmenabilityConstant(value=value, rational=snap_rational(value))
 

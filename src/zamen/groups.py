@@ -8,18 +8,18 @@ O'Brien, *Handbook of Computational Group Theory*, ch. 4).  Left
 multiplication by any y is one pass down the tree, y*x = (y*w)*s_i, from
 y*e = y, so any rows of the Cayley table come from one pass batched over
 them, level by level.  Inverses follow the tree too (x^-1 = s_i^-1 * w^-1),
-conjugation by a step is x -> s_i^-1 * x * s_i, and ``table`` is a read-only
-view built on demand.  ``MAX_ORDER`` bounds every constructor, and
-``MAX_TABLE_ORDER`` only that view.
+and ``table`` is a read-only view built on demand.  ``MAX_ORDER`` bounds every
+constructor, and ``MAX_TABLE_ORDER`` only that view.
 
 The steps are the constructor's generators and their repeated squares g, g^2,
-g^4, ..., so the tree stays shallow even along a long cycle.  A direct or
-semidirect product composes its factors' columns and trees, and a quotient is
-the group of the steps' columns on cosets.  Groups closed from permutations
-keep their breadth-first discovery order, so every downstream ordering is
-reproducible.  Associativity, the semidirect laws and the content hash are
-found on a greedy generating set of at most log2(n) + 1 elements, so only the
-validation of a table from outside reads all n^2 of its entries.
+g^4, ..., so the tree stays shallow even along a long cycle; they only drive
+the tree.  Every structural question reads one greedy generating set of at
+most log2(n) + 1 elements: the content hash, Light's associativity test, the
+semidirect laws, the classes (orbits of x -> g^-1*x*g) and quotients (its
+columns on cosets), so only the validation of a table from outside reads all
+n^2 entries.  Products compose their factors' columns and trees, and closures
+from permutations keep their breadth-first discovery order, so every
+downstream ordering is reproducible.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ __all__ = [
     "quotient_group",
 ]
 
-# The most elements a group may have.  A closure holds one bytes key per element until its columns
-# and tree are built: S9 (362 880 elements of degree 9) builds in about 1 s at a peak RSS of about
-# 150 MiB on a 2-vCPU x86-64 VM, about 0.35 KiB per element, so a group at the cap needs about 350 MB.
+# The most elements a group may have.  Near the cap, building and classing AGL(1, 997) (993 012
+# elements) peaks at about 900 MiB RSS, most of it the greedy generating set's closure for the hash,
+# and takes about 2.5 s on a 2-vCPU x86-64 VM; S9 (362 880 elements) builds in about 1 s at 150 MiB.
 MAX_ORDER = 1_000_000
 # The most entries n*k of a group's k x n pair index (``characters._pair_classes``), checked once
 # the k classes are known and before the index is allocated.  The index and the class combination
@@ -227,7 +227,7 @@ class FiniteGroup:
     @cached_property
     def _greedy(self) -> tuple[np.ndarray, np.ndarray]:
         """The greedy generators of ``_generating_set`` (read-only int64) and their columns, one per row."""
-        found = [(g, powers[0]) for g, powers in _generating_set(self._column, self.order, self.identity)]
+        found = list(_generating_set(self._column, self.order, self.identity))
         generators = np.array([g for g, _ in found], dtype=np.int64)
         columns = np.array([column for _, column in found], dtype=np.int64).reshape(len(found), self.order)
         return _read_only(generators), columns
@@ -238,18 +238,14 @@ class FiniteGroup:
         return self._greedy[0]
 
     @cached_property
-    def _step_inverse_rows(self) -> np.ndarray:
-        """Row i is ``table[s_i^-1]``, where s_i^-1 is the x with x*s_i = e."""
-        return np.ascontiguousarray(self.rows(np.argmax(self.columns == self.identity, axis=1)))
-
-    @cached_property
     def inverses(self) -> np.ndarray:
         """x^-1 = s_i^-1 * w^-1 for each tree edge x = w*s_i, one level at a time; read-only int64."""
-        flat = self._step_inverse_rows.ravel()
+        left = self.rows(np.argmax(self.columns == self.identity, axis=1)).T  # left[x, i] = s_i^-1 * x
+        step = self.tree[1]
         inverse = np.empty(self.order, dtype=np.int64)
         inverse[self.identity] = self.identity
-        for x, w, offsets in self._levels:
-            inverse[x] = flat[offsets + inverse[w]]
+        for x, w, _ in self._levels:
+            inverse[x] = left[inverse[w], step[x]]
         return _read_only(inverse)
 
     @property
@@ -282,11 +278,21 @@ class FiniteGroup:
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
 
-def _generating_set(
-    column: Callable[[int], np.ndarray], n: int, identity: int
-) -> Iterator[tuple[int, list[np.ndarray]]]:
+def _powers(column: np.ndarray, identity: int, seen: set[int]) -> list[np.ndarray]:
+    """The columns of g, g^2, g^4, ... from the column of g, up to the first power in ``seen`` and at
+    most bit_length(n) of them, so a cycle of length L is crossed in about log2(L) of them, not L.
+    Each power taken joins ``seen``."""
+    powers, s = [], int(column[identity])
+    while s not in seen and len(powers) < column.size.bit_length():
+        seen.add(s)
+        powers.append(powers[-1][powers[-1]] if powers else column)
+        s = int(powers[-1][s])  # s*s, the next square
+    return powers
+
+
+def _generating_set(column: Callable[[int], np.ndarray], n: int, identity: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield greedy generators g, each the least element outside the subgroup the earlier ones
-    generate, with the columns of g, g^2, g^4, ... (``column(g)`` is ``table[:, g]``).
+    generate, with ``column(g)``, which is ``table[:, g]``.
 
     That subgroup at least doubles with each one, so there are at most log2(n) + 1.  A generator is
     closed in (breadth first) only when the caller resumes, so a caller may check it first.
@@ -295,13 +301,8 @@ def _generating_set(
     steps = np.empty((0, n), dtype=np.int64)
     while not inside.all():
         g = int(np.argmin(inside))
-        # g, g^2, g^4, ...: a cycle of length L is closed in about log2(L) rounds, not L.
-        powers, elements = [np.asarray(column(g))], [g]
-        while len(powers) < n.bit_length() and int(powers[-1][elements[-1]]) not in (identity, *elements):
-            elements.append(int(powers[-1][elements[-1]]))
-            powers.append(powers[-1][powers[-1]])
-        yield g, powers
-        new = np.array(powers)
+        yield g, (g_column := np.asarray(column(g)))
+        new = np.array(_powers(g_column, identity, {identity}))
         steps = np.concatenate([steps, new])  # the old steps keep the old subgroup
         frontier, step = np.flatnonzero(inside), new
         while frontier.size:
@@ -335,21 +336,14 @@ def _spanning_tree(columns: np.ndarray, identity: int) -> np.ndarray:
 def _from_columns(label: str, identity: int, generators: np.ndarray) -> FiniteGroup:
     """The group generated by the right-multiplication columns ``generators`` (one per row).
 
-    Each generator's repeated squares g, g^2, g^4, ... (at most bit_length(n)
-    of them, up to the first repeated element) join it as steps, so the
-    breadth-first tree over the steps has depth about log2 of a cycle's
-    length, not the length.
+    The steps are each generator's ``_powers`` g, g^2, g^4, ..., up to the
+    first element an earlier step already is, so the breadth-first tree over
+    them has depth about log2 of a cycle's length, not the length.  They only
+    drive the tree; the group's structure is read from its greedy generators.
     """
     n = generators.shape[1]
-    steps, seen = [], {identity}
-    for column in generators:
-        for _ in range(n.bit_length()):
-            s = int(column[identity])
-            if s in seen:
-                break
-            seen.add(s)
-            steps.append(column)
-            column = column[column]
+    seen = {identity}
+    steps = [power for column in generators for power in _powers(column, identity, seen)]
     columns = np.array(steps, dtype=np.int64).reshape(len(steps), n)
     return FiniteGroup(label, identity, columns, _spanning_tree(columns, identity))
 
@@ -633,8 +627,13 @@ def _orbit_minima(maps: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def _conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
-    """Classes are the orbits of x -> s^-1*x*s for the steps s, which generate the group, numbered by least element."""
-    conjugations = [column[row] for column, row in zip(group.columns, group._step_inverse_rows)]
+    """Classes are the orbits of x -> g^-1*x*g for the greedy generators g, numbered by least element.
+
+    The map is g's column gathered at the row of g^-1, and the rows of all the
+    inverses come from one ``rows`` pass.
+    """
+    generators, columns = group._greedy
+    conjugations = [column[row] for column, row in zip(columns, group.rows(group.inverses[generators]))]
     reps, class_of = np.unique(_orbit_minima(conjugations, group.order), return_inverse=True)
     class_of = class_of.astype(np.int64, copy=False)
     if np.any(group.order % np.bincount(class_of)):
@@ -709,8 +708,8 @@ def quotient_group(group: FiniteGroup, subgroup: Iterable[int]) -> Quotient:
     N is normal when it is a union of conjugacy classes.  Each coset Nx = xN
     is named by its least element, found with the subgroup check from the
     rows of N's elements, and the cosets are numbered in the order of those
-    elements.  The quotient is the group of the steps' columns on cosets,
-    xN*s = (x*s)N.
+    elements.  The quotient is the group of the greedy generators' columns on
+    cosets, xN*g = (x*g)N.
 
     Raises ValidationError if an index is outside 0..n-1, if the indices are
     not a subgroup, or, naming a violating conjugation, if the subgroup is
@@ -743,5 +742,5 @@ def quotient_group(group: FiniteGroup, subgroup: Iterable[int]) -> Quotient:
         raise ValidationError(f"not normal: conjugating {a} by {g} gives {b}, which is outside the subgroup")
 
     reps, coset_of = np.unique(least, return_inverse=True)
-    quo = _from_columns(f"{group.label}/N{nset.size}", coset_of[group.identity], coset_of[group.columns[:, reps]])
+    quo = _from_columns(f"{group.label}/N{nset.size}", coset_of[group.identity], coset_of[group._greedy[1][:, reps]])
     return Quotient(group=quo, projection=coset_of, subgroup=nset)

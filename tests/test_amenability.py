@@ -91,6 +91,14 @@ def test_am_s3():
     assert am.rational == Fraction(7, 3)
 
 
+def test_am_takes_no_diagonal_from_another_table():
+    # The diagonal has one correct value, the table's own: a Z3 diagonal gave S3 the value 7/6.
+    s3, z3 = character_table(symmetric(3)), character_table(cyclic(3))
+    with pytest.raises(TypeError):
+        amenability_constant(s3, diagonal(z3))
+    assert amenability_constant(s3).rational == Fraction(7, 3)
+
+
 def test_s3_diagonal_frozen_coefficients():
     t = character_table(symmetric(3))
     c = diagonal(t).matrix

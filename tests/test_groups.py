@@ -314,8 +314,9 @@ def relabelled_s3():
      lambda: cyclic(300),
      lambda: cyclic(2000),
      lambda: direct_product(dihedral(10), cyclic(16)),
+     lambda: affine(13),
      relabelled_s3],
-    ids=[*zoo_names(), "Z300", "Z2000", "D10xZ16", "S3-e4"],
+    ids=[*zoo_names(), "Z300", "Z2000", "D10xZ16", "AGL(1,13)", "S3-e4"],
 )
 def test_conjugacy_structure_matches_the_loop_oracle(make_group):
     g = make_group()
@@ -763,6 +764,24 @@ def test_agl_1_211_builds_with_211_classes_within_a_second():
     assert g.order == 44310 and cs.num_classes == 211
     assert sorted(cs.sizes.tolist()) == [1, 210] + [211] * 209
     assert elapsed < 1.0, f"AGL(1,211) took {elapsed:.2f} s"
+
+
+def test_classes_and_quotients_read_the_greedy_generators_only(monkeypatch):
+    # AGL(1, 211) has 16 steps (the two factors' generators and their repeated squares), but
+    # conjugating by its greedy generators alone gives the classes, and their coset images the
+    # quotient by the translations Z211.
+    g = affine(211)
+    maps, quotient_rows = [], []
+    orbit_minima, from_columns = groups._orbit_minima, groups._from_columns
+    monkeypatch.setattr(groups, "_orbit_minima", lambda m, n: maps.append(len(m)) or orbit_minima(m, n))
+    monkeypatch.setattr(
+        groups, "_from_columns", lambda label, e, gens: quotient_rows.append(len(gens)) or from_columns(label, e, gens)
+    )
+    assert conjugacy_structure(g).num_classes == 211
+    assert maps == [len(g.generators)] and len(g.generators) < g.columns.shape[0]
+    quo = quotient_group(g, np.arange(211) * 210)
+    assert quotient_rows == [len(g.generators)]
+    assert quo.group.order == 210 and np.array_equal(quo.projection, np.tile(np.arange(210), 211))
 
 
 def test_a_semidirect_product_by_a_non_cyclic_group_matches_the_loop_oracle():
