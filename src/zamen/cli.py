@@ -10,7 +10,9 @@ Commands:
 - ``zamen hypergroup run SPEC.json``: run a quadrature experiment and emit
   CSV rows (or JSON with --json).
 - ``zamen verify tz2``: exact identity-measure verification on the
-  infinite group T semidirect Z2.
+  infinite group T semidirect Z2; ``--max-mode`` is at most
+  ``tz2.MAX_MODE`` and a ``--cross-weight`` exponent at most
+  ``MAX_CROSS_WEIGHT_EXPONENT`` in magnitude.
 
 GROUP arguments are either names from the built-in zoo (``zamen group
 amconst --zoo`` lists results for all of them) or paths to group spec JSON
@@ -30,6 +32,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -50,7 +53,7 @@ from .specio import (
     sha256_hex,
     stable_json,
 )
-from .tz2 import verify_identity_measure
+from .tz2 import MAX_MODE, verify_identity_measure
 from .zoo import build as zoo_build, zoo_names
 
 CSV_COLUMNS = (
@@ -246,8 +249,17 @@ def _cmd_hypergroup_run(args: argparse.Namespace) -> Output:
     )
 
 
+# Fraction("1e1000000") builds 10**1000000 before it returns, so a cross
+# weight's decimal exponent is bounded before the text is parsed.
+MAX_CROSS_WEIGHT_EXPONENT = 1000
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _cmd_verify_tz2(args: argparse.Namespace) -> Output:
     try:
+        exponent = _EXPONENT.search(args.cross_weight)
+        if exponent and abs(int(exponent[1])) > MAX_CROSS_WEIGHT_EXPONENT:
+            raise ValueError(f"the exponent exceeds {MAX_CROSS_WEIGHT_EXPONENT} in magnitude")
         cross = Fraction(args.cross_weight)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"invalid cross weight {args.cross_weight!r}: {exc}") from exc
@@ -278,13 +290,13 @@ def _cmd_verify_tz2(args: argparse.Namespace) -> Output:
     )
 
 
-def _above(convert, lowest: float, what: str):
-    """An argparse type: ``convert`` the text, then require a finite value above ``lowest``."""
+def _above(convert, lowest: float, what: str, highest: float = math.inf):
+    """An argparse type: ``convert`` the text, then require a finite value in (``lowest``, ``highest``]."""
 
     def parse(text: str):
         try:
             value = convert(text)
-            ok = math.isfinite(value) and value > lowest
+            ok = math.isfinite(value) and lowest < value <= highest
         except (ValueError, OverflowError):
             ok = False
         if not ok:
@@ -295,7 +307,7 @@ def _above(convert, lowest: float, what: str):
 
 
 _tolerance = _above(float, 0, "a positive finite number")
-_mode = _above(int, -1, "a nonnegative integer")
+_mode = _above(int, -1, f"a nonnegative integer at most {MAX_MODE}", MAX_MODE)
 
 
 def _add_common_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -344,11 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subparsers.add_parser("verify", help="exact verifications")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
     tz2 = verify_sub.add_parser("tz2", help="identity measure on T semidirect Z2")
-    tz2.add_argument("--max-mode", type=_mode, default=20, help="highest induced mode")
+    tz2.add_argument("--max-mode", type=_mode, default=20, help=f"highest induced mode (at most {MAX_MODE})")
     tz2.add_argument(
         "--cross-weight",
         default="-2",
-        help="weight of the mixed atom block (a fraction such as -2 or -3/2)",
+        help="weight of the mixed atom block (a fraction such as -2 or 3/7; write --cross-weight=-3/2)",
     )
     _add_common_output_flags(tz2)
     tz2.set_defaults(handler=_cmd_verify_tz2)

@@ -13,6 +13,7 @@ import pytest
 from zamen.cli import CSV_COLUMNS, main
 from zamen.groups import cyclic, dihedral, quaternion_group
 from zamen.specio import stable_json
+from zamen.tz2 import MAX_MODE
 
 
 def run_cli(*argv):
@@ -486,6 +487,23 @@ class TestVerifyTz2:
         assert run_cli("verify", "tz2", "--cross-weight", "abc") == 2
         assert "invalid cross weight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["1e999999999", "1e1_000_000", "1e-1001", "-3E+5000", "1e" + "9" * 5000])
+    def test_a_cross_weight_exponent_above_the_cap_exits_2_at_once(self, weight, capsys):
+        # Fraction("1e4000000") alone takes seconds; the exponent is refused before parsing.
+        start = time.perf_counter()
+        assert run_cli("verify", "tz2", f"--cross-weight={weight}") == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: invalid cross weight {weight!r}")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "weight, code", [("-2", 0), ("-1", 1), ("3/7", 1), ("0.5", 1), ("-2e0", 0), ("-2e-0", 0), ("1e1000", 1)]
+    )
+    def test_cross_weights_within_the_cap_run(self, weight, code, capsys):
+        assert run_cli("verify", "tz2", "--max-mode", "3", f"--cross-weight={weight}") == code
+        assert ("PASS" if code == 0 else "FAIL") in capsys.readouterr().out
+
 
 class TestManifest:
     KEYS = {"command", "input_hash", "config", "tool_version", "timestamp", "result_summary"}
@@ -580,13 +598,21 @@ class TestParser:
         assert run_cli("group", "amconst", "D8", "--tol", "1e-300", "--cache-dir", str(tmp_path)) == 1
         assert "certification residual" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", ["-1", "abc", "2.5"])
+    @pytest.mark.parametrize("mode", ["-1", "abc", "2.5", str(MAX_MODE + 1), str(10**9)])
     def test_max_mode_must_be_a_nonnegative_integer(self, mode, capsys):
+        # Above the cap the mode is refused before a character is enumerated.
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "tz2", "--max-mode", mode])
+        assert time.perf_counter() - start < 1.0
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "must be a nonnegative integer" in err and "Traceback" not in err
+        assert f"must be a nonnegative integer at most {MAX_MODE}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode, pairs", [("0", 4), ("2", 16)])
+    def test_a_small_max_mode_runs(self, mode, pairs, capsys):
+        assert run_cli("verify", "tz2", "--max-mode", mode) == 0
+        assert f"{pairs} pairs checked, 0 failures" in capsys.readouterr().out
 
     def test_module_entry_point(self):
         result = subprocess.run(

@@ -8,9 +8,12 @@ pairs and 1 at matching induced pairs; the sum is the Kronecker delta.
 
 import fractions
 import inspect
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zamen import tz2
 from zamen.tz2 import (
@@ -131,7 +134,7 @@ class TestVerification:
         assert got[("trivial", "trivial")] == 2
         assert got[("trivial", "sign")] == 1
 
-    @pytest.mark.parametrize("cross_weight", [Fraction(-2), Fraction(-1), Fraction(3, 7)])
+    @pytest.mark.parametrize("cross_weight", [Fraction(-2), Fraction(-1), Fraction(3, 7), -1])
     def test_report_matches_pairwise_measure_coefficient(self, cross_weight):
         # The report pairs precomputed Haar legs; measure_coefficient pairs
         # each character pair from scratch.
@@ -143,6 +146,35 @@ class TestVerification:
             if (got := measure_coefficient(chi, rho, cross_weight)) != int(chi == rho)
         )
         assert verify_identity_measure(max_mode=6, cross_weight=cross_weight).failures == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        numerator=st.integers(-(10**6), 10**6),
+        denominator=st.integers(1, 10**6),
+        max_mode=st.integers(0, 8),
+    )
+    def test_integer_path_matches_the_per_pair_oracle(self, numerator, denominator, max_mode):
+        cross_weight = Fraction(numerator, denominator)
+        chars = characters_up_to(max_mode)
+        expected = [
+            (chi.label, rho.label, got, Fraction(int(chi == rho)))
+            for chi in chars
+            for rho in chars
+            if (got := measure_coefficient(chi, rho, cross_weight)) != int(chi == rho)
+        ]
+        report = verify_identity_measure(max_mode=max_mode, cross_weight=cross_weight)
+        assert report.pairs_checked == len(chars) ** 2
+        assert list(report.failures) == expected
+        assert all(type(got) is type(want) is Fraction for _, _, got, want in report.failures)
+
+    def test_a_large_truncation_passes_in_integers(self):
+        # 161 604 pairs; pairing each one in Fractions takes about 5 s, above the bound.
+        start = time.perf_counter()
+        report = verify_identity_measure(max_mode=400)
+        elapsed = time.perf_counter() - start
+        assert report.pairs_checked == 161_604
+        assert report.passed
+        assert elapsed < 2.0
 
     def test_results_are_exact_rationals(self):
         chars = characters_up_to(4)
