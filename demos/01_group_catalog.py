@@ -9,7 +9,6 @@ with a 2-dimensional character) and 7/3 (the symmetric group S3).
 from zamen import (
     amenability_constant,
     character_table,
-    conjugacy_structure,
     hilbert_schmidt_lower_bound,
 )
 from zamen.zoo import build, zoo_names
@@ -21,13 +20,12 @@ def main():
     print("-" * len(header))
     for name in zoo_names():
         group = build(name)
-        cs = conjugacy_structure(group)
-        table = character_table(group, cs)
+        table = character_table(group)
         am = amenability_constant(table)
         hs = hilbert_schmidt_lower_bound(table)
         rational = str(am.rational) if am.rational is not None else "-"
         print(
-            f"{name:10s} {group.order:5d} {cs.num_classes:7d} "
+            f"{name:10s} {group.order:5d} {table.num_classes:7d} "
             f"{am.value:12.8f} {rational:>9s} {hs:12.8f}"
         )
     print()

@@ -20,29 +20,28 @@ from zamen import (
     inverse_gelfand,
     verify_diagonal,
 )
-from zamen.groups import conjugacy_structure, symmetric
+from zamen.groups import symmetric
 
 
 def main():
     group = symmetric(4)
-    cs = conjugacy_structure(group)
-    table = character_table(group, cs)
+    table = character_table(group)
     rng = np.random.default_rng(7)
 
-    f = ClassFunction(cs.group_hash, rng.standard_normal(cs.num_classes))
-    g = ClassFunction(cs.group_hash, rng.standard_normal(cs.num_classes))
+    f = ClassFunction(table.group_hash, rng.standard_normal(table.num_classes))
+    g = ClassFunction(table.group_hash, rng.standard_normal(table.num_classes))
 
     spectral = convolve(f, g, table)
     # (f * g)_k = sum_ij a[i, j, k] f_i g_j / |G|, with a counting products x*y = z_k over C_i x C_j.
-    counted = np.einsum("ijk,i,j->k", class_constants(group, cs), f.coeffs, g.coeffs) / group.order
+    counted = np.einsum("ijk,i,j->k", class_constants(group), f.coeffs, g.coeffs) / group.order
     print("S4 convolution, spectral vs counted over class products:")
     print(f"  max difference: {np.abs(spectral.coeffs - counted).max():.2e}")
 
     back = inverse_gelfand(gelfand_transform(f, table), table)
     print(f"  transform roundtrip error: {np.abs(back.coeffs - f.coeffs).max():.2e}")
 
-    dc = diagonal(table)
-    report = verify_diagonal(table, dc)
+    coefficients = diagonal(table)  # the k x k matrix c(C, C')
+    report = verify_diagonal(table, coefficients)
     print(f"  diagonal is a module map + unit: residual {report.max_residual:.2e}")
 
     am = amenability_constant(table)

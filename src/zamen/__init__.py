@@ -12,7 +12,6 @@ verification of an identity measure on T semidirect Z2.
 from .amenability import (
     NONABELIAN_GAP,
     AmenabilityConstant,
-    DiagonalCoefficients,
     amenability_constant,
     diagonal,
     hilbert_schmidt_lower_bound,
@@ -26,7 +25,6 @@ from .central import ClassFunction, convolve, gelfand_transform, inverse_gelfand
 from .characters import (
     CertificationError,
     CharacterTable,
-    DegeneracyError,
     canonical_form,
     character_table,
     class_constants,

@@ -6,11 +6,13 @@ and its amenability constant is the L1(G x G) norm of that element:
     AM(ZL1(G)) = (1/|G|^2) sum_{C,C'} |c(C,C')| |C| |C'|,
     c(C,C') = sum_pi d_pi^2 conj(chi_pi(C)) chi_pi(C').
 
-Note the stored coefficient matrix conjugates the left leg, matching the
-norm formula above.  As a function on G x G the diagonal expands over
-indicator products with coefficients c(Cbar, C') instead (reindex the left
-leg by the class involution); ``verify_diagonal`` works with that function
-view, which is what makes groups with complex characters (already Z6) pass.
+``diagonal`` returns c as a bare k x k matrix; it conjugates the left leg,
+matching the norm formula above.  As a function on G x G the diagonal expands
+over indicator products with coefficients c(Cbar, C') instead (reindex the
+left leg by the class involution); ``verify_diagonal`` works with that
+function view, which is what makes groups with complex characters (already
+Z6) pass.  The diagonal is unique, so any matrix those identities accept is
+it.  The tolerances are module constants.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .characters import CharacterTable, character_table, tensor_table
 from .groups import FiniteGroup, quotient_group
 
 __all__ = [
-    "DiagonalCoefficients",
     "AmenabilityConstant",
     "DiagonalReport",
     "MultiplicativityReport",
@@ -44,17 +45,12 @@ __all__ = [
 # Uniform gap below norms of nontrivial central idempotent measures (Rider's
 # 1/700; not sharp, but uniform over all compact groups).
 NONABELIAN_GAP = 1.0 / 700.0
-
-
-@dataclass(frozen=True)
-class DiagonalCoefficients:
-    """Expansion data of the diagonal over class-indicator pairs.
-
-    ``matrix[C, C']`` is c(C,C') = sum_pi d_pi^2 conj(chi_pi(C)) chi_pi(C').
-    """
-
-    group_hash: str
-    matrix: np.ndarray
+# Absolute tolerance of the rational snap, the diagonal's identities, the gap and the monotonicity check.
+TOL = 1e-9
+# The largest denominator a constant is snapped to.
+SNAP_DENOMINATOR = 64
+# Relative tolerance of AM(G x H) = AM(G) AM(H).
+PRODUCT_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -68,17 +64,17 @@ class AmenabilityConstant:
         return self.value
 
 
-def diagonal(table: CharacterTable) -> DiagonalCoefficients:
-    """Coefficient matrix of the unique diagonal of ZL1(G)."""
+def diagonal(table: CharacterTable) -> np.ndarray:
+    """Coefficient matrix of the unique diagonal of ZL1(G): the k x k array
+    c[C, C'] = sum_pi d_pi^2 conj(chi_pi(C)) chi_pi(C')."""
     weighted = table.values * (table.degrees.astype(np.float64) ** 2)[:, None]
-    matrix = table.values.conj().T @ weighted
-    return DiagonalCoefficients(group_hash=table.group_hash, matrix=matrix)
+    return table.values.conj().T @ weighted
 
 
-def snap_rational(value: float, max_denominator: int = 64, tol: float = 1e-9) -> Fraction | None:
-    """Nearest fraction with denominator <= max_denominator, if within tol."""
-    candidate = Fraction(value).limit_denominator(max_denominator)
-    if abs(float(candidate) - value) <= tol:
+def snap_rational(value: float) -> Fraction | None:
+    """Nearest fraction with denominator <= ``SNAP_DENOMINATOR``, if within ``TOL``."""
+    candidate = Fraction(value).limit_denominator(SNAP_DENOMINATOR)
+    if abs(float(candidate) - value) <= TOL:
         return candidate
     return None
 
@@ -86,7 +82,7 @@ def snap_rational(value: float, max_denominator: int = 64, tol: float = 1e-9) ->
 def amenability_constant(table: CharacterTable) -> AmenabilityConstant:
     """AM(ZL1(G)) evaluated from the character table and its own diagonal."""
     sizes = table.class_sizes.astype(np.float64)
-    total = float(sizes @ np.abs(diagonal(table).matrix) @ sizes)
+    total = float(sizes @ np.abs(diagonal(table)) @ sizes)
     value = total / float(table.order) ** 2
     return AmenabilityConstant(value=value, rational=snap_rational(value))
 
@@ -108,7 +104,6 @@ class DiagonalReport:
     module_residual: float
     unit_residual: float
     failing: tuple[int, ...]
-    tol: float
 
     @property
     def max_residual(self) -> float:
@@ -116,13 +111,11 @@ class DiagonalReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return self.max_residual <= TOL
 
 
-def verify_diagonal(
-    table: CharacterTable, dc: DiagonalCoefficients | None = None, *, tol: float = 1e-9
-) -> DiagonalReport:
-    """Check the two defining properties of the diagonal from its coefficients.
+def verify_diagonal(table: CharacterTable, matrix: np.ndarray | None = None) -> DiagonalReport:
+    """Check the two defining properties of the diagonal on ``matrix``, by default ``diagonal(table)``.
 
     (i) Module property: f.mu = mu.f for every basis character f, where the
         two actions convolve f into the left and right tensor legs.
@@ -143,13 +136,17 @@ def verify_diagonal(
     is (s_p - 1) chi_p.  The cost is two k x k products and k outer
     products, O(k^3).
 
-    Residuals are absolute max differences of class-function values.
+    Residuals are absolute max differences of class-function values.  The
+    diagonal is unique, so a k x k matrix passes exactly when it is, within
+    ``TOL``, this table's diagonal, whichever table it came from; a matrix of
+    another shape raises ValueError.
     """
-    dc = dc or diagonal(table)
-    if dc.group_hash != table.group_hash:
-        raise ValueError("group mismatch: coefficients were built from a different table")
+    k = table.num_classes
+    matrix = diagonal(table) if matrix is None else matrix
+    if matrix.shape != (k, k):
+        raise ValueError(f"expected a {k} x {k} coefficient matrix, got shape {matrix.shape}")
     # mu = sum_{C,C'} matrix[Cbar, C'] 1_C (x) 1_{C'}: the involution undoes the conjugated left leg.
-    c_fun = dc.matrix[table.inverse_class]
+    c_fun = matrix[table.inverse_class]
     values = table.values
     transform = table.gelfand_matrix
     t_c = transform @ c_fun
@@ -160,9 +157,9 @@ def verify_diagonal(
     s = (t_c * transform).sum(axis=1)
     unit = np.abs(s - 1.0) * np.abs(values).max(axis=1)
     unit_residual = max(float(np.abs(s - 1.0).max()), float(unit.max()))
-    failing = np.flatnonzero((module > tol) | (unit > tol))
+    failing = np.flatnonzero((module > TOL) | (unit > TOL))
 
-    return DiagonalReport(float(module.max()), unit_residual, tuple(int(p) for p in failing), tol)
+    return DiagonalReport(float(module.max()), unit_residual, tuple(int(p) for p in failing))
 
 
 @dataclass(frozen=True)
@@ -174,16 +171,14 @@ class MultiplicativityReport:
     passed: bool
 
 
-def product_multiplicativity_check(
-    left: CharacterTable, right: CharacterTable, *, rel_tol: float = 1e-8
-) -> MultiplicativityReport:
+def product_multiplicativity_check(left: CharacterTable, right: CharacterTable) -> MultiplicativityReport:
     """AM(G x H) = AM(G) AM(H), with the product table built as a tensor."""
     am_l = amenability_constant(left).value
     am_r = amenability_constant(right).value
     am_p = amenability_constant(tensor_table(left, right)).value
     rel = abs(am_p - am_l * am_r) / max(1.0, abs(am_l * am_r))
     return MultiplicativityReport(
-        am_left=am_l, am_right=am_r, am_product=am_p, relative_error=rel, passed=rel <= rel_tol
+        am_left=am_l, am_right=am_r, am_product=am_p, relative_error=rel, passed=rel <= PRODUCT_REL_TOL
     )
 
 
@@ -195,15 +190,13 @@ class MonotonicityReport:
     passed: bool
 
 
-def quotient_monotonicity_check(
-    group: FiniteGroup, subgroup, *, tol: float = 1e-9
-) -> MonotonicityReport:
+def quotient_monotonicity_check(group: FiniteGroup, subgroup) -> MonotonicityReport:
     """AM(G) >= AM(G/N): quotients cannot increase the constant."""
     quo = quotient_group(group, subgroup)
     am_g = amenability_constant(character_table(group)).value
     am_q = amenability_constant(character_table(quo.group)).value
     slack = am_g - am_q
-    return MonotonicityReport(am_group=am_g, am_quotient=am_q, slack=slack, passed=slack >= -tol)
+    return MonotonicityReport(am_group=am_g, am_quotient=am_q, slack=slack, passed=slack >= -TOL)
 
 
 @dataclass(frozen=True)
@@ -213,12 +206,12 @@ class GapReport:
     passed: bool
 
 
-def nonabelian_gap_check(table: CharacterTable, *, tol: float = 1e-9) -> GapReport:
+def nonabelian_gap_check(table: CharacterTable) -> GapReport:
     """Abelian groups sit exactly at 1; nonabelian ones at or above 1 + 1/700."""
     am = amenability_constant(table).value
     abelian = bool((table.degrees == 1).all())
     if abelian:
-        passed = abs(am - 1.0) <= tol
+        passed = abs(am - 1.0) <= TOL
     else:
-        passed = am >= 1.0 + NONABELIAN_GAP - tol
+        passed = am >= 1.0 + NONABELIAN_GAP - TOL
     return GapReport(is_abelian=abelian, am=am, passed=passed)

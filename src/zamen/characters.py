@@ -7,10 +7,13 @@ the group algebra, and the characters are the simultaneous eigenvectors of
 its multiplication operators.  After the normalizations applied below, the
 eigenvectors are the columns sqrt(|C|/|G|) * chi_pi(C) of the table.
 
-One random combination of those operators suffices when its spectrum is
-simple.  With conjugation-paired coefficients and a diagonal similarity by
-sqrt(class sizes), the combination is a Hermitian k x k matrix h, so numpy
-eigh gives orthonormal eigenvectors and the recovery stays well conditioned.
+``character_table`` and ``class_constants`` take the group alone and read
+its own cached classes.  One random combination of those operators suffices
+when its spectrum is simple; attempt a draws it from
+``default_rng([SEED, attempt])``.  With conjugation-paired coefficients and a
+diagonal similarity by sqrt(class sizes), the combination is a Hermitian
+k x k matrix h, so numpy eigh gives orthonormal eigenvectors and the recovery
+stays well conditioned.
 h is accumulated straight from the group's multiplication: for each class
 representative z and each element x, the coefficient of x's class lands on
 the class of x^{-1} z, read from the rows of the z^{-1} (``FiniteGroup.rows``)
@@ -34,7 +37,6 @@ import numpy as np
 from .groups import MAX_PAIR_ENTRIES, ConjugacyStructure, FiniteGroup, SizeLimitError, conjugacy_structure
 
 __all__ = [
-    "DegeneracyError",
     "CertificationError",
     "CharacterTable",
     "OrthogonalityReport",
@@ -45,19 +47,19 @@ __all__ = [
     "canonical_form",
 ]
 
-DEFAULT_COLLISION_TOL = 1e-6
 DEFAULT_CERT_TOL = 1e-9
 MAX_RETRIES = 5
+# Attempt a draws its coefficients from default_rng([SEED, attempt]); the canonical row order makes
+# the table independent of the draw.
+SEED = 0
+# An attempt whose eigenvalue gap is below COLLISION_TOL times the spectral diameter is retried.
+COLLISION_TOL = 1e-6
 # The arrays a table is stored as, in the order they are written.
 TABLE_ARRAYS = ("values", "degrees", "class_sizes", "class_reps", "inverse_class")
 
 
-class DegeneracyError(RuntimeError):
-    """Eigenvalues of the random class-algebra combination kept colliding."""
-
-
 class CertificationError(RuntimeError):
-    """A computed table failed its orthogonality certification."""
+    """No attempt gave a table: eigenvalues collided, degrees failed, or certification missed its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class CharacterTable:
 
     ``values[p, j]`` is chi_p on class j.  Rows are sorted by degree and then
     by descending lexicographic order of the (real, imag) value pairs, so the
-    trivial character is always row 0 and recomputation with any seed yields
+    trivial character is always row 0 and recomputation with any ``SEED`` yields
     the same table.  ``inverse_class`` is the class involution C -> C^{-1},
     carried here so consumers can pair a class with its conjugate column
     without access to the group; ``identity_class`` is the column where each
@@ -147,7 +149,7 @@ class OrthogonalityReport:
         return max(self.row_residual, self.column_residual)
 
 
-def _pair_classes(group: FiniteGroup, cs: ConjugacyStructure) -> np.ndarray:
+def _pair_classes(group: FiniteGroup) -> np.ndarray:
     """The k x |G| pair index pair[m, x] = class of x^{-1} z_m, z_m the representative of class m.
 
     x^{-1} z_m is the inverse of z_m^{-1} x, so the index is the inverse class
@@ -155,6 +157,7 @@ def _pair_classes(group: FiniteGroup, cs: ConjugacyStructure) -> np.ndarray:
     refuses an index of more than ``MAX_PAIR_ENTRIES`` entries before it is
     allocated.
     """
+    cs = conjugacy_structure(group)
     if group.order * cs.num_classes > MAX_PAIR_ENTRIES:
         raise SizeLimitError(
             f"{group.label!r} has {cs.num_classes} classes of {group.order} elements: its pair index "
@@ -163,7 +166,7 @@ def _pair_classes(group: FiniteGroup, cs: ConjugacyStructure) -> np.ndarray:
     return cs.inverse_class[cs.class_of[group.rows(group.inverses[cs.reps])]]
 
 
-def class_constants(group: FiniteGroup, cs: ConjugacyStructure | None = None) -> np.ndarray:
+def class_constants(group: FiniteGroup) -> np.ndarray:
     """Structure constants a[i, j, k] = #{(x, y) in C_i x C_j : x*y = z_k}.
 
     z_k is the stored representative of class k; the count is independent of
@@ -173,9 +176,9 @@ def class_constants(group: FiniteGroup, cs: ConjugacyStructure | None = None) ->
     memory.  ``character_table`` never forms this tensor; it is the reference
     that ``_class_combination`` is checked against.
     """
-    cs = cs or conjugacy_structure(group)
+    cs = conjugacy_structure(group)
     k = cs.num_classes
-    index = (cs.class_of[None, :] * k + _pair_classes(group, cs)) * k + np.arange(k)[:, None]
+    index = (cs.class_of[None, :] * k + _pair_classes(group)) * k + np.arange(k)[:, None]
     return np.bincount(index.ravel(), minlength=k**3).reshape(k, k, k)
 
 
@@ -194,9 +197,7 @@ def _paired_coefficients(rng: np.random.Generator, inverse_class: np.ndarray) ->
     return c
 
 
-def _class_combination(
-    group: FiniteGroup, cs: ConjugacyStructure
-) -> Callable[[np.ndarray], np.ndarray]:
+def _class_combination(group: FiniteGroup) -> Callable[[np.ndarray], np.ndarray]:
     """c -> sum_i c[i] D^{-1/2} M_i D^{1/2}, without the structure-constant tensor.
 
     (M_i)[j, m] = a[i, j, m] from ``class_constants`` and D = diag(sizes).  An
@@ -204,8 +205,9 @@ def _class_combination(
     x^{-1} z_m, so the pair index of ``_pair_classes`` turns each combination
     into a pair of bincounts (real and imaginary weights): O(k |G|) per call.
     """
+    cs = conjugacy_structure(group)
     k, n = cs.num_classes, group.order
-    index = (_pair_classes(group, cs) * k + np.arange(k)[:, None]).ravel()
+    index = (_pair_classes(group) * k + np.arange(k)[:, None]).ravel()
     root = np.sqrt(cs.sizes.astype(np.float64))
     scale = root[None, :] / root[:, None]
 
@@ -275,41 +277,27 @@ def _check_tolerance(certification_tol: float) -> None:
         raise ValueError(f"certification_tol must be positive and finite, not {certification_tol!r}")
 
 
-def _check_group(group: FiniteGroup, cs: ConjugacyStructure) -> None:
-    """Reject conjugacy data computed from a different group (labels aside)."""
-    if cs.group_hash != group.content_hash:
-        raise ValueError(f"group mismatch: the conjugacy structure given for {group.label!r} is another group's")
-
-
-def character_table(
-    group: FiniteGroup,
-    cs: ConjugacyStructure | None = None,
-    *,
-    seed: int = 0,
-    collision_tol: float = DEFAULT_COLLISION_TOL,
-    certification_tol: float = DEFAULT_CERT_TOL,
-) -> CharacterTable:
-    """Compute the full character table of ``group``.
+def character_table(group: FiniteGroup, *, certification_tol: float = DEFAULT_CERT_TOL) -> CharacterTable:
+    """Compute the full character table of ``group`` on its own conjugacy classes.
 
     Retries with fresh random coefficients when eigenvalues of the sampled
-    combination collide (within ``collision_tol``, scaled by the spectral
-    diameter) or when certification misses ``certification_tol``; after
-    ``MAX_RETRIES`` failures raises DegeneracyError / CertificationError.
-    A ``certification_tol`` that is not positive and finite, or a ``cs``
-    computed from another group, raises ValueError.
+    combination collide (within ``COLLISION_TOL``, scaled by the spectral
+    diameter), when the degrees do not come out as integers, or when
+    certification misses ``certification_tol``; after ``MAX_RETRIES``
+    failures raises CertificationError with the last attempt's reason.  A
+    ``certification_tol`` that is not positive and finite raises ValueError.
     """
     _check_tolerance(certification_tol)
-    cs = cs or conjugacy_structure(group)
-    _check_group(group, cs)
+    cs = conjugacy_structure(group)
     n = group.order
     k = cs.num_classes
     root_sizes = np.sqrt(n / cs.sizes.astype(np.float64))
-    combine = _class_combination(group, cs)
+    combine = _class_combination(group)
 
     e_class = cs.identity_class
-    last_error: Exception | None = None
+    reason = ""
     for attempt in range(MAX_RETRIES):
-        rng = np.random.default_rng([seed, attempt])
+        rng = np.random.default_rng([SEED, attempt])
         c = _paired_coefficients(rng, cs.inverse_class)
         h = combine(c)
         h = (h + h.conj().T) / 2.0  # symmetrize away fp asymmetry
@@ -318,10 +306,8 @@ def character_table(
         if k > 1:
             diameter = float(eigvals[-1] - eigvals[0])
             gap = float(np.diff(eigvals).min())
-            if gap < collision_tol * max(1.0, diameter):
-                last_error = DegeneracyError(
-                    f"eigenvalue gap {gap:.3e} below tolerance on attempt {attempt + 1}"
-                )
+            if gap < COLLISION_TOL * max(1.0, diameter):
+                reason = f"eigenvalue gap {gap:.3e} below tolerance on attempt {attempt + 1}"
                 continue
 
         # Columns of eigvecs are (up to phase) sqrt(|C|/|G|) chi(C); the
@@ -336,9 +322,7 @@ def character_table(
             and not np.any(n % degrees)
             and int((degrees**2).sum()) == n
         ):
-            last_error = CertificationError(
-                f"degree recovery failed on attempt {attempt + 1}"
-            )
+            reason = f"degree recovery failed on attempt {attempt + 1}"
             continue
         degrees = degrees.astype(np.int64)
         eigvecs *= root_sizes[:, None]
@@ -354,15 +338,14 @@ def character_table(
             identity_class=e_class,
         )
         if table.residual > certification_tol:
-            last_error = CertificationError(
+            reason = (
                 f"certification residual {table.residual:.3e} "
                 f"above {certification_tol:.1e} on attempt {attempt + 1}"
             )
             continue
         return table
 
-    assert last_error is not None
-    raise last_error
+    raise CertificationError(reason)
 
 
 def canonical_form(table: CharacterTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

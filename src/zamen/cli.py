@@ -42,7 +42,7 @@ from pathlib import Path
 from . import __version__
 from .amenability import amenability_constant, hilbert_schmidt_lower_bound, nonabelian_gap_check
 from .cache import cached_character_table, resolve_cache_dir
-from .characters import DEFAULT_CERT_TOL, CertificationError, DegeneracyError
+from .characters import DEFAULT_CERT_TOL, CertificationError
 from .groups import FiniteGroup, SizeLimitError, ValidationError, center, conjugacy_structure
 from .hypergroups import run_experiment
 from .specio import (
@@ -151,10 +151,7 @@ def _cmd_group_info(args: argparse.Namespace) -> Output:
 
 def _cmd_group_chartable(args: argparse.Namespace) -> Output:
     group = _resolve_group(args.group)
-    cs = conjugacy_structure(group)
-    table, from_cache = cached_character_table(
-        group, cs, cache_dir=args.cache_dir, certification_tol=args.tol
-    )
+    table, from_cache = cached_character_table(group, cache_dir=args.cache_dir, certification_tol=args.tol)
     lines = [
         f"{group.label}: {table.num_classes} irreducible characters"
         + (" (cached)" if from_cache else ""),
@@ -360,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     tz2.add_argument(
         "--cross-weight",
         default="-2",
-        help="weight of the mixed atom block (a fraction such as -2 or 3/7; write --cross-weight=-3/2)",
+        help="weight of the mixed atom block (a fraction such as -2, 3/7 or -3/2)",
     )
     _add_common_output_flags(tz2)
     tz2.set_defaults(handler=_cmd_verify_tz2)
@@ -368,12 +365,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_cross_weight(argv: list[str]) -> list[str]:
+    """``argv`` with ``--cross-weight VALUE`` written as ``--cross-weight=VALUE``.
+
+    argparse takes a value such as -3/2 or -2e0, which is not a plain negative
+    number, for an option; a VALUE that starts with ``--`` is left alone.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] == "--cross-weight" and not token.startswith("--"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_cross_weight(sys.argv[1:] if argv is None else argv))
     try:
         return _write(args, args.handler(args))
-    except (CertificationError, DegeneracyError) as exc:
+    except CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SpecError, ValidationError, SizeLimitError, OSError) as exc:

@@ -7,8 +7,8 @@ x other than the identity hangs off a tree edge x = w*s_i (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, ch. 4).  Left
 multiplication by any y is one pass down the tree, y*x = (y*w)*s_i, from
 y*e = y, so any rows of the Cayley table come from one pass batched over
-them, level by level.  Inverses follow the tree too (x^-1 = s_i^-1 * w^-1),
-and ``table`` is a read-only view built on demand.  ``MAX_ORDER`` bounds every
+them, level by level; ``table`` is a read-only view built from those rows on
+demand.  Inverses follow the tree too (x^-1 = s_i^-1 * w^-1).  ``MAX_ORDER`` bounds every
 constructor, and ``MAX_TABLE_ORDER`` only that view.
 
 The steps are the constructor's generators and their repeated squares g, g^2,
@@ -189,10 +189,9 @@ class FiniteGroup:
     def table(self) -> np.ndarray:
         """The Cayley table ``table[a, b] = a*b``, read-only C-contiguous ``TABLE_DTYPE``.
 
-        It is built on first use, level by level down the tree: row x = w*s_i is
-        row w gathered at row s_i, since x*b = w*(s_i*b), in blocks of about
-        2^22 entries; the rows of the steps come from ``rows``.  SizeLimitError
-        refuses it above ``MAX_TABLE_ORDER`` elements.
+        It is built on first use from ``rows``, in blocks of about 2^20 entries,
+        whose int64 scratch rows stay in cache.  SizeLimitError refuses it above
+        ``MAX_TABLE_ORDER`` elements.
         """
         n = self.order
         if n > MAX_TABLE_ORDER:
@@ -200,16 +199,9 @@ class FiniteGroup:
                 f"the Cayley table of {self.label!r} has {n}^2 entries, above the cap of {MAX_TABLE_ORDER}^2"
             )
         table = np.empty((n, n), dtype=TABLE_DTYPE)
-        table[self.identity] = np.arange(n)
-        step_rows = self.rows(self.columns[:, self.identity])
-        block = max(1, (1 << 22) // n)
-        for x, w, offsets in self._levels:
-            step = offsets // n
-            for i in np.unique(step):
-                edges = np.flatnonzero(step == i)
-                for start in range(0, edges.size, block):
-                    at = edges[start : start + block]
-                    table[x[at]] = np.take(table[w[at]], step_rows[i], axis=1)
+        block = max(1, (1 << 20) // n)
+        for start in range(0, n, block):
+            table[start : start + block] = self.rows(np.arange(start, min(start + block, n)))
         return _read_only(table)
 
     def _column(self, g: int) -> np.ndarray:

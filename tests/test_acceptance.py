@@ -56,7 +56,7 @@ _TABLES = {}
 def table_for(name: str):
     if name not in _TABLES:
         group = build(name)
-        _TABLES[name] = character_table(group, conjugacy_structure(group))
+        _TABLES[name] = character_table(group)
     return _TABLES[name]
 
 
@@ -128,7 +128,7 @@ def test_criterion_04_diagonal_verification():
     worst = 0.0
     for name in zoo_names():
         table = table_for(name)
-        report = verify_diagonal(table, diagonal(table), tol=1e-9)
+        report = verify_diagonal(table, diagonal(table))
         assert report.passed, (name, report)
         worst = max(worst, report.max_residual)
     clock.done(4, f"diagonal verified on all {len(zoo_names())} groups, worst residual {worst:.1e}")

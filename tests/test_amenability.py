@@ -14,6 +14,7 @@ tables with plain Python loops, independently of the package's linear algebra:
 
 from __future__ import annotations
 
+import inspect
 import time
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from oracles import indicator, special_linear
+import zamen
 from zamen.amenability import (
     NONABELIAN_GAP,
     amenability_constant,
@@ -101,7 +103,7 @@ def test_am_takes_no_diagonal_from_another_table():
 
 def test_s3_diagonal_frozen_coefficients():
     t = character_table(symmetric(3))
-    c = diagonal(t).matrix
+    c = diagonal(t)
     assert np.abs(c.imag).max() < 1e-10
     c = c.real
     # Classes in order e, transpositions, 3-cycles.
@@ -119,7 +121,7 @@ def test_d4_q8_constants_and_diagonal():
         am = amenability_constant(t)
         assert am.value == pytest.approx(7.0 / 4.0, abs=1e-10)
         assert am.rational == Fraction(7, 4)
-        c = diagonal(t).matrix
+        c = diagonal(t)
         diag = sorted(np.round(np.diag(c).real, 8).tolist(), reverse=True)
         assert diag == [20, 20, 4, 4, 4]
         off = c.copy()
@@ -139,7 +141,7 @@ def test_abelian_zoo_is_exactly_one():
 
 def test_hermitian_symmetry_of_diagonal_matrix():
     for name in ("S3", "Z6", "S4", "Q8", "Z12"):
-        c = diagonal(character_table(build(name))).matrix
+        c = diagonal(character_table(build(name)))
         assert np.abs(c - c.conj().T).max() < 1e-9
         d4 = (character_table(build(name)).degrees.astype(float) ** 4).sum()
         assert c[0, 0].real == pytest.approx(d4, abs=1e-8)
@@ -156,22 +158,40 @@ def test_verify_diagonal_passes():
 def test_verify_diagonal_detects_perturbation():
     for name in ("S3", "D4"):
         t = character_table(build(name))
-        dc = diagonal(t)
+        c = diagonal(t)
         for entry in ((0, 0), (0, 1), (1, 1)):
-            bad = dc.matrix.copy()
+            bad = c.copy()
             bad[entry] += 0.01
-            report = verify_diagonal(
-                t,
-                type(dc)(group_hash=dc.group_hash, matrix=bad),
-            )
+            report = verify_diagonal(t, bad)
             assert not report.passed, (name, entry)
             assert report.max_residual >= 1e-3, (name, entry, report.max_residual)
 
 
-def loop_verify_diagonal(table, dc, tol=1e-9):
+@pytest.mark.parametrize(
+    "name, source, passes",
+    [("Z4", "Z2xZ2", True), ("D4", "Q8", False), ("D5", "Z4", False)],
+    ids=["Z4 given Z2xZ2", "D4 given Q8", "D5 given Z4"],
+)
+def test_any_matrix_that_verifies_is_the_unique_diagonal(name, source, passes):
+    # The identities alone decide: Z2xZ2's matrix is 4 I, which is Z4's diagonal too, while Q8's
+    # matrix orders its classes unlike D4's and misses at residual 6.
+    table = character_table(build(name))
+    report = verify_diagonal(table, diagonal(character_table(build(source))))
+    assert report.passed is passes, report
+    if not passes:
+        assert report.max_residual >= 1.0 and report.failing, report
+
+
+def test_a_matrix_of_another_shape_is_refused():
+    table = character_table(build("S3"))
+    with pytest.raises(ValueError, match="expected a 3 x 3 coefficient matrix"):
+        verify_diagonal(table, np.eye(4, dtype=np.complex128))
+
+
+def loop_verify_diagonal(table, matrix, tol=1e-9):
     """verify_diagonal by O(k^2) spectral convolutions per check (the oracle), O(k^5) in all."""
     k = table.num_classes
-    c_fun = dc.matrix[table.inverse_class]
+    c_fun = matrix[table.inverse_class]
     failing = []
     module_residual = 0.0
     basis = [ClassFunction(table.group_hash, table.values[p].copy()) for p in range(k)]
@@ -199,10 +219,6 @@ def loop_verify_diagonal(table, dc, tol=1e-9):
     return module_residual, unit_residual, tuple(sorted(failing))
 
 
-def corrupted(dc, matrix):
-    return type(dc)(group_hash=dc.group_hash, matrix=matrix)
-
-
 @pytest.mark.parametrize(
     "make_group",
     [lambda: build("Q8"), lambda: build("Z12"), lambda: dihedral(60), lambda: dihedral(120)],
@@ -210,24 +226,24 @@ def corrupted(dc, matrix):
 )
 def test_verify_diagonal_matches_the_loop_oracle(make_group):
     t = character_table(make_group())
-    dc = diagonal(t)
+    c = diagonal(t)
     values = t.values
     k = t.num_classes
     q, r = k - 1, k // 2
     cases = {
         # A clean diagonal passes everywhere.
-        "clean": dc.matrix,
+        "clean": c,
         # Changing one Gelfand coefficient breaks only the unit property at q.
-        "weight": dc.matrix + 1e-3 * np.outer(values[q].conj(), values[q]),
+        "weight": c + 1e-3 * np.outer(values[q].conj(), values[q]),
         # A cross term between q and r breaks only the module property there.
-        "cross": dc.matrix + 1e-3 * np.outer(values[q].conj(), values[r]),
+        "cross": c + 1e-3 * np.outer(values[q].conj(), values[r]),
         # One entry off breaks both properties broadly.
-        "entry": dc.matrix + 1e-2 * (np.arange(k * k).reshape(k, k) == 1),
+        "entry": c + 1e-2 * (np.arange(k * k).reshape(k, k) == 1),
     }
     expected = {"clean": (), "weight": (q,), "cross": tuple(sorted({q, r}))}
     for name, matrix in cases.items():
-        report = verify_diagonal(t, corrupted(dc, matrix))
-        module, unit, failing = loop_verify_diagonal(t, corrupted(dc, matrix))
+        report = verify_diagonal(t, matrix)
+        module, unit, failing = loop_verify_diagonal(t, matrix)
         assert abs(report.module_residual - module) <= 1e-12, name
         assert abs(report.unit_residual - unit) <= 1e-12, name
         assert report.failing == failing, name
@@ -239,15 +255,15 @@ def test_verify_diagonal_of_d500_within_a_second():
     # k = 253: the rank-one form is O(k^3), where the per-class products it replaced were O(k^4).
     t = character_table(dihedral(500))
     assert t.num_classes == 253
-    dc = diagonal(t)
+    c = diagonal(t)
     start = time.perf_counter()
-    report = verify_diagonal(t, dc)
+    report = verify_diagonal(t, c)
     elapsed = time.perf_counter() - start
     assert report.passed and report.failing == (), report
     assert elapsed < 1.0, elapsed
-    bad = dc.matrix.copy()
+    bad = c.copy()
     bad[126, 126] += 1e-2
-    report = verify_diagonal(t, corrupted(dc, bad))
+    report = verify_diagonal(t, bad)
     assert not report.passed and report.failing, report
 
 
@@ -363,6 +379,16 @@ def test_s8_above_the_old_closure_cap_certifies_within_two_seconds():
     assert amenability_constant(table).value == pytest.approx(257262949 / 53760, rel=1e-9)
     assert "table" not in vars(g)
     assert elapsed < 2.0, f"S8 took {elapsed:.2f} s"
+
+
+def test_checks_take_no_tolerance():
+    # The tolerances are the module constants TOL, SNAP_DENOMINATOR and PRODUCT_REL_TOL.
+    assert list(inspect.signature(snap_rational).parameters) == ["value"]
+    assert list(inspect.signature(verify_diagonal).parameters) == ["table", "matrix"]
+    assert list(inspect.signature(nonabelian_gap_check).parameters) == ["table"]
+    assert list(inspect.signature(product_multiplicativity_check).parameters) == ["left", "right"]
+    assert list(inspect.signature(quotient_monotonicity_check).parameters) == ["group", "subgroup"]
+    assert not hasattr(zamen, "DiagonalCoefficients")
 
 
 def test_snap_rational():

@@ -72,7 +72,7 @@ def test_character_convolution_identity():
     # chi_pi * chi_sigma = delta d_pi^{-1} chi_pi under normalized Haar.
     g = symmetric(3)
     cs = conjugacy_structure(g)
-    t = character_table(g, cs)
+    t = character_table(g)
     for p in range(3):
         for q in range(3):
             fp, fq = character_function(t, p), character_function(t, q)
@@ -90,7 +90,7 @@ def test_character_convolution_identity():
 def test_convolution_routes_agree(builder):
     g = builder()
     cs = conjugacy_structure(g)
-    t = character_table(g, cs)
+    t = character_table(g)
     rng = np.random.default_rng(11)
     for _ in range(4):
         f = ClassFunction(t.group_hash, rng.standard_normal(cs.num_classes) + 1j * rng.standard_normal(cs.num_classes))
@@ -103,7 +103,7 @@ def test_convolution_routes_agree(builder):
 def test_convolution_is_commutative_on_centre():
     g = symmetric(4)
     cs = conjugacy_structure(g)
-    t = character_table(g, cs)
+    t = character_table(g)
     rng = np.random.default_rng(5)
     f = ClassFunction(t.group_hash, rng.standard_normal(cs.num_classes))
     h = ClassFunction(t.group_hash, rng.standard_normal(cs.num_classes))
@@ -113,7 +113,7 @@ def test_convolution_is_commutative_on_centre():
 def test_gelfand_roundtrip_and_multiplicativity():
     g = dihedral(6)
     cs = conjugacy_structure(g)
-    t = character_table(g, cs)
+    t = character_table(g)
     rng = np.random.default_rng(2)
     f = ClassFunction(t.group_hash, rng.standard_normal(cs.num_classes) + 1j * rng.standard_normal(cs.num_classes))
     h = ClassFunction(t.group_hash, rng.standard_normal(cs.num_classes))
@@ -135,7 +135,7 @@ def test_gelfand_roundtrip_and_multiplicativity():
 def test_convolution_unit():
     g = symmetric(3)
     cs = conjugacy_structure(g)
-    t = character_table(g, cs)
+    t = character_table(g)
     unit = np.zeros(cs.num_classes, dtype=np.complex128)
     unit[cs.class_of[g.identity]] = g.order
     u = ClassFunction(cs.group_hash, unit)
@@ -169,10 +169,10 @@ def test_quotient_pushforward_s3():
     qcs = conjugacy_structure(quo.group)
     # Push the sign character down: constant 1 on A3 cosets -> wait, the sign
     # character is constant on cosets of A3, so it descends exactly.
-    t = character_table(g, cs)
+    t = character_table(g)
     sign = character_function(t, 1)
     pushed = quotient_pushforward(sign, cs, quo, qcs)
-    tq = character_table(quo.group, qcs)
+    tq = character_table(quo.group)
     assert np.abs(np.sort(pushed.coeffs.real) - np.array([-1.0, 1.0])).max() < 1e-10
     # Norm decreases (here: is preserved, sign descends exactly).
     assert l1_norm(pushed, qcs) <= l1_norm(sign, cs) + 1e-12

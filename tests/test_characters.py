@@ -7,15 +7,17 @@ closed-form discrete Fourier characters of cyclic groups.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import zamen
+from zamen import characters
 from zamen.characters import (
     CertificationError,
     CharacterTable,
-    DegeneracyError,
     TABLE_ARRAYS,
     _canonical_row_order,
     _class_combination,
@@ -98,7 +100,7 @@ def brute_class_constants(group, cs):
 def test_class_constants_s3_frozen():
     g = symmetric(3)
     cs = conjugacy_structure(g)
-    a = class_constants(g, cs)
+    a = class_constants(g)
     # Transposition * transposition hitting the identity: 3 pairs.
     assert a[1, 1, 0] == 3
     # Transposition * transposition hitting a fixed 3-cycle: 3 pairs.
@@ -120,14 +122,14 @@ def test_class_constants_s3_frozen():
 def test_class_constants_brute_force(builder):
     g = builder()
     cs = conjugacy_structure(g)
-    assert np.array_equal(class_constants(g, cs), brute_class_constants(g, cs))
+    assert np.array_equal(class_constants(g), brute_class_constants(g, cs))
 
 
 def test_class_constants_row_sums():
     # Summing a[i, j, k] over k weighted by |C_k| counts all of C_i x C_j.
     g = symmetric(4)
     cs = conjugacy_structure(g)
-    a = class_constants(g, cs)
+    a = class_constants(g)
     total = (a * cs.sizes[None, None, :]).sum(axis=2)
     assert np.array_equal(total, np.outer(cs.sizes, cs.sizes))
 
@@ -206,22 +208,24 @@ def test_orthogonality_certification(builder):
     assert np.abs(t.values[:, t.inverse_class] - np.conj(t.values)).max() <= 1e-9
 
 
-def test_seed_independence():
+def test_seed_independence(monkeypatch):
     g = direct_product(cyclic(3), symmetric(3))
-    t0 = character_table(g, seed=0)
-    t1 = character_table(g, seed=12345)
+    t0 = character_table(g)
+    monkeypatch.setattr(characters, "SEED", 12345)
+    t1 = character_table(g)
     assert np.abs(t0.values - t1.values).max() <= 1e-9
     assert t0.degrees.tolist() == t1.degrees.tolist()
 
 
-def test_degeneracy_retry_paths():
+def test_degeneracy_retry_paths(monkeypatch):
     g = symmetric(3)
-    # An absurd collision tolerance forces every attempt to be rejected.
-    with pytest.raises(DegeneracyError):
-        character_table(g, collision_tol=10.0)
     # A tolerance below every attainable residual is never met.
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError, match="certification residual .* on attempt 5"):
         character_table(g, certification_tol=1e-300)
+    # An absurd collision tolerance forces every attempt to be rejected.
+    monkeypatch.setattr(characters, "COLLISION_TOL", 10.0)
+    with pytest.raises(CertificationError, match="eigenvalue gap .* below tolerance on attempt 5"):
+        character_table(g)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
@@ -286,7 +290,7 @@ def test_identity_class_is_carried_into_every_table():
     sigma = np.array([4, 1, 2, 3, 0, 5])
     g = from_cayley_table(sigma[symmetric(3).table[np.ix_(sigma, sigma)]], label="S3-e4")
     cs = conjugacy_structure(g)
-    t = character_table(g, cs)
+    t = character_table(g)
     assert t.identity_class == cs.class_of[g.identity] != 0
     loaded = CharacterTable.from_arrays(cs, {name: getattr(t, name) for name in TABLE_ARRAYS})
     assert loaded.identity_class == t.identity_class
@@ -318,15 +322,27 @@ def test_gelfand_matrix_transforms_class_functions():
     ids=["S3 given Z6", "Z6 given S3"],
 )
 def test_conjugacy_structure_of_another_group_is_rejected(make_group, make_other):
-    with pytest.raises(ValueError, match="group mismatch"):
-        character_table(make_group(), conjugacy_structure(make_other()))
+    # Tables and structure constants read the group's own classes; there is no way to pass others.
+    group, other = make_group(), make_other()
+    for compute in (character_table, class_constants):
+        with pytest.raises(TypeError):
+            compute(group, conjugacy_structure(other))
+    assert np.array_equal(character_table(group).class_sizes, conjugacy_structure(group).sizes)
+
+
+def test_a_table_is_computed_from_the_group_alone():
+    params = inspect.signature(character_table).parameters
+    assert list(params) == ["group", "certification_tol"]
+    assert params["certification_tol"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert list(inspect.signature(class_constants).parameters) == ["group"]
+    assert not hasattr(zamen, "DegeneracyError") and not hasattr(characters, "DegeneracyError")
 
 
 def test_relabelled_copy_shares_its_conjugacy_structure():
     group = symmetric(3)
     copy = from_cayley_table(group.table, label="renamed")
-    assert copy.content_hash == group.content_hash
-    t = character_table(copy, conjugacy_structure(group))
+    assert copy.content_hash == conjugacy_structure(group).group_hash
+    t = character_table(copy)
     assert t.values.tobytes() == character_table(group).values.tobytes()
 
 
@@ -353,7 +369,7 @@ def bump_last(a):
 )
 def test_from_arrays_names_the_array_it_refuses(name, change):
     cs = conjugacy_structure(symmetric(3))
-    table = character_table(symmetric(3), cs)
+    table = character_table(symmetric(3))
     arrays = {key: np.array(getattr(table, key)) for key in TABLE_ARRAYS}
     assert CharacterTable.from_arrays(cs, arrays).residual == table.residual
     arrays[name] = change(arrays[name])
@@ -455,22 +471,21 @@ def test_direct_combination_matches_the_tensor_contraction(make_group):
     cs = conjugacy_structure(g)
     sizes = cs.sizes.astype(np.float64)
     scale = np.sqrt(sizes[None, None, :] / sizes[None, :, None])
-    combine = _class_combination(g, cs)
+    combine = _class_combination(g)
     for attempt in range(2):
         c = _paired_coefficients(np.random.default_rng([3, attempt]), cs.inverse_class)
-        want = np.einsum("i,ijk->jk", c, class_constants(g, cs) * scale)
+        want = np.einsum("i,ijk->jk", c, class_constants(g) * scale)
         assert np.abs(combine(c) - want).max() <= 1e-12
 
 
 def test_a_pair_index_above_the_cap_is_refused_before_it_is_allocated():
     # Z80xZ80 has 6400 classes of one element: 40 960 000 pair entries, above the cap of 2^25.
     g = direct_product(cyclic(80), cyclic(80))
-    cs = conjugacy_structure(g)
-    assert g.order * cs.num_classes > MAX_PAIR_ENTRIES
+    assert g.order * conjugacy_structure(g).num_classes > MAX_PAIR_ENTRIES
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimitError, match="pair index of 40960000 entries is above the cap"):
-            character_table(g, cs)
+            character_table(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,6 +506,24 @@ class TestVerifyTz2:
         assert run_cli("verify", "tz2", "--max-mode", "3", f"--cross-weight={weight}") == code
         assert ("PASS" if code == 0 else "FAIL") in capsys.readouterr().out
 
+    @pytest.mark.parametrize("weight, code", [("-3/2", 1), ("-2e0", 0), ("-1", 1), ("3/7", 1)])
+    def test_a_cross_weight_after_a_space_reads_as_after_an_equals_sign(self, weight, code, capsys):
+        # argparse alone would take -3/2 and -2e0, which are not plain negative numbers, for options.
+        assert run_cli("verify", "tz2", "--cross-weight", weight) == code
+        spaced = capsys.readouterr()
+        assert run_cli("verify", "tz2", f"--cross-weight={weight}") == code
+        assert capsys.readouterr() == spaced and spaced.err == ""
+        if weight == "-3/2":
+            assert "4 failures" in spaced.out and "(trivial, trivial): got 3/2, expected 1" in spaced.out
+
+    @pytest.mark.parametrize("argv", [["--cross-weight", "--json"], ["--cross-weight"]], ids=["before_a_flag", "last"])
+    def test_a_cross_weight_without_a_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "tz2", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --cross-weight: expected one argument" in err and "Traceback" not in err
+
 
 class TestManifest:
     KEYS = {"command", "input_hash", "config", "tool_version", "timestamp", "result_summary"}
@@ -615,10 +635,13 @@ class TestParser:
         assert f"{pairs} pairs checked, 0 failures" in capsys.readouterr().out
 
     def test_module_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         result = subprocess.run(
             [sys.executable, "-m", "zamen.cli", "--version"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert "zamen" in result.stdout

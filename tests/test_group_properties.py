@@ -294,7 +294,7 @@ def test_what_the_columns_and_tree_derive_equals_the_loop_oracles(gens, shape, s
     cs = conjugacy_structure(group)
     class_of, classes, sizes, reps, inverse_class = loop_conjugacy_structure(group)
     assert np.array_equal(cs.class_of, class_of) and np.array_equal(cs.inverse_class, inverse_class)
-    assert np.array_equal(_pair_classes(group, cs), pair_classes_loop(table, inverses, class_of, reps))
+    assert np.array_equal(_pair_classes(group), pair_classes_loop(table, inverses, class_of, reps))
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -316,8 +316,8 @@ def test_building_keying_and_classing_allocates_far_less_than_a_table(make_group
     tracemalloc.start()
     try:
         group = make_group()
-        cs = conjugacy_structure(group)
-        _pair_classes(group, cs)
+        conjugacy_structure(group)
+        _pair_classes(group)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
