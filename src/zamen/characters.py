@@ -86,7 +86,7 @@ class CharacterTable:
 
     @classmethod
     def from_arrays(cls, cs: ConjugacyStructure, arrays: Mapping[str, np.ndarray]) -> CharacterTable:
-        """The table stored as the ``TABLE_ARRAYS`` of ``arrays`` (an open ``np.load`` archive or a dict).
+        """The table stored as the ``TABLE_ARRAYS`` of ``arrays``, a mapping.
 
         The class arrays must equal ``cs``'s, ``values`` must be complex128 of
         shape (k, k), and ``degrees`` int64 of shape (k,) with every entry at

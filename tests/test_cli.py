@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zamen import cache
 from zamen.cli import CSV_COLUMNS, main
 from zamen.groups import cyclic, dihedral, quaternion_group
 from zamen.specio import stable_json
@@ -293,17 +294,15 @@ class TestAmconst:
         # Degrees [2, 1, 1] on S3's rows leave the orthogonality residuals at
         # 1e-15, and read as a hit they gave AM 4.0; the degree residual is 1.
         assert run_cli("group", "amconst", "S3", "--cache-dir", str(tmp_path)) == 0
-        (path,) = tmp_path.glob("*.npz")
-        with np.load(path) as entry:
-            arrays = {name: entry[name] for name in entry.files}
+        (path,) = tmp_path.glob("*.table")
+        arrays = cache._decode(path.read_bytes(), 3)
         assert arrays["degrees"].tolist() == [1, 1, 2]
-        np.savez(path, **{**arrays, "degrees": np.array([2, 1, 1])})
+        path.write_bytes(b"".join(cache._encode(*{**arrays, "degrees": np.array([2, 1, 1])}.values())))
         capsys.readouterr()
         assert run_cli("group", "amconst", "S3", "--json", "--cache-dir", str(tmp_path)) == 0
         (record,) = json.loads(capsys.readouterr().out)["results"]
         assert record["am_rational"] == "7/3"
-        with np.load(path) as entry:
-            assert entry["degrees"].tolist() == [1, 1, 2]
+        assert cache._decode(path.read_bytes(), 3)["degrees"].tolist() == [1, 1, 2]
 
     def test_json_records(self, tmp_path, capsys):
         assert (

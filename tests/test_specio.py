@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -273,14 +274,18 @@ class TestExperimentSpecs:
 ENTRY_ARRAYS = ("values", "degrees", "class_sizes", "class_reps", "inverse_class")
 
 
-def read_entry(path):
-    with np.load(path, allow_pickle=False) as entry:
-        return {name: entry[name] for name in entry.files}
+def entry_path(directory, group):
+    return directory / f"{group.content_hash}.table"
 
 
-def write_entry(path, **arrays):
+def read_entry(path, group):
+    arrays = cache._decode(path.read_bytes(), conjugacy_structure(group).num_classes)
+    return {name: a.copy() for name, a in arrays.items()}
+
+
+def write_entry(path, arrays):
     with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
+        handle.writelines(cache._encode(*arrays.values()))
 
 
 def truncated(path, good):
@@ -291,30 +296,37 @@ def empty(path, good):
     path.write_bytes(b"")
 
 
-def object_member(path, good):
-    write_entry(path, **{**good, "degrees": np.array([1, "one", None], dtype=object)})
+def wrong_magic(path, good):
+    path.write_bytes(cache._MAGIC[:-1] + b"\x02" + path.read_bytes()[8:])  # the next format version
 
 
-def complex64_values(path, good):
-    write_entry(path, **{**good, "values": good["values"].astype(np.complex64)})
+def another_k_length(path, good):
+    k = len(good["degrees"]) + 1
+    data = path.read_bytes()
+    path.write_bytes(data + bytes(16 + 16 * k * k + 32 * k - len(data)))
+
+
+def another_groups_entry(path, good):
+    # Well formed, with a valid checksum, but for S3's 3 classes.
+    write_entry(path, {name: getattr(character_table(symmetric(3)), name) for name in ENTRY_ARRAYS})
 
 
 def zero_degree(path, good):
-    write_entry(path, **{**good, "degrees": np.concatenate([[0], good["degrees"][1:]])})
+    write_entry(path, {**good, "degrees": np.concatenate([[0], good["degrees"][1:]])})
 
 
 def permuted_degrees(path, good):
     # Each row keeps its values: only the degree residual max_p |chi_p(e) - d_p| sees it.
-    write_entry(path, **{**good, "degrees": good["degrees"][::-1].copy()})
+    write_entry(path, {**good, "degrees": good["degrees"][::-1].copy()})
 
 
-def missing_member(path, good):
-    write_entry(path, **{name: a for name, a in good.items() if name != "degrees"})
+def short_payload(path, good):
+    write_entry(path, {name: a for name, a in good.items() if name != "degrees"})
 
 
-def bare_npy(path, good):
+def legacy_npz(path, good):
     with open(path, "wb") as handle:
-        np.save(handle, good["values"])
+        np.savez(handle, **good)
 
 
 class TestCache:
@@ -328,8 +340,13 @@ class TestCache:
 
     @pytest.mark.parametrize(
         "make_group",
-        [lambda: dihedral(60), lambda: direct_product(quaternion_group(), cyclic(40))],
-        ids=["D60", "Q8xZ40"],
+        [
+            lambda: cyclic(1),
+            lambda: dihedral(60),
+            lambda: direct_product(quaternion_group(), cyclic(40)),
+            lambda: cyclic(300),
+        ],
+        ids=["trivial", "D60", "Q8xZ40", "Z300"],
     )
     def test_round_trip_is_bit_exact(self, tmp_path, make_group):
         table, hit = cached_character_table(make_group(), cache_dir=tmp_path)
@@ -346,7 +363,7 @@ class TestCache:
     def test_cache_file_bytes_are_stable(self, tmp_path):
         group = dihedral(4)
         cached_character_table(group, cache_dir=tmp_path)
-        path = tmp_path / f"{group.content_hash}.npz"
+        path = entry_path(tmp_path, group)
         first, stamp = path.read_bytes(), path.stat().st_mtime_ns
         cached_character_table(group, cache_dir=tmp_path)
         assert path.read_bytes() == first and path.stat().st_mtime_ns == stamp
@@ -354,37 +371,47 @@ class TestCache:
     def test_corrupt_entry_is_recomputed(self, tmp_path):
         group = symmetric(3)
         cached_character_table(group, cache_dir=tmp_path)
-        path = tmp_path / f"{group.content_hash}.npz"
+        path = entry_path(tmp_path, group)
         path.write_text("{broken")
         table, hit = cached_character_table(group, cache_dir=tmp_path)
         assert not hit
-        assert read_entry(path)["class_sizes"].sum() == 6
+        assert read_entry(path, group)["class_sizes"].sum() == 6
 
     @pytest.mark.parametrize(
         "damage",
-        [truncated, empty, object_member, complex64_values, zero_degree, permuted_degrees, missing_member, bare_npy],
+        [
+            truncated,
+            empty,
+            wrong_magic,
+            another_k_length,
+            another_groups_entry,
+            zero_degree,
+            permuted_degrees,
+            short_payload,
+            legacy_npz,
+        ],
         ids=lambda damage: damage.__name__,
     )
     def test_damaged_entry_is_recomputed_and_overwritten(self, tmp_path, damage):
         group = dihedral(6)
         table, _ = cached_character_table(group, cache_dir=tmp_path)
-        path = tmp_path / f"{group.content_hash}.npz"
-        good = read_entry(path)
+        path = entry_path(tmp_path, group)
+        good = read_entry(path, group)
         damage(path, good)
         again, hit = cached_character_table(group, cache_dir=tmp_path)
         assert not hit
         assert np.array_equal(again.values, table.values)
-        rewritten = read_entry(path)
+        rewritten = read_entry(path, group)
         assert all(np.array_equal(rewritten[name], good[name]) for name in ENTRY_ARRAYS)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert cached_character_table(group, cache_dir=tmp_path)[1]
 
     def test_entry_with_random_byte_damage_is_never_trusted_or_fatal(self, tmp_path):
-        # Flipped header bytes make zipfile raise NotImplementedError or
-        # RuntimeError (unknown method, encryption flag) besides BadZipFile.
+        # A damaged byte in the magic or the stored checksum fails its own check;
+        # one in the payload fails the CRC-32, even where the residual would pass.
         group = dihedral(6)
         table, _ = cached_character_table(group, cache_dir=tmp_path)
-        path = tmp_path / f"{group.content_hash}.npz"
+        path = entry_path(tmp_path, group)
         data = path.read_bytes()
         rng = np.random.default_rng(7)
         for _ in range(300):
@@ -394,6 +421,21 @@ class TestCache:
             path.write_bytes(bytes(damaged))
             again, _ = cached_character_table(group, cache_dir=tmp_path)
             assert np.array_equal(again.values, table.values) and again.residual <= 1e-9
+
+    def test_checksum_refuses_a_damaged_value_that_the_residual_would_pass(self, tmp_path):
+        group = dihedral(6)
+        table, _ = cached_character_table(group, cache_dir=tmp_path)
+        path = entry_path(tmp_path, group)
+        good = path.read_bytes()
+        damaged = bytearray(good)
+        damaged[16] ^= 0xFF  # the lowest mantissa byte of values[0, 0]
+        values = np.frombuffer(bytes(damaged), "<c16", table.values.size, 16).reshape(table.values.shape)
+        assert not np.array_equal(values, table.values)
+        assert dataclasses.replace(table, values=values).residual <= 1e-9
+        path.write_bytes(bytes(damaged))
+        again, hit = cached_character_table(group, cache_dir=tmp_path)
+        assert not hit and np.array_equal(again.values, table.values)
+        assert path.read_bytes() == good
 
     def test_a_group_given_another_table_is_that_group(self, tmp_path):
         s3 = symmetric(3)
@@ -407,14 +449,19 @@ class TestCache:
         assert not hit
         assert amenability_constant(table).rational == 1
 
-    def test_json_era_entry_is_ignored_and_left_in_place(self, tmp_path):
+    @pytest.mark.parametrize("suffix", [".json", ".npz"])
+    def test_json_era_entry_is_ignored_and_left_in_place(self, tmp_path, suffix):
         group = symmetric(3)
-        legacy = tmp_path / f"{group.content_hash}.json"
-        legacy.write_text(stable_json(character_table_payload(character_table(group))))
+        table = character_table(group)
+        legacy = tmp_path / f"{group.content_hash}{suffix}"
+        if suffix == ".json":
+            legacy.write_text(stable_json(character_table_payload(table)))
+        else:
+            np.savez(legacy, **{name: getattr(table, name) for name in ENTRY_ARRAYS})
         before = legacy.read_bytes()
         _, hit = cached_character_table(group, cache_dir=tmp_path)
         assert not hit
-        assert (tmp_path / f"{group.content_hash}.npz").exists()
+        assert entry_path(tmp_path, group).exists()
         assert legacy.read_bytes() == before
         assert cached_character_table(group, cache_dir=tmp_path)[1]
 
@@ -432,6 +479,8 @@ class TestCache:
             (json, "loads"),
             (json, "dumps"),
             (cache, "character_table"),
+            (np, "load"),
+            (zipfile, "ZipFile"),
         ]:
             monkeypatch.setattr(module, name, refuse)
         loaded, hit = cached_character_table(group, cache_dir=tmp_path)
@@ -450,10 +499,10 @@ class TestCache:
     def test_hit_that_misses_the_tolerance_is_recomputed(self, tmp_path):
         group = dihedral(8)
         cached_character_table(group, cache_dir=tmp_path, certification_tol=1e-2)
-        path = tmp_path / f"{group.content_hash}.npz"
-        arrays = read_entry(path)
+        path = entry_path(tmp_path, group)
+        arrays = read_entry(path, group)
         arrays["values"][-1, 0] += 1e-4  # the stored values now fail 1e-9
-        write_entry(path, **arrays)
+        write_entry(path, arrays)
         _, hit = cached_character_table(group, cache_dir=tmp_path, certification_tol=1e-2)
         assert hit
         table, hit = cached_character_table(group, cache_dir=tmp_path)
@@ -464,13 +513,13 @@ class TestCache:
     def test_entry_with_foreign_inverse_classes_is_recomputed(self, tmp_path, inverse_class):
         group = cyclic(3)
         cached_character_table(group, cache_dir=tmp_path)
-        path = tmp_path / f"{group.content_hash}.npz"
-        good = read_entry(path)
-        write_entry(path, **{**good, "inverse_class": np.array(inverse_class, dtype=np.int64)})
+        path = entry_path(tmp_path, group)
+        good = read_entry(path, group)
+        write_entry(path, {**good, "inverse_class": np.array(inverse_class, dtype=np.int64)})
         table, hit = cached_character_table(group, cache_dir=tmp_path)
         assert not hit
         assert table.inverse_class.tolist() == [0, 2, 1]
-        rewritten = read_entry(path)
+        rewritten = read_entry(path, group)
         assert all(np.array_equal(rewritten[name], good[name]) for name in ENTRY_ARRAYS)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
