@@ -7,65 +7,54 @@ structural properties that constant satisfies (multiplicativity, quotient
 monotonicity, the gap above 1 for nonabelian groups), and runs the two
 companion numerical studies on compact hypergroups plus an exact rational
 verification of an identity measure on T semidirect Z2.
+
+The public names below resolve on first use (PEP 562), so ``import zamen``
+loads no layer and no numpy; ``zamen.cli`` imports the layers a command runs.
 """
 
-from .amenability import (
-    NONABELIAN_GAP,
-    AmenabilityConstant,
-    amenability_constant,
-    diagonal,
-    hilbert_schmidt_lower_bound,
-    nonabelian_gap_check,
-    product_multiplicativity_check,
-    quotient_monotonicity_check,
-    snap_rational,
-    verify_diagonal,
-)
-from .central import ClassFunction, convolve, gelfand_transform, inverse_gelfand
-from .characters import (
-    CertificationError,
-    CharacterTable,
-    canonical_form,
-    character_table,
-    class_constants,
-    tensor_table,
-    verify_orthogonality,
-)
-from .groups import (
-    ConjugacyStructure,
-    FiniteGroup,
-    SizeLimitError,
-    ValidationError,
-    alternating,
-    center,
-    conjugacy_structure,
-    cyclic,
-    dihedral,
-    direct_product,
-    from_cayley_table,
-    from_permutation_generators,
-    parse_permutation,
-    quaternion_group,
-    quotient_group,
-    semidirect_product,
-    symmetric,
-)
-from .hypergroups import (
-    CoefficientScheme,
-    HypergroupModel,
-    QuadratureConfig,
-    bai_norm,
-    character_decay_probe,
-    chebyshev_model,
-    diagonal_norm,
-    dirichlet_scheme,
-    divergence_bound_check,
-    fejer_scheme,
-    fejer_smoothed_scheme,
-    su2_divergence_lower_bound,
-    su2_model,
-)
-from .tz2 import verify_identity_measure
-from .zoo import build, zoo_names
+import importlib
 
+# Each public name and the module that defines it.  The error types come from
+# ``base``, the numpy-free leaf, which the layers that raise them re-export.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "amenability": (
+            "NONABELIAN_GAP AmenabilityConstant amenability_constant diagonal hilbert_schmidt_lower_bound "
+            "nonabelian_gap_check product_multiplicativity_check quotient_monotonicity_check snap_rational "
+            "verify_diagonal"
+        ),
+        "base": "CertificationError SizeLimitError ValidationError",
+        "central": "ClassFunction convolve gelfand_transform inverse_gelfand",
+        "characters": "CharacterTable canonical_form character_table class_constants tensor_table verify_orthogonality",
+        "groups": (
+            "ConjugacyStructure FiniteGroup alternating center conjugacy_structure cyclic dihedral direct_product "
+            "from_cayley_table from_permutation_generators parse_permutation quaternion_group quotient_group "
+            "semidirect_product symmetric"
+        ),
+        "hypergroups": (
+            "CoefficientScheme HypergroupModel QuadratureConfig bai_norm character_decay_probe chebyshev_model "
+            "diagonal_norm dirichlet_scheme divergence_bound_check fejer_scheme fejer_smoothed_scheme "
+            "su2_divergence_lower_bound su2_model"
+        ),
+        "tz2": "verify_identity_measure",
+        "zoo": "build zoo_names",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_EXPORTS})

@@ -26,7 +26,6 @@ Rows and columns are ordered by rounded value keys with ``np.lexsort``;
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,7 +33,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .groups import MAX_PAIR_ENTRIES, ConjugacyStructure, FiniteGroup, SizeLimitError, conjugacy_structure
+from .base import DEFAULT_CERT_TOL, CertificationError, SizeLimitError, sha256_hex
+from .groups import MAX_PAIR_ENTRIES, ConjugacyStructure, FiniteGroup, conjugacy_structure
 
 __all__ = [
     "CertificationError",
@@ -47,7 +47,6 @@ __all__ = [
     "canonical_form",
 ]
 
-DEFAULT_CERT_TOL = 1e-9
 MAX_RETRIES = 5
 # Attempt a draws its coefficients from default_rng([SEED, attempt]); the canonical row order makes
 # the table independent of the draw.
@@ -56,10 +55,6 @@ SEED = 0
 COLLISION_TOL = 1e-6
 # The arrays a table is stored as, in the order they are written.
 TABLE_ARRAYS = ("values", "degrees", "class_sizes", "class_reps", "inverse_class")
-
-
-class CertificationError(RuntimeError):
-    """No attempt gave a table: eigenvalues collided, degrees failed, or certification missed its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -390,7 +385,7 @@ def tensor_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
     order_idx = _canonical_row_order(values, degrees)
     values = values[order_idx]
     degrees = degrees[order_idx]
-    digest = hashlib.sha256(f"tensor:{t1.group_hash}:{t2.group_hash}".encode()).hexdigest()
+    digest = sha256_hex(f"tensor:{t1.group_hash}:{t2.group_hash}")
     return CharacterTable(
         group_hash=digest,
         values=values,

@@ -23,6 +23,9 @@ plain output written with ``--out FILE`` gets it in ``FILE.manifest.json``.
 Exit codes: 0 on success, 1 when a verification or check fails (a
 character table that misses its certification tolerance included), 2 on
 usage, input or size errors, running out of memory included.
+
+Each command imports only the layers it runs: ``verify tz2`` loads no numpy,
+``hypergroup run`` no finite-group layer and ``group`` commands no hypergroups.
 """
 
 from __future__ import annotations
@@ -38,23 +41,22 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .amenability import amenability_constant, hilbert_schmidt_lower_bound, nonabelian_gap_check
-from .cache import cached_character_table, resolve_cache_dir
-from .characters import DEFAULT_CERT_TOL, CertificationError
-from .groups import FiniteGroup, SizeLimitError, ValidationError, center, conjugacy_structure
-from .hypergroups import run_experiment
-from .specio import (
+from .base import (
+    DEFAULT_CERT_TOL,
+    MAX_MODE,
+    CertificationError,
+    SizeLimitError,
     SpecError,
-    character_table_payload,
-    group_from_json,
-    load_experiment_spec,
+    ValidationError,
     sha256_hex,
     stable_json,
 )
-from .tz2 import MAX_MODE, verify_identity_measure
-from .zoo import build as zoo_build, zoo_names
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
 
 CSV_COLUMNS = (
     "model",
@@ -86,13 +88,17 @@ class Output:
 def _resolve_group(token: str) -> FiniteGroup:
     path = Path(token)
     if path.suffix == ".json" or path.exists():
+        from .specio import group_from_json
+
         try:
             text = path.read_text()
         except OSError as exc:
             raise SpecError(f"cannot read group spec {token!r}: {exc}") from exc
         return group_from_json(text)
+    from . import zoo
+
     try:
-        return zoo_build(token)
+        return zoo.build(token)
     except KeyError:
         raise SpecError(
             f"{token!r} is neither a readable JSON file nor a known group name"
@@ -124,6 +130,8 @@ def _write(args: argparse.Namespace, output: Output) -> int:
 
 
 def _cmd_group_info(args: argparse.Namespace) -> Output:
+    from .groups import center, conjugacy_structure
+
     group = _resolve_group(args.group)
     cs = conjugacy_structure(group)
     central = center(group)
@@ -150,6 +158,9 @@ def _cmd_group_info(args: argparse.Namespace) -> Output:
 
 
 def _cmd_group_chartable(args: argparse.Namespace) -> Output:
+    from .cache import cached_character_table, resolve_cache_dir
+    from .specio import character_table_payload
+
     group = _resolve_group(args.group)
     table, from_cache = cached_character_table(group, cache_dir=args.cache_dir, certification_tol=args.tol)
     lines = [
@@ -177,6 +188,9 @@ def _cmd_group_chartable(args: argparse.Namespace) -> Output:
 
 
 def _amconst_record(name: str, group: FiniteGroup, cache_dir: str | None, tol: float):
+    from .amenability import amenability_constant, hilbert_schmidt_lower_bound, nonabelian_gap_check
+    from .cache import cached_character_table
+
     table, _ = cached_character_table(group, cache_dir=cache_dir, certification_tol=tol)
     am = amenability_constant(table)
     gap = nonabelian_gap_check(table)
@@ -196,8 +210,10 @@ def _cmd_group_amconst(args: argparse.Namespace) -> Output:
         raise SpecError("give at least one group, or use --zoo")
     if args.zoo and args.groups:
         raise SpecError("give groups or --zoo, not both")
-    names = list(zoo_names()) if args.zoo else list(args.groups)
-    groups = [zoo_build(n) if args.zoo else _resolve_group(n) for n in names]
+    from . import zoo
+
+    names = list(zoo.zoo_names()) if args.zoo else list(args.groups)
+    groups = [zoo.build(n) if args.zoo else _resolve_group(n) for n in names]
     records = [
         _amconst_record(name, group, args.cache_dir, args.tol) for name, group in zip(names, groups)
     ]
@@ -222,6 +238,9 @@ def _cmd_group_amconst(args: argparse.Namespace) -> Output:
 
 
 def _cmd_hypergroup_run(args: argparse.Namespace) -> Output:
+    from .hypergroups import run_experiment
+    from .specio import load_experiment_spec
+
     try:
         payload = json.loads(Path(args.spec).read_text())
     except OSError as exc:
@@ -260,6 +279,8 @@ def _cmd_verify_tz2(args: argparse.Namespace) -> Output:
         cross = Fraction(args.cross_weight)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"invalid cross weight {args.cross_weight!r}: {exc}") from exc
+    from .tz2 import verify_identity_measure
+
     report = verify_identity_measure(max_mode=args.max_mode, cross_weight=cross)
     doc = {
         "max_mode": report.max_mode,

@@ -32,6 +32,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .base import SizeLimitError, ValidationError
+
 __all__ = [
     "ValidationError",
     "SizeLimitError",
@@ -68,14 +70,6 @@ MAX_TABLE_ORDER = 20_000
 # Columns and Cayley tables are stored with this dtype: half the memory of int64, and indices up
 # to MAX_ORDER fit with room to spare.
 TABLE_DTYPE = np.int32
-
-
-class ValidationError(ValueError):
-    """Raised when input data fails a structural group axiom."""
-
-
-class SizeLimitError(RuntimeError):
-    """Raised when a construction exceeds one of the size caps."""
 
 
 def parse_permutation(spec: Sequence[int] | str, degree: int | None = None) -> np.ndarray:

@@ -36,12 +36,12 @@ once per grid, at its largest level, and each level reads its first n+1.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .base import sha256_hex, stable_json
 
 __all__ = [
     "HypergroupModel",
@@ -226,20 +226,16 @@ def _grid(panels: int, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _config_hash(model: HypergroupModel, scheme_name: str, n: int, quad: QuadratureConfig) -> str:
-    payload = json.dumps(
-        {
-            "model": model.label,
-            "scheme": scheme_name,
-            "n": n,
-            "panels": quad.panels,
-            "nodes_per_panel": quad.nodes_per_panel,
-            "refinement_factor": quad.refinement_factor,
-            "tolerance": float(quad.tolerance),  # 1 and 1.0 are one setting
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    config = {
+        "model": model.label,
+        "scheme": scheme_name,
+        "n": n,
+        "panels": quad.panels,
+        "nodes_per_panel": quad.nodes_per_panel,
+        "refinement_factor": quad.refinement_factor,
+        "tolerance": float(quad.tolerance),  # 1 and 1.0 are one setting
+    }
+    return sha256_hex(stable_json(config))[:16]
 
 
 def haar_mass(model: HypergroupModel, quad: QuadratureConfig | None = None) -> float:
@@ -267,6 +263,18 @@ def orthogonality_residual(
 _STRIP = 64
 
 
+def _kernel_strip(rows: np.ndarray, scaled: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of rows.T @ scaled, from column start on.
+
+    A single row of characters makes the strip an outer product: the same
+    numbers as a matmul of inner dimension 1, which BLAS forms several times
+    slower.
+    """
+    if rows.shape[0] == 1:
+        return np.multiply.outer(rows[0, start:stop], scaled[0, start:])
+    return rows[:, start:stop].T @ scaled[:, start:]
+
+
 def _folded_diagonal(even: np.ndarray, odd: np.ndarray, tensor: np.ndarray, u: np.ndarray) -> float:
     """sum_ij u_i u_j max(|K_e|, |K_o|)_ij for K_e = even.T diag(tensor[0::2]) even, K_o alike.
 
@@ -280,8 +288,8 @@ def _folded_diagonal(even: np.ndarray, odd: np.ndarray, tensor: np.ndarray, u: n
     total = 0.0
     for start in range(0, u.size, _STRIP):
         stop = min(start + _STRIP, u.size)
-        strip = even[:, start:stop].T @ scaled_even[:, start:]
-        odd_strip = odd[:, start:stop].T @ scaled_odd[:, start:]
+        strip = _kernel_strip(even, scaled_even, start, stop)
+        odd_strip = _kernel_strip(odd, scaled_odd, start, stop)
         np.maximum(np.abs(strip, out=strip), np.abs(odd_strip, out=odd_strip), out=strip)
         block = stop - start
         total += float(u[start:stop] @ (strip[:, :block] @ u[start:stop] + strip[:, block:] @ twice[stop:]))

@@ -20,29 +20,25 @@ too.  ``CharacterTable.from_arrays`` checks a loaded document exactly as it
 checks a cache entry.  Exports are stable only for a fixed code version: the
 last decimals of a table good to about 1e-11 move when its floating-point sums
 are reordered.
+
+Each reader imports the layer it builds with when it runs, so validating an
+experiment spec loads no finite-group layer and a group spec no hypergroups.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import fields, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .characters import CharacterTable, _round_array, canonical_form
-from .groups import (
-    ConjugacyStructure,
-    FiniteGroup,
-    direct_product,
-    from_cayley_table,
-    from_permutation_generators,
-    parse_permutation,
-    semidirect_product,
-)
-from .hypergroups import QuadratureConfig, model_by_name, scheme_by_name
+from .base import SpecError, sha256_hex, stable_json
+
+if TYPE_CHECKING:
+    from .characters import CharacterTable
+    from .groups import ConjugacyStructure, FiniteGroup
 
 __all__ = [
     "SpecError",
@@ -69,19 +65,6 @@ MAX_LEVEL_BYTES = 1_600_000_000
 # as their square: at 2**16 points one level takes 3-5 s (n <= 64, one BLAS thread on a
 # 2-vCPU x86-64 VM), and the next doubling would take four times as long.
 MAX_GRID_POINTS = 2**16
-
-
-class SpecError(ValueError):
-    """A JSON document does not satisfy its declared format."""
-
-
-def stable_json(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, no whitespace variance."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def sha256_hex(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _check_header(payload: dict, expected_format: str) -> None:
@@ -112,6 +95,14 @@ def _int_rows(value: Any, what: str) -> list:
 
 
 def _build_group(spec: dict, depth: int = 0) -> FiniteGroup:
+    from .groups import (
+        direct_product,
+        from_cayley_table,
+        from_permutation_generators,
+        parse_permutation,
+        semidirect_product,
+    )
+
     if depth > 8:
         raise SpecError("group spec nesting exceeds depth 8")
     if not isinstance(spec, dict):
@@ -176,6 +167,8 @@ def group_from_json(text: str) -> FiniteGroup:
 
 def _complex_pairs(values: np.ndarray) -> np.ndarray:
     """[real, imag] pairs rounded to 12 decimals, with negative zero made positive."""
+    from .characters import _round_array
+
     values = np.asarray(values)
     pairs = np.stack([_round_array(values.real, 12), _round_array(values.imag, 12)], axis=-1)
     pairs[pairs == 0] = 0.0
@@ -191,6 +184,8 @@ def character_table_payload(table: CharacterTable) -> dict:
     the residual of the exported (rounded) values, the number
     ``load_character_table`` recomputes from the document.
     """
+    from .characters import canonical_form
+
     pairs = _complex_pairs(table.values)
     residual = replace(table, values=pairs.view(np.complex128)[..., 0]).residual
     canon_values, canon_degrees, canon_sizes = canonical_form(table)
@@ -227,6 +222,8 @@ def load_character_table(payload: dict, cs: ConjugacyStructure) -> CharacterTabl
     other document raises SpecError.  The canonical block, ``order`` and
     ``residual`` are ignored: the table computes the last two from its arrays.
     """
+    from .characters import CharacterTable
+
     _check_header(payload, CHARTABLE_FORMAT)
     if payload.get("group_hash") != cs.group_hash:
         raise SpecError("character table document belongs to a different group")
@@ -259,6 +256,8 @@ def load_experiment_spec(payload: dict) -> dict:
     character-row matrix would exceed ``MAX_LEVEL_BYTES`` (1.6 GB), are
     refused before any work starts.
     """
+    from .hypergroups import QuadratureConfig, model_by_name, scheme_by_name
+
     _check_header(payload, EXPERIMENT_FORMAT)
     model = payload.get("model")
     scheme = payload.get("scheme")

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .base import MAX_MODE
+
 __all__ = [
     "MAX_MODE",
     "Character",
@@ -47,9 +49,6 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 CROSS_WEIGHT = Fraction(-2)
-# The highest truncation the CLI accepts: verify_identity_measure(2000), the
-# 4 008 004 pairs of this cap, takes 0.32-0.35 s on a 2-vCPU x86-64 VM.
-MAX_MODE = 2000
 
 
 @dataclass(frozen=True)

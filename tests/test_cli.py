@@ -91,7 +91,7 @@ class TestGroupInfo:
         def exhausted(name):
             raise MemoryError()
 
-        monkeypatch.setattr("zamen.cli.zoo_build", exhausted)
+        monkeypatch.setattr("zamen.zoo.build", exhausted)
         assert run_cli("group", "info", "S3") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory")

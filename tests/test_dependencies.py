@@ -1,6 +1,7 @@
-"""The package imports exactly what pyproject.toml declares, and no more."""
+"""The package imports exactly what pyproject.toml declares, and each command only the layers it runs."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -46,3 +47,58 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip() == "[]"
+
+
+# Runs one command through zamen.cli.main and prints its exit code and every loaded module.
+CLI_PROBE = "import json, sys; from zamen.cli import main; print(json.dumps([main(sys.argv[1:]), sorted(sys.modules)]))"
+
+
+def probe_output(code, *argv, cwd=ROOT):
+    """The last line that ``python -c code argv...`` prints in ``cwd``, with zamen importable from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout.strip().splitlines()[-1]
+
+
+def command_modules(tmp_path, *argv):
+    """The modules loaded by one command, run in ``tmp_path`` so that its cache and output land there."""
+    code, modules = json.loads(probe_output(CLI_PROBE, *argv, "--out", "out", cwd=tmp_path))
+    assert code == 0
+    return set(modules)
+
+
+def test_importing_the_package_loads_no_layer_and_no_numpy():
+    probe = "import sys, zamen; print(sorted(m for m in sys.modules if m.split('.')[0] in ('zamen', 'numpy')))"
+    assert probe_output(probe) == "['zamen']"
+
+
+def test_verify_tz2_loads_no_numpy_and_no_other_layer(tmp_path):
+    modules = command_modules(tmp_path, "verify", "tz2", "--max-mode", "3")
+    assert not any(m.split(".")[0] == "numpy" for m in modules)
+    assert {m for m in modules if m.split(".")[0] == "zamen"} == {"zamen", "zamen.cli", "zamen.base", "zamen.tz2"}
+
+
+@pytest.mark.parametrize(
+    "argv, runs, skips",
+    [
+        (
+            ["hypergroup", "run", str(ROOT / "fixtures" / "chebyshev-fejer.json")],
+            {"hypergroups", "specio"},
+            {"groups", "characters", "cache", "amenability", "central", "zoo"},
+        ),
+        (
+            ["group", "amconst", "S3", str(ROOT / "fixtures" / "q8.json")],
+            {"groups", "characters", "cache", "amenability", "specio", "zoo"},
+            {"hypergroups", "tz2", "central"},
+        ),
+    ],
+    ids=["hypergroup-run", "group-amconst"],
+)
+def test_a_command_loads_the_layers_it_runs_and_no_other(tmp_path, argv, runs, skips):
+    loaded = {m.split(".", 1)[1] for m in command_modules(tmp_path, *argv) if m.startswith("zamen.")}
+    assert runs <= loaded
+    assert not skips & loaded

@@ -18,11 +18,14 @@ Oracles:
   singularities) and cos(k theta) are the closed-form oracles.
 """
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zamen import hypergroups
 from zamen.hypergroups import (
     CoefficientScheme,
     QuadratureConfig,
@@ -44,6 +47,9 @@ from zamen.hypergroups import (
     su2_divergence_lower_bound,
     su2_model,
 )
+from zamen.specio import load_experiment_spec
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def chebyshev_u(k, x):
@@ -333,6 +339,30 @@ class TestParityFold:
         converged = {(r["model"], r["scheme"], r["n"]) for r in benchmark_rows if r["diagonal_converged"]}
         assert converged == {("chebyshev", "fejer", n) for n in BENCHMARK_LEVELS}
 
+    @pytest.mark.parametrize("quad", [QuadratureConfig(), QuadratureConfig(panels=256)], ids=["default", "fine"])
+    @pytest.mark.parametrize("model_name,scheme", STUDIES)
+    def test_one_row_strips_match_the_matmul_form_bit_for_bit(self, model_name, scheme, quad, monkeypatch):
+        # Levels 0-2 have at most one row of characters per parity, and their strips are outer
+        # products; each grid and its refinement give the same numbers as matmuls of inner dimension 1.
+        model = model_by_name(model_name)
+        scheme = scheme_by_name(model, scheme)
+        outer = [diagonal_norm(model, scheme, n, quad) for n in (0, 1, 2)]
+        monkeypatch.setattr(
+            hypergroups, "_kernel_strip", lambda rows, scaled, start, stop: rows[:, start:stop].T @ scaled[:, start:]
+        )
+        assert [diagonal_norm(model, scheme, n, quad) for n in (0, 1, 2)] == outer
+
+    @pytest.mark.parametrize("model_name", ["su2", "chebyshev"])
+    def test_one_row_strip_is_the_matmul_bit_for_bit(self, model_name):
+        model = model_by_name(model_name)
+        points, _ = _grid(512, 16)
+        rows = _character_rows(model, 2, points[: points.size // 2])
+        for row in (rows[0:1], rows[1:2], rows[2:3]):
+            scaled = (1 / 3) * row
+            for start in range(0, row.shape[1], 64):
+                strip = hypergroups._kernel_strip(row, scaled, start, start + 64)
+                assert np.array_equal(strip, row[:, start : start + 64].T @ scaled[:, start:])
+
     @staticmethod
     def peak_bytes(call):
         tracemalloc.start()
@@ -448,6 +478,30 @@ class TestRunExperiment:
         "n": [4, 8],
         "quadrature": {"panels": 32, "nodes_per_panel": 8},
     }
+
+    # The config_hash of every row of the experiment fixtures, frozen before the hash moved onto
+    # the shared stable_json and sha256_hex helpers.
+    FIXTURE_HASHES = {
+        "chebyshev-fejer": [
+            (4, "242f0e8f61e24115"), (8, "076e8c0912080be0"), (16, "7fe7088c75d4db63"), (32, "54068fc02b400c71")
+        ],
+        "chebyshev-fejer-signed": [
+            (4, "dcf737a6f27b9dff"), (8, "074a293ef2a9d4ce"), (16, "01a907961812b87b"), (32, "ef593e9b19e789b1")
+        ],
+        "su2-dirichlet": [
+            (2, "d78f1ef0167dab76"),
+            (4, "6df9a2b521b0ece4"),
+            (8, "d1764e485f7381a7"),
+            (16, "2ced1ecb0532e83e"),
+            (32, "05717873c3f80a09"),
+        ],
+        "su2-fejer-smoothed": [(8, "eeee0cba255da7f0"), (16, "ca4565440a850ab7"), (32, "6a9cc34b1a0562f8")],
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_HASHES))
+    def test_fixture_config_hashes_are_pinned(self, name):
+        spec = load_experiment_spec(json.loads((FIXTURES / f"{name}.json").read_text()))
+        assert [(r["n"], r["config_hash"]) for r in run_experiment(spec)] == self.FIXTURE_HASHES[name]
 
     def test_rows_in_input_order(self):
         rows = run_experiment(self.SPEC)
