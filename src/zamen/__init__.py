@@ -8,8 +8,9 @@ monotonicity, the gap above 1 for nonabelian groups), and runs the two
 companion numerical studies on compact hypergroups plus an exact rational
 verification of an identity measure on T semidirect Z2.
 
-The public names below resolve on first use (PEP 562), so ``import zamen``
-loads no layer and no numpy; ``zamen.cli`` imports the layers a command runs.
+The public names below, and the package's modules, resolve on first use
+(PEP 562), so ``import zamen`` loads no layer and no numpy; ``zamen.cli``
+imports the layers a command runs.
 """
 
 import importlib
@@ -43,11 +44,16 @@ _EXPORTS = {
     for name in names.split()
 }
 
+# The package's modules, each loaded when it is first asked for as ``zamen.<module>``.
+_MODULES = frozenset({*_EXPORTS.values(), "cache", "cli", "specio"})
+
 __all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -57,4 +63,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list:
-    return sorted({*globals(), *_EXPORTS})
+    return sorted({*globals(), *_EXPORTS, *_MODULES})

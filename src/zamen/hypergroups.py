@@ -263,18 +263,6 @@ def orthogonality_residual(
 _STRIP = 64
 
 
-def _kernel_strip(rows: np.ndarray, scaled: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of rows.T @ scaled, from column start on.
-
-    A single row of characters makes the strip an outer product: the same
-    numbers as a matmul of inner dimension 1, which BLAS forms several times
-    slower.
-    """
-    if rows.shape[0] == 1:
-        return np.multiply.outer(rows[0, start:stop], scaled[0, start:])
-    return rows[:, start:stop].T @ scaled[:, start:]
-
-
 def _folded_diagonal(even: np.ndarray, odd: np.ndarray, tensor: np.ndarray, u: np.ndarray) -> float:
     """sum_ij u_i u_j max(|K_e|, |K_o|)_ij for K_e = even.T diag(tensor[0::2]) even, K_o alike.
 
@@ -288,8 +276,8 @@ def _folded_diagonal(even: np.ndarray, odd: np.ndarray, tensor: np.ndarray, u: n
     total = 0.0
     for start in range(0, u.size, _STRIP):
         stop = min(start + _STRIP, u.size)
-        strip = _kernel_strip(even, scaled_even, start, stop)
-        odd_strip = _kernel_strip(odd, scaled_odd, start, stop)
+        strip = even[:, start:stop].T @ scaled_even[:, start:]
+        odd_strip = odd[:, start:stop].T @ scaled_odd[:, start:]
         np.maximum(np.abs(strip, out=strip), np.abs(odd_strip, out=odd_strip), out=strip)
         block = stop - start
         total += float(u[start:stop] @ (strip[:, :block] @ u[start:stop] + strip[:, block:] @ twice[stop:]))

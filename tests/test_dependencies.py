@@ -102,3 +102,13 @@ def test_a_command_loads_the_layers_it_runs_and_no_other(tmp_path, argv, runs, s
     loaded = {m.split(".", 1)[1] for m in command_modules(tmp_path, *argv) if m.startswith("zamen.")}
     assert runs <= loaded
     assert not skips & loaded
+
+
+def test_a_module_asked_for_after_a_bare_import_loads_then_and_not_before():
+    probe = (
+        "import sys, zamen; before = 'zamen.hypergroups' in sys.modules; "
+        "print([before, zamen.hypergroups.run_experiment.__module__, zamen.specio.load_character_table.__module__, "
+        "'zamen.groups' in sys.modules])"
+    )
+    # specio loads the finite-group layers only inside the functions that use them.
+    assert probe_output(probe) == "[False, 'zamen.hypergroups', 'zamen.specio', False]"

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zamen import hypergroups
 from zamen.hypergroups import (
     CoefficientScheme,
     QuadratureConfig,
@@ -338,30 +337,6 @@ class TestParityFold:
         # 15 of the 20 rows are flagged.
         converged = {(r["model"], r["scheme"], r["n"]) for r in benchmark_rows if r["diagonal_converged"]}
         assert converged == {("chebyshev", "fejer", n) for n in BENCHMARK_LEVELS}
-
-    @pytest.mark.parametrize("quad", [QuadratureConfig(), QuadratureConfig(panels=256)], ids=["default", "fine"])
-    @pytest.mark.parametrize("model_name,scheme", STUDIES)
-    def test_one_row_strips_match_the_matmul_form_bit_for_bit(self, model_name, scheme, quad, monkeypatch):
-        # Levels 0-2 have at most one row of characters per parity, and their strips are outer
-        # products; each grid and its refinement give the same numbers as matmuls of inner dimension 1.
-        model = model_by_name(model_name)
-        scheme = scheme_by_name(model, scheme)
-        outer = [diagonal_norm(model, scheme, n, quad) for n in (0, 1, 2)]
-        monkeypatch.setattr(
-            hypergroups, "_kernel_strip", lambda rows, scaled, start, stop: rows[:, start:stop].T @ scaled[:, start:]
-        )
-        assert [diagonal_norm(model, scheme, n, quad) for n in (0, 1, 2)] == outer
-
-    @pytest.mark.parametrize("model_name", ["su2", "chebyshev"])
-    def test_one_row_strip_is_the_matmul_bit_for_bit(self, model_name):
-        model = model_by_name(model_name)
-        points, _ = _grid(512, 16)
-        rows = _character_rows(model, 2, points[: points.size // 2])
-        for row in (rows[0:1], rows[1:2], rows[2:3]):
-            scaled = (1 / 3) * row
-            for start in range(0, row.shape[1], 64):
-                strip = hypergroups._kernel_strip(row, scaled, start, start + 64)
-                assert np.array_equal(strip, row[:, start : start + 64].T @ scaled[:, start:])
 
     @staticmethod
     def peak_bytes(call):

@@ -1,6 +1,7 @@
 """The package's public names resolve on first use to the objects their modules define."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +68,12 @@ def test_error_types_keep_their_bases_and_are_one_object_everywhere():
     assert specio.SpecError is base.SpecError
     assert specio.stable_json is base.stable_json and specio.sha256_hex is base.sha256_hex
     assert tz2.MAX_MODE == base.MAX_MODE
+
+
+def test_every_module_of_the_package_is_an_attribute_of_it():
+    package = Path(zamen.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    assert modules == set(zamen._MODULES)
+    for name in sorted(modules):
+        assert getattr(zamen, name) is importlib.import_module(f"zamen.{name}"), name
+        assert name in dir(zamen)
