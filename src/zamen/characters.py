@@ -9,11 +9,13 @@ eigenvectors are the columns sqrt(|C|/|G|) * chi_pi(C) of the table.
 
 ``character_table`` and ``class_constants`` take the group alone and read
 its own cached classes.  One random combination of those operators suffices
-when its spectrum is simple; attempt a draws it from
-``default_rng([SEED, attempt])``.  With conjugation-paired coefficients and a
-diagonal similarity by sqrt(class sizes), the combination is a Hermitian
-k x k matrix h, so numpy eigh gives orthonormal eigenvectors and the recovery
-stays well conditioned.
+when it separates the characters; attempt a draws it from
+``default_rng([SEED, attempt])``.  Real coefficients equal on C and C^-1,
+with a diagonal similarity by sqrt(class sizes), make the combination a real
+symmetric k x k matrix h that commutes with J: e_C -> e_{C^-1}.  numpy eigh
+solves its even and odd blocks under J in real arithmetic; a conjugate pair
+of characters is (r +- i s)/sqrt 2 for an even and an odd eigenvector r, s of
+one eigenvalue, and the unpaired even eigenvectors are the real characters.
 h is accumulated straight from the group's multiplication: for each class
 representative z and each element x, the coefficient of x's class lands on
 the class of x^{-1} z, read from the rows of the z^{-1} (``FiniteGroup.rows``)
@@ -177,28 +179,13 @@ def class_constants(group: FiniteGroup) -> np.ndarray:
     return np.bincount(index.ravel(), minlength=k**3).reshape(k, k, k)
 
 
-def _paired_coefficients(rng: np.random.Generator, inverse_class: np.ndarray) -> np.ndarray:
-    """Random coefficients with c[ibar] = conj(c[i]), making the combination Hermitian."""
-    k = inverse_class.size
-    c = np.zeros(k, dtype=np.complex128)
-    for i in range(k):
-        j = int(inverse_class[i])
-        if i == j:
-            c[i] = rng.standard_normal()
-        elif i < j:
-            z = rng.standard_normal() + 1j * rng.standard_normal()
-            c[i] = z
-            c[j] = np.conj(z)
-    return c
-
-
 def _class_combination(group: FiniteGroup) -> Callable[[np.ndarray], np.ndarray]:
-    """c -> sum_i c[i] D^{-1/2} M_i D^{1/2}, without the structure-constant tensor.
+    """a -> sum_i a[i] D^{-1/2} M_i D^{1/2}, without the structure-constant tensor.
 
     (M_i)[j, m] = a[i, j, m] from ``class_constants`` and D = diag(sizes).  An
-    element x of class i adds c[i] to entry (j, m) where j is the class of
+    element x of class i adds a[i] to entry (j, m) where j is the class of
     x^{-1} z_m, so the pair index of ``_pair_classes`` turns each combination
-    into a pair of bincounts (real and imaginary weights): O(k |G|) per call.
+    into one bincount: O(k |G|) per call.
     """
     cs = conjugacy_structure(group)
     k, n = cs.num_classes, group.order
@@ -206,13 +193,54 @@ def _class_combination(group: FiniteGroup) -> Callable[[np.ndarray], np.ndarray]
     root = np.sqrt(cs.sizes.astype(np.float64))
     scale = root[None, :] / root[:, None]
 
-    def combine(c: np.ndarray) -> np.ndarray:
-        w = np.broadcast_to(c[cs.class_of], (k, n)).ravel()
-        real = np.bincount(index, weights=w.real, minlength=k * k)
-        imag = np.bincount(index, weights=w.imag, minlength=k * k)
-        return (real + 1j * imag).reshape(k, k) * scale
+    def combine(a: np.ndarray) -> np.ndarray:
+        w = np.broadcast_to(a[cs.class_of], (k, n)).ravel()
+        return np.bincount(index, weights=w, minlength=k * k).reshape(k, k) * scale
 
     return combine
+
+
+def _split_eigenvectors(h: np.ndarray, inverse_class: np.ndarray, attempt: int) -> tuple[np.ndarray | None, str]:
+    """The k unit eigenvectors of the symmetric, J-invariant h as complex columns, or None and why ``attempt`` failed.
+
+    The even block acts on e_C (C = C^-1) and (e_C + e_{C^-1})/sqrt 2 (C < C^-1), the odd one on
+    (e_C - e_{C^-1})/sqrt 2.  Each block's eigenvalues must lie COLLISION_TOL times the even diameter
+    apart, and each odd one within half that of its even partner.  The columns are the even
+    eigenvectors, each paired one made (r + i s)/sqrt 2 with its odd partner s, then their conjugates.
+    """
+    k = h.shape[0]
+    h = (h + h.T) / 2.0  # symmetrize away fp asymmetry
+    classes = np.arange(k)
+    even = (classes <= inverse_class).nonzero()[0]
+    if even.size == k:  # no pairs: the even block is h
+        even_vals, v = np.linalg.eigh(h)
+        odd_vals = even_vals[:0]
+    else:
+        partner = inverse_class[even]
+        pair = partner != even
+        lows, highs, c = even[pair], partner[pair], np.where(pair, 1.0, math.sqrt(0.5))
+        rows = h[even]
+        even_vals, v = np.linalg.eigh((rows[:, even] + rows[:, partner]) * c * c[:, None])
+        odd_vals, w = np.linalg.eigh(h[lows][:, lows] - h[lows][:, highs])
+    if k > 1:
+        tol = COLLISION_TOL * max(1.0, float(even_vals[-1] - even_vals[0]))
+        gap = min((even_vals[1:] - even_vals[:-1]).min(), (odd_vals[1:] - odd_vals[:-1]).min(initial=np.inf))
+        if gap < tol:
+            return None, f"eigenvalue gap {gap:.3e} below tolerance on attempt {attempt + 1}"
+    if even.size == k:
+        return v.astype(np.complex128), ""
+    paired = np.minimum(np.searchsorted(even_vals, odd_vals - tol / 2), even.size - 1)
+    miss = np.abs(even_vals[paired] - odd_vals).max()
+    if miss > tol / 2 or not (paired[1:] > paired[:-1]).all():
+        return None, f"odd eigenvalue {miss:.3e} from its even partner on attempt {attempt + 1}"
+    # In the class basis an even eigenvector is v on a real class and v / sqrt 2 on both classes of a pair.
+    slot = np.searchsorted(even, np.minimum(classes, inverse_class))
+    vectors = np.empty((k, k), dtype=np.complex128)
+    vectors[:, : even.size] = (v * (math.sqrt(0.5) / c)[:, None])[slot]
+    pairs = vectors[:, paired] * math.sqrt(0.5)
+    pairs.imag[lows], pairs.imag[highs] = w * 0.5, w * -0.5
+    vectors[:, paired], vectors[:, even.size :] = pairs, pairs.conj()
+    return vectors, ""
 
 
 def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
@@ -245,25 +273,24 @@ def _round_array(x: np.ndarray, ndigits: int) -> np.ndarray:
     return out
 
 
-def _value_order(primary: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Stable order of items by (primary, -re[., 0], -im[., 0], -re[., 1], ...).
+def _canonical_row_order(values: np.ndarray, primary: np.ndarray) -> np.ndarray:
+    """Stable order of the rows by (primary, -re[., 0], -im[., 0], -re[., 1], ...), parts rounded to 9 digits.
 
-    ``re`` and ``im`` hold one item per row, already rounded; this is the
-    order that sorting tuple keys of those values would give.
+    This is the order that sorting tuple keys of those values would give.  A
+    prefix of the columns that tells every two rows apart already fixes it,
+    so the rows are sorted on the first 8 columns, then 16, 32, ..., until
+    the prefix separates them or is the whole row.
     """
-    keys = np.empty((2 * re.shape[1], re.shape[0]), dtype=np.float64)
-    keys[0::2] = -re.T
-    keys[1::2] = -im.T
-    return np.lexsort((*keys[::-1], primary))
-
-
-def _rounded_keys(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _round_array(values.real, 9), _round_array(values.imag, 9)
-
-
-def _canonical_row_order(values: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Rows by degree, then by descending (real, imag) values rounded to 9 digits."""
-    return _value_order(degrees, *_rounded_keys(values))
+    width = 8
+    while True:
+        keys = -_round_array(np.ascontiguousarray(values[:, :width], dtype=np.complex128).view(np.float64), 9).T
+        order = np.lexsort((*keys[::-1], primary))
+        if width >= values.shape[1]:
+            return order
+        first, second = order[:-1], order[1:]
+        if not ((keys[:, first] == keys[:, second]).all(axis=0) & (primary[first] == primary[second])).any():
+            return order
+        width *= 2
 
 
 def _check_tolerance(certification_tol: float) -> None:
@@ -275,9 +302,11 @@ def _check_tolerance(certification_tol: float) -> None:
 def character_table(group: FiniteGroup, *, certification_tol: float = DEFAULT_CERT_TOL) -> CharacterTable:
     """Compute the full character table of ``group`` on its own conjugacy classes.
 
-    Retries with fresh random coefficients when eigenvalues of the sampled
-    combination collide (within ``COLLISION_TOL``, scaled by the spectral
-    diameter), when the degrees do not come out as integers, or when
+    The sampled combination is solved as two real blocks by
+    ``_split_eigenvectors``.  Retries with fresh random coefficients when
+    eigenvalues of a block collide (within ``COLLISION_TOL``, scaled by the
+    spectral diameter), when an odd eigenvalue has no even partner, when the
+    degrees do not come out as integers, or when
     certification misses ``certification_tol``; after ``MAX_RETRIES``
     failures raises CertificationError with the last attempt's reason.  A
     ``certification_tol`` that is not positive and finite raises ValueError.
@@ -292,18 +321,10 @@ def character_table(group: FiniteGroup, *, certification_tol: float = DEFAULT_CE
     e_class = cs.identity_class
     reason = ""
     for attempt in range(MAX_RETRIES):
-        rng = np.random.default_rng([SEED, attempt])
-        c = _paired_coefficients(rng, cs.inverse_class)
-        h = combine(c)
-        h = (h + h.conj().T) / 2.0  # symmetrize away fp asymmetry
-
-        eigvals, eigvecs = np.linalg.eigh(h)
-        if k > 1:
-            diameter = float(eigvals[-1] - eigvals[0])
-            gap = float(np.diff(eigvals).min())
-            if gap < COLLISION_TOL * max(1.0, diameter):
-                reason = f"eigenvalue gap {gap:.3e} below tolerance on attempt {attempt + 1}"
-                continue
+        z = np.random.default_rng([SEED, attempt]).standard_normal(k)
+        eigvecs, reason = _split_eigenvectors(combine(z + z[cs.inverse_class]), cs.inverse_class, attempt)
+        if eigvecs is None:
+            continue
 
         # Columns of eigvecs are (up to phase) sqrt(|C|/|G|) chi(C); the
         # identity class's entry, made real and positive, is d / sqrt(|G|).
@@ -312,9 +333,9 @@ def character_table(group: FiniteGroup, *, certification_tol: float = DEFAULT_CE
         d = np.sqrt(n) * eigvecs[e_class].real
         degrees = np.rint(d)
         if not (
-            np.all(np.abs(d - degrees) <= 1e-6)
-            and np.all(degrees >= 1)
-            and not np.any(n % degrees)
+            (np.abs(d - degrees) <= 1e-6).all()
+            and (degrees >= 1).all()
+            and not (n % degrees).any()
             and int((degrees**2).sum()) == n
         ):
             reason = f"degree recovery failed on attempt {attempt + 1}"
@@ -354,15 +375,12 @@ def canonical_form(table: CharacterTable) -> tuple[np.ndarray, np.ndarray, np.nd
     with equal character tables, such as the two nonabelian groups of
     order 8, canonicalize to the same value matrix.
     """
-    re, im = _rounded_keys(table.values)
     identity = np.arange(table.num_classes)
     rows, cols = identity, identity
     for _ in range(20):
-        row_step = _value_order(table.degrees[rows], re[np.ix_(rows, cols)], im[np.ix_(rows, cols)])
+        row_step = _canonical_row_order(table.values[np.ix_(rows, cols)], table.degrees[rows])
         rows = rows[row_step]
-        col_step = _value_order(
-            table.class_sizes[cols], re[np.ix_(rows, cols)].T, im[np.ix_(rows, cols)].T
-        )
+        col_step = _canonical_row_order(table.values[np.ix_(rows, cols)].T, table.class_sizes[cols])
         cols = cols[col_step]
         if np.array_equal(row_step, identity) and np.array_equal(col_step, identity):
             break

@@ -32,7 +32,12 @@ with no shortcut that the package itself takes:
 - ``convolve_direct``, ``central_projection`` and ``quotient_pushforward``:
   the elementwise convolution, class averaging and fiber averaging on the
   centre of L1(G), with ``indicator``, ``expand_to_elements`` and ``l1_norm``
-  as their small helpers.
+  as their small helpers;
+- ``paired_coefficients`` and ``hermitian_character_table``: the character
+  table from one complex Hermitian combination of the class operators,
+  c[C^-1] = conj(c[C]), solved by a single complex eigh and put in canonical
+  row order by Python tuple keys; the package solves the real symmetric
+  combination's even and odd blocks instead.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import struct
 import numpy as np
 
 from zamen.central import ClassFunction
+from zamen.characters import COLLISION_TOL, MAX_RETRIES, SEED
 from zamen.groups import ConjugacyStructure, FiniteGroup, Quotient, conjugacy_structure, from_permutation_generators
 
 
@@ -310,3 +316,59 @@ def quotient_pushforward(
         block = coset_values[members]
         assert np.abs(block - block[0]).max() <= 1e-9, "pushforward of a central function is not central"
     return central_projection(coset_values, quotient.group, quotient_cs)
+
+
+def paired_coefficients(rng: np.random.Generator, inverse_class: np.ndarray) -> np.ndarray:
+    """Random coefficients with c[ibar] = conj(c[i]), making the combination Hermitian."""
+    k = inverse_class.size
+    c = np.zeros(k, dtype=np.complex128)
+    for i in range(k):
+        j = int(inverse_class[i])
+        if i == j:
+            c[i] = rng.standard_normal()
+        elif i < j:
+            z = rng.standard_normal() + 1j * rng.standard_normal()
+            c[i] = z
+            c[j] = np.conj(z)
+    return c
+
+
+def hermitian_character_table(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(values, degrees) from the Hermitian combination h = sum_i c[i] D^-1/2 M_i D^1/2, one complex eigh.
+
+    (M_i)[j, m] counts the x in class i with x^-1 z_m in class j, accumulated
+    element by element with ``np.add.at`` (the k^3 structure-constant tensor
+    of Z300 would take 216 MB).  Attempt a draws ``paired_coefficients`` from
+    ``default_rng([SEED, a])`` and is skipped when two eigenvalues lie closer
+    than COLLISION_TOL times the spectral diameter or a degree is not an
+    integer.  Each eigenvector is turned so its identity-class entry is
+    positive, scaled by sqrt(|G|/|C|), and the rows are sorted by degree and
+    then by descending (real, imag) values rounded to 9 digits.
+    """
+    cs = conjugacy_structure(group)
+    n, k = group.order, cs.num_classes
+    sizes = cs.sizes.astype(np.float64)
+    # x^-1 z_m is the inverse of z_m^-1 x, read off the rows of the z_m^-1.
+    classes = cs.class_of[group.inverses[group.rows(group.inverses[cs.reps])]]
+    columns = np.broadcast_to(np.arange(k)[:, None], (k, n))
+    for attempt in range(MAX_RETRIES):
+        c = paired_coefficients(np.random.default_rng([SEED, attempt]), cs.inverse_class)
+        h = np.zeros((k, k), dtype=np.complex128)
+        np.add.at(h, (classes, columns), np.broadcast_to(c[cs.class_of], (k, n)))
+        h *= np.sqrt(sizes[None, :] / sizes[:, None])
+        eigvals, eigvecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+        if k > 1 and np.diff(eigvals).min() < COLLISION_TOL * max(1.0, eigvals[-1] - eigvals[0]):
+            continue
+        pivot = eigvecs[cs.identity_class]
+        eigvecs = eigvecs * (np.conj(pivot) / np.abs(pivot))
+        d = np.sqrt(n) * eigvecs[cs.identity_class].real
+        degrees = np.rint(d).astype(np.int64)
+        if np.abs(d - degrees).max() > 1e-6:
+            continue
+        values = (eigvecs * np.sqrt(n / sizes)[:, None]).T
+        order = sorted(
+            range(k),
+            key=lambda p: (degrees[p], *((-round(v.real, 9), -round(v.imag, 9)) for v in values[p].tolist())),
+        )
+        return values[order], degrees[order]
+    raise AssertionError(f"no attempt of the Hermitian path separated the characters of {group.label!r}")

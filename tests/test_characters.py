@@ -21,7 +21,6 @@ from zamen.characters import (
     TABLE_ARRAYS,
     _canonical_row_order,
     _class_combination,
-    _paired_coefficients,
     _round_array,
     canonical_form,
     character_table,
@@ -38,10 +37,13 @@ from zamen.groups import (
     dihedral,
     direct_product,
     from_cayley_table,
+    from_permutation_generators,
     quaternion_group,
     symmetric,
 )
 from zamen.zoo import build, zoo_names
+
+from oracles import hermitian_character_table
 
 S3_TABLE = np.array(
     [
@@ -395,9 +397,11 @@ def zoo_tables():
     return [character_table(build(name)) for name in zoo_names()]
 
 
-def tied_random_tables(count=200, seed=7):
-    """Small complex matrices with repeated rows and columns and entries at
-    (or one ulp beside) 9-digit half-way points, so sort keys tie often."""
+def tied_random_tables(count=200, seed=7, classes=(1, 9)):
+    """Complex matrices with repeated rows and columns and entries at (or one
+    ulp beside) 9-digit half-way points, so sort keys tie often.  Above 8
+    classes, rows and columns also agree with the first one up to a random
+    place, so ties outlast the first 8, 16 or 32 entries."""
     rng = np.random.default_rng(seed)
     halfway = np.array([0.5e-9, 1.5e-9, -2.5e-9, 0.1234567885, 0.1234567895, -0.7777777775])
     pool = np.concatenate(
@@ -406,10 +410,15 @@ def tied_random_tables(count=200, seed=7):
     )
     tables = []
     for _ in range(count):
-        k = int(rng.integers(1, 9))
+        k = int(rng.integers(*classes))
         values = rng.choice(pool, size=(k, k)) + 1j * rng.choice(pool[:8], size=(k, k))
         values[rng.integers(0, k)] = values[0]
         values[:, rng.integers(0, k)] = values[:, 0]
+        if k > 8:
+            for p, end in enumerate(rng.integers(1, k, size=k)):
+                values[p, :end] = values[0, :end]
+            for q, end in enumerate(rng.integers(1, k, size=k)):
+                values[:end, q] = values[:end, 0]
         tables.append(
             CharacterTable(
                 group_hash="random",
@@ -425,7 +434,7 @@ def tied_random_tables(count=200, seed=7):
 
 
 def test_canonical_orders_match_the_sort_key_oracle():
-    for t in zoo_tables() + tied_random_tables():
+    for t in zoo_tables() + tied_random_tables() + tied_random_tables(40, 8, classes=(9, 41)):
         assert _canonical_row_order(t.values, t.degrees).tolist() == sort_key_row_order(
             t.values, t.degrees
         )
@@ -469,13 +478,19 @@ def test_round_array_is_python_round(ndigits):
 def test_direct_combination_matches_the_tensor_contraction(make_group):
     g = make_group()
     cs = conjugacy_structure(g)
+    inv = cs.inverse_class
     sizes = cs.sizes.astype(np.float64)
     scale = np.sqrt(sizes[None, None, :] / sizes[None, :, None])
     combine = _class_combination(g)
     for attempt in range(2):
-        c = _paired_coefficients(np.random.default_rng([3, attempt]), cs.inverse_class)
-        want = np.einsum("i,ijk->jk", c, class_constants(g) * scale)
-        assert np.abs(combine(c) - want).max() <= 1e-12
+        z = np.random.default_rng([3, attempt]).standard_normal(cs.num_classes)
+        a = z + z[inv]
+        h = combine(a)
+        want = np.einsum("i,ijk->jk", a, class_constants(g) * scale)
+        assert np.abs(h - want).max() <= 1e-12
+        # Coefficients equal on a class and its inverse make h symmetric and J h J = h, J: e_C -> e_{C^-1}.
+        assert np.abs(h - h.T).max() <= 1e-12
+        assert np.abs(h[np.ix_(inv, inv)] - h).max() <= 1e-12
 
 
 def test_a_pair_index_above_the_cap_is_refused_before_it_is_allocated():
@@ -490,3 +505,110 @@ def test_a_pair_index_above_the_cap_is_refused_before_it_is_allocated():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"the refusal allocated {peak} bytes"
+
+
+def frobenius_21():
+    """F21 = <(0 1 ... 6), x -> 2x mod 7>: two conjugate pairs of characters, of degrees 1 and 3."""
+    return from_permutation_generators([[1, 2, 3, 4, 5, 6, 0], [0, 2, 4, 6, 1, 3, 5]], label="F21")
+
+
+ORACLE_GROUPS = {
+    **{name: (lambda name=name: build(name)) for name in zoo_names()},
+    # The benchmark ladders past the zoo, with the factors of their products.
+    "S5": lambda: symmetric(5),
+    "S6": lambda: symmetric(6),
+    "A6": lambda: alternating(6),
+    "A7": lambda: alternating(7),
+    "S7": lambda: symmetric(7),
+    "A5": lambda: alternating(5),
+    "A5xA5": lambda: direct_product(alternating(5), alternating(5)),
+    "S5xS3": lambda: direct_product(symmetric(5), symmetric(3)),
+    "S4xS4": lambda: direct_product(symmetric(4), symmetric(4)),
+    "Z300": lambda: cyclic(300),
+    "Z40": lambda: cyclic(40),
+    "Q8xZ40": lambda: direct_product(quaternion_group(), cyclic(40)),
+    "D10": lambda: dihedral(10),
+    "Z16": lambda: cyclic(16),
+    "D10xZ16": lambda: direct_product(dihedral(10), cyclic(16)),
+    "S3xS3xS3": lambda: direct_product(direct_product(symmetric(3), symmetric(3)), symmetric(3)),
+    "D60": lambda: dihedral(60),
+    "D120": lambda: dihedral(120),
+    "S8": lambda: symmetric(8),
+    "F21": frobenius_21,
+}
+
+
+@pytest.mark.parametrize("make_group", ORACLE_GROUPS.values(), ids=ORACLE_GROUPS.keys())
+def test_tables_match_the_hermitian_oracle(make_group):
+    g = make_group()
+    t = character_table(g)
+    values, degrees = hermitian_character_table(g)
+    # Characters are distinct rows, so equal values row by row also mean the same row order.
+    assert t.degrees.tolist() == degrees.tolist()
+    assert np.abs(t.values - values).max() <= 1e-9
+    assert t.residual <= 1e-9
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The (dtype, shape) of every matrix handed to np.linalg.eigh while the test runs."""
+    calls, eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        calls.append((a.dtype, a.shape))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make_group, pairs",
+    [
+        (lambda: cyclic(1), 0),
+        (lambda: symmetric(3), 0),
+        (quaternion_group, 0),
+        (lambda: symmetric(4), 0),
+        (lambda: cyclic(7), 3),
+        (lambda: cyclic(9), 4),
+        (lambda: direct_product(cyclic(2), cyclic(4)), 2),
+        (lambda: alternating(4), 1),
+        (frobenius_21, 2),
+        (lambda: cyclic(300), 149),
+    ],
+    ids=["trivial", "S3", "Q8", "S4", "Z7", "Z9", "Z2xZ4", "A4", "F21", "Z300"],
+)
+def test_eigh_sees_only_the_real_even_and_odd_blocks(make_group, pairs, eigh_calls):
+    # A real table solves one real k x k block; with pairs, the even block has k - pairs rows and the odd one pairs.
+    t = character_table(make_group())
+    k = t.num_classes
+    assert int((t.inverse_class > np.arange(k)).sum()) == pairs
+    assert [shape for _, shape in eigh_calls] == ([(k, k)] if pairs == 0 else [(k - pairs, k - pairs), (pairs, pairs)])
+    assert all(dtype == np.float64 for dtype, _ in eigh_calls)
+    assert int((np.abs(t.values.imag).max(axis=1) > 1e-9).sum()) == 2 * pairs
+    assert t.residual <= 1e-9
+
+
+def test_an_odd_eigenvalue_without_an_even_partner_fails_every_attempt(monkeypatch):
+    # Z7's odd block is 3 x 3 (its even block 4 x 4); move its spectrum past every even eigenvalue.
+    eigh = np.linalg.eigh
+
+    def shifted(a):
+        vals, vecs = eigh(a)
+        return (vals + 1e3 * (1.0 + np.abs(vals).max()), vecs) if a.shape == (3, 3) else (vals, vecs)
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    with pytest.raises(CertificationError, match="odd eigenvalue .* from its even partner on attempt 5"):
+        character_table(cyclic(7))
+
+
+def test_the_split_keeps_its_temporaries_out_of_certification():
+    g = cyclic(300)
+    conjugacy_structure(g)
+    tracemalloc.start()
+    try:
+        character_table(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 << 20, f"character_table(Z300) peaked at {peak / 2**20:.2f} MiB"
