@@ -6,6 +6,8 @@ and its amenability constant is the L1(G x G) norm of that element:
     AM(ZL1(G)) = (1/|G|^2) sum_{C,C'} |c(C,C')| |C| |C'|,
     c(C,C') = sum_pi d_pi^2 conj(chi_pi(C)) chi_pi(C').
 
+In the table's ``pair_basis`` A + iB, c = Q S Q^H for the real Gram
+S = (dA)^T (dA) when B = 0; AM reads |c| off S without the upper classes' rows.
 ``diagonal`` returns c as a bare k x k matrix; it conjugates the left leg,
 matching the norm formula above.  As a function on G x G the diagonal expands
 over indicator products with coefficients c(Cbar, C') instead (reindex the
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import CharacterTable, character_table, tensor_table
+from .characters import CharacterTable, _gram, _in_classes, character_table, tensor_table
 from .groups import FiniteGroup, quotient_group
 
 __all__ = [
@@ -51,6 +53,8 @@ TOL = 1e-9
 SNAP_DENOMINATOR = 64
 # Relative tolerance of AM(G x H) = AM(G) AM(H).
 PRODUCT_REL_TOL = 1e-8
+# About how many entries of the module property ``verify_diagonal`` forms at once (256 KiB, kept in cache).
+MODULE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -64,11 +68,20 @@ class AmenabilityConstant:
         return self.value
 
 
+def _diagonal_gram(table: CharacterTable) -> np.ndarray:
+    """S = (dA + idB)^H (dA + idB) for the table's ``pair_basis`` A + iB and degrees d: c = Q S Q^H."""
+    _, _, a, b = table.pair_basis
+    d = table.degrees.astype(np.float64)[:, None]
+    return _gram(a * d, None if b is None else b * d)
+
+
 def diagonal(table: CharacterTable) -> np.ndarray:
     """Coefficient matrix of the unique diagonal of ZL1(G): the k x k array
-    c[C, C'] = sum_pi d_pi^2 conj(chi_pi(C)) chi_pi(C')."""
-    weighted = table.values * (table.degrees.astype(np.float64) ** 2)[:, None]
-    return table.values.conj().T @ weighted
+    c[C, C'] = sum_pi d_pi^2 conj(chi_pi(C)) chi_pi(C'), assembled from the pair basis."""
+    order, s, _, _ = table.pair_basis
+    c = np.empty((table.num_classes,) * 2, dtype=np.complex128)
+    c[np.ix_(order, order)] = _in_classes(_diagonal_gram(table).astype(np.complex128), s)
+    return c
 
 
 def snap_rational(value: float) -> Fraction | None:
@@ -81,8 +94,12 @@ def snap_rational(value: float) -> Fraction | None:
 
 def amenability_constant(table: CharacterTable) -> AmenabilityConstant:
     """AM(ZL1(G)) evaluated from the character table and its own diagonal."""
-    sizes = table.class_sizes.astype(np.float64)
-    total = float(sizes @ np.abs(diagonal(table)) @ sizes)
+    order, s, _, _ = table.pair_basis
+    sizes = table.class_sizes[order].astype(np.float64)
+    c = np.abs(_in_classes(_diagonal_gram(table), s))
+    if c.shape[0] < sizes.size:  # the upper classes' rows, left out, repeat the lower ones'
+        c[s:] *= 2.0
+    total = float(sizes[: c.shape[0]] @ c @ sizes)
     value = total / float(table.order) ** 2
     return AmenabilityConstant(value=value, rational=snap_rational(value))
 
@@ -133,8 +150,9 @@ def verify_diagonal(table: CharacterTable, matrix: np.ndarray | None = None) -> 
         mu.f = c_fun L_p^T = outer((c_fun T^T)[:, p], V[p]).
 
     Likewise T m(mu) = s with s = diag(T c_fun T^T), so m(mu) * chi_p - chi_p
-    is (s_p - 1) chi_p.  The cost is two k x k products and k outer
-    products, O(k^3).
+    is (s_p - 1) chi_p.  The cost is two k x k products and the k pairs of
+    outer products, O(k^3), formed for blocks of characters at once, about
+    ``MODULE_BLOCK`` entries to a block.
 
     Residuals are absolute max differences of class-function values.  The
     diagonal is unique, so a k x k matrix passes exactly when it is, within
@@ -151,9 +169,14 @@ def verify_diagonal(table: CharacterTable, matrix: np.ndarray | None = None) -> 
     transform = table.gelfand_matrix
     t_c = transform @ c_fun
     c_t = c_fun @ transform.T
-    module = np.array(
-        [np.abs(np.outer(v, t_c[p]) - np.outer(c_t[:, p], v)).max() for p, v in enumerate(values)]
-    )
+    step = max(1, MODULE_BLOCK // (k * k))
+    blocks = []
+    for p in range(0, k, step):  # f.mu - mu.f for the characters p .. p + step - 1 at once
+        v = values[p : p + step]
+        block = v[:, :, None] * t_c[p : p + step, None, :]
+        block -= c_t[:, p : p + step].T[:, :, None] * v[:, None, :]
+        blocks.append(np.abs(block).max(axis=(1, 2)))
+    module = np.concatenate(blocks)
     s = (t_c * transform).sum(axis=1)
     unit = np.abs(s - 1.0) * np.abs(values).max(axis=1)
     unit_residual = max(float(np.abs(s - 1.0).max()), float(unit.max()))

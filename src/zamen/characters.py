@@ -22,8 +22,12 @@ the class of x^{-1} z, read from the rows of the z^{-1} (``FiniteGroup.rows``)
 without the Cayley table.  That is O(k |G|) work per attempt, and the
 k x k x k tensor of structure constants (``class_constants``) is never formed.
 
-Rows and columns are ordered by rounded value keys with ``np.lexsort``;
-``_round_array`` rounds a whole array exactly as Python's ``round`` does.
+A table is certified in the basis that pairs each class with its inverse
+(``CharacterTable.pair_basis``), where its values are A + iB with B = 0 exactly
+when chi(C^-1) = conj chi(C): the row and column Grams are then real products
+of A, and B's terms are added only where B is not 0.  Rows and columns are
+ordered by rounded value keys with ``np.lexsort``; ``_round_array`` rounds a
+whole array exactly as Python's ``round`` does.
 """
 
 from __future__ import annotations
@@ -125,13 +129,38 @@ class CharacterTable:
         return np.conj(self.normalized_values) * (self.class_sizes / self.order)[None, :]
 
     @cached_property
+    def pair_basis(self) -> tuple[np.ndarray, int, np.ndarray, np.ndarray | None]:
+        """(order, s, A, B) with ``values[:, order] @ Q = A + iB``, made on first use.
+
+        ``order`` holds the s self-inverse classes, the lower class C < C^-1 of each pair, then the
+        upper ones; Q's columns there are e_C, (e_C + e_C^-1)/sqrt 2 and -i(e_C - e_C^-1)/sqrt 2.  B is
+        None when it is 0, that is when chi(C^-1) = conj chi(C) bit for bit.
+        """
+        classes, r = np.arange(self.num_classes), math.sqrt(0.5)
+        lows = (classes < self.inverse_class).nonzero()[0]
+        order = np.concatenate([(classes == self.inverse_class).nonzero()[0], lows, self.inverse_class[lows]])
+        s, m = order.size - 2 * lows.size, lows.size
+        values = self.values[:, order]
+        if m:  # (v_C + v_C^-1) r on the lower classes' columns, -i(v_C - v_C^-1) r on the upper ones'
+            low, high = values[:, s : s + m], values[:, s + m :]
+            odd = low - high
+            low += high
+            low *= r
+            np.multiply(odd, complex(0.0, -r), out=high)
+        return order, s, values.real.copy(), (values.imag.copy() if values.imag.any() else None)
+
+    @cached_property
     def residual(self) -> float:
         """Largest of the row, column, conjugation and degree residuals of ``values``, made on first use.
 
-        The degree residual max_p |chi_p(e) - d_p| catches degrees that do not
-        belong to their rows, which the other three cannot see.
+        The conjugation residual max |chi(C^-1) - conj chi(C)| is 0 when the
+        ``pair_basis`` has no B.  The degree residual max_p |chi_p(e) - d_p|
+        catches degrees that do not belong to their rows, which the other three
+        cannot see.
         """
-        conj_residual = float(np.abs(self.values[:, self.inverse_class] - np.conj(self.values)).max())
+        conj_residual = 0.0
+        if self.pair_basis[3] is not None:
+            conj_residual = float(np.abs(self.values[:, self.inverse_class] - np.conj(self.values)).max())
         degree_residual = float(np.abs(self.values[:, self.identity_class] - self.degrees).max())
         return max(verify_orthogonality(self).max_residual, conj_residual, degree_residual)
 
@@ -243,13 +272,50 @@ def _split_eigenvectors(h: np.ndarray, inverse_class: np.ndarray, attempt: int) 
     return vectors, ""
 
 
+def _gram(a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """(a + ib)^H (a + ib) from real products; b None stands for 0."""
+    gram = a.T @ a
+    return gram if b is None else gram + b.T @ b + 1j * (a.T @ b - b.T @ a)
+
+
+def _in_classes(y: np.ndarray, s: int) -> np.ndarray:
+    """Q y Q^H in the ``pair_basis`` class order, without the upper classes' rows when y is real.
+
+    Those rows then repeat the lower ones' absolute values, with the lower and upper columns swapped.
+    """
+    k, r = y.shape[0], math.sqrt(0.5)
+    m = (k - s) // 2
+    if not m:
+        return y
+    x = np.empty((s + m if np.isrealobj(y) else k, k), dtype=np.complex128)
+    x[:s] = y[:s]
+    for start, sign in ((s, -1j), (s + m, 1j))[: (x.shape[0] - s) // m]:  # rows (y_C -+ i y_C^-1) r
+        np.multiply(y[s + m :], sign, out=x[start : start + m])
+        x[start : start + m] += y[s : s + m]
+    x[s:] *= r
+    odd = 1j * x[:, s + m :]  # columns (x_C + i x_C^-1) r and (x_C - i x_C^-1) r
+    np.subtract(x[:, s : s + m], odd, out=x[:, s + m :])
+    x[:, s : s + m] += odd
+    x[:, s:] *= r
+    return x
+
+
 def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
-    """The row and column orthogonality residuals of a table's values."""
-    u = table.unitary_matrix
-    eye = np.eye(u.shape[0])
-    row = float(np.abs(u @ u.conj().T - eye).max())
-    col = float(np.abs(u.conj().T @ u - eye).max())
-    return OrthogonalityReport(row, col)
+    """The row and column orthogonality residuals of a table's values.
+
+    For R = (A + iB) diag(sqrt(|C|/|G|)) from the ``pair_basis``, they are those of R R^H (by
+    characters) and of Q R^H R Q^H (by classes), the row and column Grams of the unitary matrix.
+    """
+    order, s, a, b = table.pair_basis
+    weights = np.sqrt(table.class_sizes[order] / table.order)
+    a, b = a * weights, None if b is None else b * weights
+    residuals = []  # R R^H is indexed by characters, so it is taken as if every class were self-inverse
+    for x, y, own in ((a.T, None if b is None else -b.T, a.shape[0]), (a, b, s)):
+        gram = _gram(x, y)
+        gram.flat[:: gram.shape[0] + 1] -= 1.0
+        residuals.append(float(np.abs(_in_classes(gram, own)).max()))
+        del gram  # one Gram at a time
+    return OrthogonalityReport(*residuals)
 
 
 def _round_array(x: np.ndarray, ndigits: int) -> np.ndarray:

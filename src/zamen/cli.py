@@ -188,18 +188,18 @@ def _cmd_group_chartable(args: argparse.Namespace) -> Output:
 
 
 def _amconst_record(name: str, group: FiniteGroup, cache_dir: str | None, tol: float):
-    from .amenability import amenability_constant, hilbert_schmidt_lower_bound, nonabelian_gap_check
+    from .amenability import hilbert_schmidt_lower_bound, nonabelian_gap_check, snap_rational
     from .cache import cached_character_table
 
     table, _ = cached_character_table(group, cache_dir=cache_dir, certification_tol=tol)
-    am = amenability_constant(table)
     gap = nonabelian_gap_check(table)
+    rational = snap_rational(gap.am)
     return {
         "group": name,
         "order": group.order,
         "abelian": gap.is_abelian,
-        "am": am.value,
-        "am_rational": str(am.rational) if am.rational is not None else None,
+        "am": gap.am,
+        "am_rational": str(rational) if rational is not None else None,
         "hs_lower_bound": hilbert_schmidt_lower_bound(table),
         "gap_ok": gap.passed,
     }

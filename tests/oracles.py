@@ -37,7 +37,14 @@ with no shortcut that the package itself takes:
   table from one complex Hermitian combination of the class operators,
   c[C^-1] = conj(c[C]), solved by a single complex eigh and put in canonical
   row order by Python tuple keys; the package solves the real symmetric
-  combination's even and odd blocks instead.
+  combination's even and odd blocks instead;
+- ``outer_module_residuals``: the module residual of ``verify_diagonal`` one
+  character at a time, from two ``np.outer`` products each;
+- ``complex_orthogonality``, ``formula_residual``, ``complex_diagonal`` and
+  ``complex_amenability_constant``: the certificate, the diagonal
+  c = V^H diag(d^2) V and AM(ZL1(G)) from complex k x k products in the class
+  basis; the package forms them from real products in the basis that pairs
+  each class with its inverse.
 """
 
 from __future__ import annotations
@@ -372,3 +379,37 @@ def hermitian_character_table(group: FiniteGroup) -> tuple[np.ndarray, np.ndarra
         )
         return values[order], degrees[order]
     raise AssertionError(f"no attempt of the Hermitian path separated the characters of {group.label!r}")
+
+
+def complex_orthogonality(t) -> tuple[float, float]:
+    """(max |U U^H - I|, max |U^H U - I|) for U = V diag(sqrt(|C|/|G|)), both complex products."""
+    u = t.values * np.sqrt(t.class_sizes / t.order)[None, :]
+    eye = np.eye(t.num_classes)
+    return float(np.abs(u @ u.conj().T - eye).max()), float(np.abs(u.conj().T @ u - eye).max())
+
+
+def formula_residual(t) -> float:
+    """max of |UU* - I|, |U*U - I|, |V[:, inv] - conj V| and |V[:, e] - d|, written out here."""
+    return max(
+        *complex_orthogonality(t),
+        float(np.abs(t.values[:, t.inverse_class] - np.conj(t.values)).max()),
+        float(np.abs(t.values[:, t.identity_class] - t.degrees).max()),
+    )
+
+
+def complex_diagonal(t) -> np.ndarray:
+    """c[C, C'] = sum_pi d_pi^2 conj(chi_pi(C)) chi_pi(C') as one complex product."""
+    return t.values.conj().T @ (t.values * (t.degrees.astype(np.float64) ** 2)[:, None])
+
+
+def complex_amenability_constant(t) -> float:
+    """|G|^-2 sum_{C,C'} |C| |C'| |c(C,C')| over the complex diagonal."""
+    sizes = t.class_sizes.astype(np.float64)
+    return float(sizes @ np.abs(complex_diagonal(t)) @ sizes) / float(t.order) ** 2
+
+
+def outer_module_residuals(t, matrix) -> np.ndarray:
+    """max |outer(V[p], (T c)[p]) - outer((c T^T)[:, p], V[p])| for each character p, c the function view."""
+    c_fun = matrix[t.inverse_class]
+    t_c, c_t = t.gelfand_matrix @ c_fun, c_fun @ t.gelfand_matrix.T
+    return np.array([np.abs(np.outer(v, t_c[p]) - np.outer(c_t[:, p], v)).max() for p, v in enumerate(t.values)])

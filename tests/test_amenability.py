@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import indicator, special_linear
+from oracles import indicator, outer_module_residuals, special_linear
 import zamen
 from zamen.amenability import (
     NONABELIAN_GAP,
@@ -249,6 +249,20 @@ def test_verify_diagonal_matches_the_loop_oracle(make_group):
         assert report.failing == failing, name
         if name in expected:
             assert failing == expected[name], name
+
+
+@pytest.mark.parametrize(
+    "make_group",
+    [lambda: build("Z12"), lambda: dihedral(60), lambda: cyclic(130)],
+    ids=["Z12", "D60", "Z130"],
+)
+def test_the_blocked_module_residual_is_the_per_character_one(make_group):
+    # Blocks of characters (one for Z12, 15 + 15 + 3 for D60, one each for Z130) form the same
+    # products as one np.outer pair per character, so the residual is equal, not just close.
+    t = character_table(make_group())
+    c = diagonal(t)
+    for matrix in (c, c + 1e-3 * np.outer(t.values[-1].conj(), t.values[0])):
+        assert verify_diagonal(t, matrix).module_residual == outer_module_residuals(t, matrix).max()
 
 
 def test_verify_diagonal_of_d500_within_a_second():

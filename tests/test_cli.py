@@ -12,11 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zamen import cache
+from oracles import complex_amenability_constant
+from zamen import amenability, cache
+from zamen.amenability import snap_rational
 from zamen.cli import CSV_COLUMNS, main
 from zamen.groups import cyclic, dihedral, quaternion_group
 from zamen.specio import stable_json
 from zamen.tz2 import MAX_MODE
+from zamen.zoo import zoo_names
 
 
 def run_cli(*argv):
@@ -315,6 +318,21 @@ class TestAmconst:
         assert by_name["Z6"]["abelian"] is True
         assert all(r["gap_ok"] for r in doc["results"])
         assert doc["manifest"]["result_summary"]["all_gap_ok"] is True
+
+    def test_zoo_forms_one_diagonal_gram_per_group_and_keeps_its_constants(self, tmp_path, capsys, monkeypatch):
+        # AM comes from the gap check alone; the complex class-basis formula gives the same constants.
+        grams = []
+        real_gram = amenability._diagonal_gram
+        monkeypatch.setattr(amenability, "_diagonal_gram", lambda table: grams.append(table) or real_gram(table))
+        assert run_cli("group", "amconst", "--zoo", "--json", "--cache-dir", str(tmp_path)) == 0
+        records = json.loads(capsys.readouterr().out)["results"]
+        assert [r["group"] for r in records] == list(zoo_names()) and len(grams) == len(records)
+        for record, table in zip(records, grams):
+            am = complex_amenability_constant(table)
+            assert abs(record["am"] - am) <= 1e-13 * am, record
+            rational = snap_rational(am)
+            assert record["am_rational"] == (str(rational) if rational is not None else None), record
+            assert record["gap_ok"] and record["abelian"] == bool((table.degrees == 1).all()), record
 
     def test_no_groups_exits_2(self, capsys):
         assert run_cli("group", "amconst") == 2
