@@ -22,16 +22,28 @@ Norms of kernels sum_k a(k,n) chi_k and of tensor diagonals
 sum_k coef(k,n) chi_k (x) chi_k are integrated with composite
 Gauss-Legendre rules.  The integrands carry absolute values and are only
 piecewise smooth, so every result ships with a refinement-delta error
-estimate, never an order-based claim.  The grids and Haar weights are
-symmetric under theta -> pi - theta, where chi_k changes by (-1)^k, so a
-kernel e + o (even and odd k) takes the values e + o and e - o at mirrored
-points; as |e + o| + |e - o| = 2 max(|e|, |o|), both norms are summed over
-the half grid theta <= pi/2 of P points.  The two P x P kernels there are
-symmetric, so the diagonal norm forms them as strips of _STRIP rows of
-their upper triangle and reduces each strip while it is in cache: half the
-parity-folded flops, in O(_STRIP P) memory besides the character rows and
-one coefficient-scaled copy of them.  A study builds its character rows
-once per grid, at its largest level, and each level reads its first n+1.
+estimate, never an order-based claim.
+
+Neither norm forms character rows.  By the product-to-sum formulas,
+chi_k(t) chi_k(p) S(t) S(p) = [cos l(t-p) + sign cos l(t+p)] / 2 with
+l = k + sigma (SU(2): S = sin, sigma = 1, sign = -1; Chebyshev: S = 1,
+sigma = 0, sign = +1), so the diagonal kernel weighted by the Haar weights
+u is v(t) v(p) |F(t-p) + sign F(t+p)| / 2 with v = u/S and
+F(x) = sum_k coef_k cos(l x), a function of one variable.  The grid is
+theta = p h + tau_a with h = pi/N for N panels and tau_a the nodes of the
+first panel, so t -/+ p is a multiple of h plus tau_a -/+ tau_b.  For each
+node pair (a, b), F at every panel offset comes from the table of
+e^{i l tau_a}, folded modulo 2N (one real product per residue) and an
+inverse real FFT of length 2N for each of t - p and t + p, in
+O(m^2 (n + N log N)) for m nodes per panel.
+The pair's N x N kernel is then a Toeplitz matrix in p - q plus a Hankel
+matrix in p + q, read through strided views and reduced in tiles of at
+most 512 KiB against the one or two factors of v over the panels.  Only pairs a <= b with a + b <= m - 1 are formed: the grid
+and the weights are symmetric under theta -> pi - theta (tau_{m-1-a} =
+h - tau_a), which leaves the kernel unchanged, and the transpose gives the
+rest.  The kernel norm is the same fold and FFT per node.  A study builds
+its table once per grid, at its largest level, and each level reads its
+first blocks.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .base import sha256_hex, stable_json
 
@@ -257,31 +270,111 @@ def orthogonality_residual(
     return float(np.abs(gram - expected).max())
 
 
-# Kernel rows formed at a time.  On the compact studies 64 and 128 run within 1 % of each
-# other and 32 and 256 about 8 % slower; 64 rows of the default 1024-point refined half
-# grid are 0.5 MiB.
-_STRIP = 64
+# A kernel tile holds at most _TILE float64 (512 KiB, within one core's L2 cache), and a chunk
+# of fold products about 4 _TILE, for one node row at least.
+_TILE = 1 << 16
 
 
-def _folded_diagonal(even: np.ndarray, odd: np.ndarray, tensor: np.ndarray, u: np.ndarray) -> float:
-    """sum_ij u_i u_j max(|K_e|, |K_o|)_ij for K_e = even.T diag(tensor[0::2]) even, K_o alike.
+def _exponential_table(tau: np.ndarray, lmax: int, period: int) -> np.ndarray:
+    """(period, blocks, m) complex: e^{i l tau_a} at [r, j, a] for l = j period + r, l <= lmax at least.
 
-    Both kernels are symmetric, so only row strips of their upper triangle
-    are formed, _STRIP rows at a time; a strip's diagonal block counts once
-    and the rest of it twice.
+    Each entry is e^{i r tau_a} e^{i j period hi_a} e^{i j period (tau_a - hi_a)}, where hi_a keeps
+    24 bits of tau_a, so every angle is exact or below 2 pi and no entry loses digits as l grows.
+    Each block is computed alone, so a level's blocks hold the same numbers whatever lmax the
+    table was built for.
     """
-    scaled_even = tensor[0::2, None] * even
-    scaled_odd = tensor[1::2, None] * odd
-    twice = 2.0 * u
+    blocks = lmax // period + 1
+    hi = tau.astype(np.float32).astype(np.float64)
+    residues = np.exp(1j * np.multiply.outer(np.arange(period, dtype=np.float64), tau))
+    table = np.empty((period, blocks, tau.size), dtype=np.complex128)
+    for j in range(blocks):
+        shift = np.exp(1j * (j * period * hi)) * np.exp(1j * (j * period * (tau - hi)))
+        np.multiply(residues, shift, out=table[:, j])
+    return table
+
+
+def _by_residue(coef: np.ndarray, sigma: int, period: int) -> np.ndarray:
+    """coef_k at [r, j] for l = k + sigma = j period + r, over the residues r that some l reaches."""
+    blocks = (coef.size + sigma - 1) // period + 1
+    padded = np.zeros(blocks * period)
+    padded[sigma : sigma + coef.size] = coef
+    return padded.reshape(blocks, period).T[: coef.size + sigma]
+
+
+def _diagonal(table: np.ndarray, folded: np.ndarray, sign: float, factors: tuple[np.ndarray, np.ndarray]) -> float:
+    """sum over node pairs (a, b) and panels (p, q) of v[p,a] v[q,b] |F(t_pa - t_qb) + sign F(t_pa + t_qb)| / 2.
+
+    F at d h + delta is Re sum_r G_r e^{i pi r d / N}, with G_r the sum of
+    t_l e^{i l delta} over l = r mod 2N: a product of the table per residue,
+    then an inverse real FFT.  The pair is the innermost axis, so each tile
+    row over (q, pair) of the Toeplitz-plus-Hankel kernel is one contiguous
+    run, and v = panel_factors.T @ node_factors reduces a tile over p and q
+    by two small products (see the module docstring).
+    """
+    panel_factors, node_factors = factors
+    active, blocks = folded.shape
+    rank, panels = panel_factors.shape
+    m = node_factors.shape[1]
+    period, width = 2 * panels, 2 * panels - 1
+    table = table[:active, :blocks].view(np.float64)  # [r, j, (a, cos | sin)]
+    minus_index = (panels - 1 - np.arange(width)) % period  # reversed: p - q = N - 1 - index
+    tile = np.empty(max(_TILE, panels))  # one row over (q, pair) at least
+    chunk = max(1, _TILE // (period * m))
+    top = (m + 1) // 2  # a <= (m - 1) / 2
     total = 0.0
-    for start in range(0, u.size, _STRIP):
-        stop = min(start + _STRIP, u.size)
-        strip = even[:, start:stop].T @ scaled_even[:, start:]
-        odd_strip = odd[:, start:stop].T @ scaled_odd[:, start:]
-        np.maximum(np.abs(strip, out=strip), np.abs(odd_strip, out=odd_strip), out=strip)
-        block = stop - start
-        total += float(u[start:stop] @ (strip[:, :block] @ u[start:stop] + strip[:, block:] @ twice[stop:]))
-    return total
+    for a0 in range(0, top, chunk):
+        a1 = min(a0 + chunk, top)
+        rows, cols = a1 - a0, m - 2 * a0
+        local_a, local_b = np.arange(rows)[:, None], np.arange(cols)
+        a, b = np.nonzero((local_b >= local_a) & (local_a + local_b < cols))  # a <= b, a + b <= m - 1
+        left = (table[:, :, 2 * a0 : 2 * a1] * folded[:, :, None]).reshape(active, blocks, rows, 2)
+        left = left.transpose(0, 3, 2, 1).reshape(active, 2 * rows, blocks)  # [r, (cos | sin, a), j]
+        products = np.matmul(left, table[:, :, 2 * a0 : 2 * (m - a0)]).reshape(active, 2, rows * cols, 2)
+        products = np.take(products, a * cols + b, axis=2)  # [r, (cos | sin) a, pair, (cos | sin) b]
+        cc, cs, sc, ss = products[:, 0, :, 0], products[:, 0, :, 1], products[:, 1, :, 0], products[:, 1, :, 1]
+        spectra = np.empty((2, active, a.size), dtype=np.complex128)  # [-+, r, pair]
+        np.add(cc, ss, out=spectra[0].real)  # e^{i l (tau_a - tau_b)}
+        np.subtract(sc, cs, out=spectra[0].imag)
+        np.subtract(cc, ss, out=spectra[1].real)  # e^{i l (tau_a + tau_b)}
+        np.add(sc, cs, out=spectra[1].imag)
+        # Twice Re sum_r G_r w^{rd} is the inverse real FFT of Z_0 = 2 G_0, Z_N = 2 G_N and
+        # Z_r = G_r + conj G_{2N-r} for 0 < r < N, zero above the last active residue.
+        half, tail = spectra[:, : panels + 1], spectra[:, panels + 1 :][:, ::-1]
+        half.real[:, period - active + 1 : panels] += tail.real
+        half.imag[:, period - active + 1 : panels] -= tail.imag
+        half[:, :: panels] *= 2.0
+        offsets = np.fft.irfft(half, period, axis=1, norm="forward")  # [-+, d, pair], doubled
+        minus, plus = np.take(offsets[0], minus_index, axis=0), sign * offsets[1, :width]
+        a, b = a0 + a, a0 + b
+        pair_factors = np.take(node_factors, a, axis=1)[:, None] * np.take(node_factors, b, axis=1)
+        pair_factors *= (1.0 + (a < b)) * (1.0 + (a + b < m - 1))  # [k, k', pair], with multiplicity
+        step = max(1, _TILE // panels)  # pairs per tile: all of them unless N x pairs is too large
+        for s0 in range(0, a.size, step):
+            pairs = slice(s0, s0 + step)
+            count = min(step, a.size - s0)
+            shape = (panels, panels, count)  # [p, q, pair]
+            toeplitz = as_strided(minus[panels - 1 :, pairs], shape, (-minus.strides[0], *minus.strides))
+            hankel = as_strided(plus[:, pairs], shape, (plus.strides[0], *plus.strides))
+            reduced = np.zeros((rank, rank * count))  # [k, (k', pair)]: sum_pq phi_k(p) phi_k'(q) |kernel|
+            tile_rows = max(1, _TILE // (panels * count))
+            for p in range(0, panels, tile_rows):
+                kernel = toeplitz[p : p + tile_rows]
+                out = tile[: kernel.size].reshape(kernel.shape)
+                np.abs(np.add(kernel, hankel[p : p + tile_rows], out=out), out=out)
+                by_q = np.matmul(panel_factors, out).reshape(-1, rank * count)
+                reduced += panel_factors[:, p : p + tile_rows] @ by_q
+            total += float(np.vdot(pair_factors[:, :, pairs], reduced))
+    return total / 4.0
+
+
+def _bai(table: np.ndarray, folded: np.ndarray, sigma: int, v: np.ndarray) -> float:
+    """sum_pa v[p,a] |B(t_pa)|, B(x) = sum_l c_l cos(l x) (sigma 0) or sin(l x) (sigma 1), by one fold and one FFT."""
+    active, blocks = folded.shape
+    panels, m = v.shape
+    sums = np.zeros((2 * panels, m), dtype=np.complex128)
+    sums[:active] = np.matmul(folded[:, None, :], table[:active, :blocks].view(np.float64)).view(np.complex128)[:, 0]
+    values = np.fft.ifft(sums, axis=0, norm="forward")[:panels]
+    return float(np.sum(v * np.abs(values.imag if sigma else values.real)))
 
 
 def _grid_norms(
@@ -292,25 +385,32 @@ def _grid_norms(
     panels: int,
     nodes_per_panel: int,
 ) -> list[tuple[float, float]]:
-    """(diagonal, bai) of each level on one grid, summed over its half theta <= pi/2.
+    """(diagonal, bai) of each level on one grid, from the panel-offset tables.
 
-    The rows chi_0, chi_2, ... and chi_1, chi_3, ... there carry the Haar
-    weights, a middle node at pi/2 at half its weight (see the module
-    docstring).  The rows are built once, at the largest level: level n reads
-    the first n+1, which the three-term recurrence makes the same numbers as
-    rows built at n.  A level whose tensor is None gets no diagonal (nan).
+    The grid is theta_{p,a} = p h + tau_a with h = pi/N, and v = u / S
+    carries the Haar weights u (see the module docstring).  The exponential
+    table is built once, at the largest level, and each level reads its first
+    blocks, the same numbers as a table built at that level.  A level whose
+    tensor is None gets no diagonal (nan).
     """
+    if model.chi1_scale not in (1.0, 2.0):
+        raise ValueError(f"no product-to-sum identity for chi1_scale {model.chi1_scale!r}")
+    sigma = int(model.chi1_scale == 2.0)  # SU(2): S = sin, l = k + 1 and sign -1; Chebyshev: S = 1
+    sign = -1.0 if sigma else 1.0
     points, weights = _grid(panels, nodes_per_panel)
-    half = (points.size + 1) // 2
-    u = weights[:half] * model.weight(points[:half])
-    u[points.size // 2 :] /= 2.0  # a middle node, on an odd grid, is its own mirror
-    rows = _character_rows(model, max(levels), points[:half])
+    u = weights * model.weight(points)
+    v = (u / np.sin(points) if sigma else u).reshape(panels, nodes_per_panel)
+    # v[p, a] = g_a S(p h + tau_a) has rank two for SU(2), by the angle-sum formula, and one for
+    # the Chebyshev hypergroup; the diagonal norm reads it through the factors of its SVD.
+    panel_factors, scale, node_factors = np.linalg.svd(v, full_matrices=False)
+    rank = int(np.count_nonzero(scale > scale[0] * max(v.shape) * np.finfo(float).eps))
+    factors = ((panel_factors[:, :rank] * scale[:rank]).T, node_factors[:rank])
+    period = 2 * panels
+    table = _exponential_table(points[:nodes_per_panel], max(levels) + sigma, period)
     norms = []
-    for n, coef, tensor in zip(levels, coefs, tensors):
-        even, odd = rows[0 : n + 1 : 2], rows[1 : n + 1 : 2]
-        diagonal = np.nan if tensor is None else 4.0 * _folded_diagonal(even, odd, tensor, u)
-        bai = 2.0 * float(u @ np.maximum(np.abs(coef[0::2] @ even), np.abs(coef[1::2] @ odd)))
-        norms.append((diagonal, bai))
+    for coef, tensor in zip(coefs, tensors):
+        diagonal = np.nan if tensor is None else _diagonal(table, _by_residue(tensor, sigma, period), sign, factors)
+        norms.append((diagonal, _bai(table, _by_residue(coef, sigma, period), sigma, v)))
     return norms
 
 

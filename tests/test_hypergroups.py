@@ -5,9 +5,11 @@ Oracles:
 - A test-local trapezoid integrator (independent of Gauss-Legendre)
   cross-checks the diagonal norm on a small case.
 - The unfolded full-grid products v.T @ (coefs[:, None] * v) and
-  coefs @ v on all of [0, pi] check both norms, which integrate over the
-  half grid theta <= pi/2 by the theta -> pi - theta parity, the diagonal
-  norm in strips of its kernel's upper triangle.
+  coefs @ v on all of [0, pi] check both norms, which the module computes
+  from panel-offset tables: the product-to-sum identity, one FFT per node
+  pair, Toeplitz-plus-Hankel kernel tiles and the transpose and
+  theta -> pi - theta symmetries of the node pairs.  The oracle's rows are
+  closed-form characters with exactly reduced angles.
 - The circle-quotient Fejer kernel is nonnegative with unit mass, so its
   diagonal norm is exactly 1 at every level.
 - The SU(2) lower bound at n = 1 is (2/pi)^2 (4/3)^2 by hand.
@@ -94,6 +96,25 @@ def trapezoid_diagonal_norm(model, coefs, num_points=2001):
     return float(np.trapezoid(inner * w, theta))
 
 
+def closed_form_rows(model, n, panels, nodes_per_panel):
+    """chi_0..chi_n on the composite grid: sin(l theta)/sin(theta) for SU(2) (l = k+1), cos(k theta) otherwise.
+
+    theta = p h + tau (h = pi/panels), and e^{i l theta} is the product of e^{i (l p mod 2 panels) h},
+    e^{i l hi} and e^{i l (tau - hi)}, where hi keeps 24 bits of tau so that l hi is exact: every
+    angle is exact or tiny, so each value carries a few roundings whatever l.  At l = 200 on the
+    coarse grids below, the three-term recurrence, or sin or cos of the rounded product l theta,
+    moves the kernel norm by up to 5e-13 of itself (against sums in extended precision).
+    """
+    points, _ = _grid(panels, nodes_per_panel)
+    ell = np.arange(n + 1)[:, None] + (model.label == "su2")
+    p = np.arange(panels).repeat(nodes_per_panel)
+    tau = np.tile(points[:nodes_per_panel], panels)
+    hi = tau.astype(np.float32).astype(np.float64)
+    whole = (ell * p) % (2 * panels) * (np.pi / panels)
+    phase = np.exp(1j * whole) * np.exp(1j * (ell * hi)) * np.exp(1j * (ell * (tau - hi)))
+    return phase.imag / np.sin(points) if model.label == "su2" else phase.real
+
+
 def full_grid_norms(model, scheme, n, quad):
     """(diagonal, bai) on the base and on the refined grid, from the whole of [0, pi]."""
     tensor = np.array([scheme.tensor_coefficient(k, n) for k in range(n + 1)])
@@ -101,7 +122,7 @@ def full_grid_norms(model, scheme, n, quad):
     values = []
     for panels in (quad.panels, quad.panels * quad.refinement_factor):
         points, weights = _grid(panels, quad.nodes_per_panel)
-        v = _character_rows(model, n, points)
+        v = closed_form_rows(model, n, panels, quad.nodes_per_panel)
         u = weights * model.weight(points)
         values.append((float(u @ np.abs(v.T @ (tensor[:, None] * v)) @ u), float(u @ np.abs(coefs @ v))))
     return values
@@ -299,23 +320,26 @@ class TestParityFold:
     # Coefficients of both signs and no parity pattern, used unsquared.
     MIXED = CoefficientScheme("mixed", lambda k, n: (k % 3 - 1) * (k + 1.5) if k <= n else 0.0, False)
     CASES = [*STUDIES, ("su2", MIXED), ("chebyshev", MIXED)]
-    # Panels and nodes_per_panel both odd put a node at pi/2 on the base grid.  The 9 x 15
-    # grid's half grids (68 and 135 points) are longer than one strip of the diagonal
-    # norm and not a multiple of it.
+    # Panels and nodes_per_panel both odd put a node at pi/2 on the base grid (3 x 5 and 9 x 15).
+    # On 1 x 64 the base period 2N is 2, so nearly every term folds onto another residue; 2 x 33
+    # has few panels and an odd node count.  Level 200 has n + 1 above 2N on every grid here.
     GRIDS = [
         QuadratureConfig(),
         QuadratureConfig(panels=3, nodes_per_panel=5),
         QuadratureConfig(panels=4, nodes_per_panel=5),
         QuadratureConfig(panels=9, nodes_per_panel=15),
+        QuadratureConfig(panels=1, nodes_per_panel=64),
+        QuadratureConfig(panels=2, nodes_per_panel=33),
     ]
+    GRID_IDS = ["default", "3x5-middle-node", "4x5", "9x15-partial-strip", "1x64-many-folds", "2x33-odd-nodes"]
 
-    @pytest.mark.parametrize("quad", GRIDS, ids=["default", "3x5-middle-node", "4x5", "9x15-partial-strip"])
+    @pytest.mark.parametrize("quad", GRIDS, ids=GRID_IDS)
     @pytest.mark.parametrize("model_name,scheme", CASES, ids=lambda c: getattr(c, "name", c))
     def test_matches_full_grid_oracle(self, model_name, scheme, quad):
         model = model_by_name(model_name)
         if isinstance(scheme, str):
             scheme = scheme_by_name(model, scheme)
-        for n in (0, 1, 7, 50):
+        for n in (0, 1, 7, 50, 200):
             (base_dn, base_bn), (refined_dn, refined_bn) = full_grid_norms(model, scheme, n, quad)
             for result, base, refined in (
                 (diagonal_norm(model, scheme, n, quad), base_dn, refined_dn),
@@ -349,19 +373,28 @@ class TestParityFold:
         return peak
 
     def test_su2_level_800_peak_memory(self):
-        # The 801 x 1024 character rows of the refined half grid, their coefficient-scaled
-        # copy and two 64 x 1024 kernel strips (14.7 MiB peak), against one 2048 x 2048
-        # kernel (57.7 MiB peak) unfolded.
+        # The refined grid's 256 x 4 x 16 exponential table and 512 KiB kernel tiles (3.5 MiB
+        # peak), against one 2048 x 2048 kernel (57.7 MiB peak) unfolded.
         model = su2_model()
         peak = self.peak_bytes(lambda: diagonal_norm(model, dirichlet_scheme(model), 800))
         assert peak < 32 * 2**20, peak / 2**20
 
     def test_fine_grid_peak_memory(self):
-        # 16384 refined points: two 64 x 8192 strips (13 MiB peak), where two 8192 x 8192
+        # 16384 refined points: a 2048 x 1 x 16 exponential table, fold products for two node
+        # rows at a time and 512 KiB kernel tiles (4.3 MiB peak), where two 8192 x 8192
         # half-grid kernels took 1 GiB.
         model = su2_model()
         quad = QuadratureConfig(panels=512)
         peak = self.peak_bytes(lambda: diagonal_norm(model, dirichlet_scheme(model), 4, quad))
+        assert peak < 32 * 2**20, peak / 2**20
+
+    def test_many_nodes_peak_memory(self):
+        # One panel of 1024 nodes: a 12.5 MiB exponential table per grid (2 x 401 x 1024, then
+        # 4 x 201 x 1024) and fold products for 32 or 16 node rows at a time (about 25 MiB
+        # peak).  numpy's leggauss(1024) alone peaks at 8 MiB.
+        model = su2_model()
+        quad = QuadratureConfig(panels=1, nodes_per_panel=1024)
+        peak = self.peak_bytes(lambda: diagonal_norm(model, dirichlet_scheme(model), 800, quad))
         assert peak < 32 * 2**20, peak / 2**20
 
 
@@ -487,7 +520,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("model_name,scheme", STUDIES)
     def test_shared_rows_match_one_level_calls_exactly(self, model_name, scheme):
-        # Rows built once at n = 800 and cut at each level give the same numbers as rows built at it.
+        # A table built once at n = 800 and read up to each level gives the same numbers as one built at it.
         model = model_by_name(model_name)
         scheme_obj = scheme_by_name(model, scheme)
         levels = [200, 7, 50, 800, 7, 0]
