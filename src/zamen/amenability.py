@@ -92,15 +92,20 @@ def snap_rational(value: float) -> Fraction | None:
     return None
 
 
-def amenability_constant(table: CharacterTable) -> AmenabilityConstant:
-    """AM(ZL1(G)) evaluated from the character table and its own diagonal."""
+def _am_value(table: CharacterTable) -> float:
+    """AM(ZL1(G)) as a float, evaluated from the character table and its own diagonal."""
     order, s, _, _ = table.pair_basis
     sizes = table.class_sizes[order].astype(np.float64)
     c = np.abs(_in_classes(_diagonal_gram(table), s))
     if c.shape[0] < sizes.size:  # the upper classes' rows, left out, repeat the lower ones'
         c[s:] *= 2.0
     total = float(sizes[: c.shape[0]] @ c @ sizes)
-    value = total / float(table.order) ** 2
+    return total / float(table.order) ** 2
+
+
+def amenability_constant(table: CharacterTable) -> AmenabilityConstant:
+    """AM(ZL1(G)) evaluated from the character table and its own diagonal, with its rational snap."""
+    value = _am_value(table)
     return AmenabilityConstant(value=value, rational=snap_rational(value))
 
 
@@ -196,9 +201,9 @@ class MultiplicativityReport:
 
 def product_multiplicativity_check(left: CharacterTable, right: CharacterTable) -> MultiplicativityReport:
     """AM(G x H) = AM(G) AM(H), with the product table built as a tensor."""
-    am_l = amenability_constant(left).value
-    am_r = amenability_constant(right).value
-    am_p = amenability_constant(tensor_table(left, right)).value
+    am_l = _am_value(left)
+    am_r = _am_value(right)
+    am_p = _am_value(tensor_table(left, right))
     rel = abs(am_p - am_l * am_r) / max(1.0, abs(am_l * am_r))
     return MultiplicativityReport(
         am_left=am_l, am_right=am_r, am_product=am_p, relative_error=rel, passed=rel <= PRODUCT_REL_TOL
@@ -216,8 +221,8 @@ class MonotonicityReport:
 def quotient_monotonicity_check(group: FiniteGroup, subgroup) -> MonotonicityReport:
     """AM(G) >= AM(G/N): quotients cannot increase the constant."""
     quo = quotient_group(group, subgroup)
-    am_g = amenability_constant(character_table(group)).value
-    am_q = amenability_constant(character_table(quo.group)).value
+    am_g = _am_value(character_table(group))
+    am_q = _am_value(character_table(quo.group))
     slack = am_g - am_q
     return MonotonicityReport(am_group=am_g, am_quotient=am_q, slack=slack, passed=slack >= -TOL)
 
@@ -231,7 +236,7 @@ class GapReport:
 
 def nonabelian_gap_check(table: CharacterTable) -> GapReport:
     """Abelian groups sit exactly at 1; nonabelian ones at or above 1 + 1/700."""
-    am = amenability_constant(table).value
+    am = _am_value(table)
     abelian = bool((table.degrees == 1).all())
     if abelian:
         passed = abs(am - 1.0) <= TOL

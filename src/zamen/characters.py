@@ -26,8 +26,9 @@ A table is certified in the basis that pairs each class with its inverse
 (``CharacterTable.pair_basis``), where its values are A + iB with B = 0 exactly
 when chi(C^-1) = conj chi(C): the row and column Grams are then real products
 of A, and B's terms are added only where B is not 0.  Rows and columns are
-ordered by rounded value keys with ``np.lexsort``; ``_round_array`` rounds a
-whole array exactly as Python's ``round`` does.
+ordered by byte keys of their rounded values, one stable sort a round, and
+only the rows still tied are rounded again (``_canonical_row_order``);
+``_round_array`` rounds a whole array exactly as Python's ``round`` does.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ SEED = 0
 COLLISION_TOL = 1e-6
 # The arrays a table is stored as, in the order they are written.
 TABLE_ARRAYS = ("values", "degrees", "class_sizes", "class_reps", "inverse_class")
+# About how many float64 one round of the canonical order rounds at once (64 KiB): numpy's
+# temporaries for larger blocks cost about twice as much per entry.
+ROUND_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -342,21 +346,38 @@ def _round_array(x: np.ndarray, ndigits: int) -> np.ndarray:
 def _canonical_row_order(values: np.ndarray, primary: np.ndarray) -> np.ndarray:
     """Stable order of the rows by (primary, -re[., 0], -im[., 0], -re[., 1], ...), parts rounded to 9 digits.
 
-    This is the order that sorting tuple keys of those values would give.  A
-    prefix of the columns that tells every two rows apart already fixes it,
-    so the rows are sorted on the first 8 columns, then 16, 32, ..., until
-    the prefix separates them or is the whole row.
+    This is the order that sorting tuple keys of those values would give.  A round keys a block of
+    columns by bytes: the bits of 0 - round(part, 9) (so -0.0 is 0.0), with the sign bit flipped, or
+    all bits when negative, compare as the part does when read big-endian.  One stable lexsort by
+    (head, key) orders the round's rows.  The first round keys every row by (primary, first 8
+    columns); later rounds key only the rows in runs of equal keys, by (run, next columns), so each
+    moves within its run.  The span doubles, up to about ``ROUND_BLOCK`` entries a round, until no
+    two adjacent keys are equal or the whole row has been used.
     """
-    width = 8
+    width = values.shape[1]
+    head, order, tied = primary, None, None  # tied: the ascending positions in order of the rows in runs
+    lo, hi = 0, 8
     while True:
-        keys = -_round_array(np.ascontiguousarray(values[:, :width], dtype=np.complex128).view(np.float64), 9).T
-        order = np.lexsort((*keys[::-1], primary))
-        if width >= values.shape[1]:
+        rows = values[:, :hi] if tied is None else values[order[tied], lo:hi]
+        parts = _round_array(np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64), 9)
+        bits = np.subtract(0.0, parts, out=parts).view(np.int64)
+        bits ^= (bits >> 63) | -(1 << 63)
+        keys = bits.byteswap(inplace=True).view(f"V{8 * bits.shape[1]}").ravel()
+        step = np.lexsort((keys, head))
+        if tied is None:
+            order = step
+        else:
+            order[tied] = order[tied[step]]
+        if hi >= width:
             return order
-        first, second = order[:-1], order[1:]
-        if not ((keys[:, first] == keys[:, second]).all(axis=0) & (primary[first] == primary[second])).any():
+        keys, head = keys[step], head[step]
+        same = (keys[1:] == keys[:-1]) & (head[1:] == head[:-1])
+        if not same.any():
             return order
-        width *= 2
+        in_run = np.concatenate((same, [False])) | np.concatenate(([False], same))
+        head = np.cumsum(np.concatenate(([True], ~same)))[in_run]
+        tied = np.flatnonzero(in_run) if tied is None else tied[in_run]
+        lo, hi = hi, hi + max(8, min(hi, ROUND_BLOCK // (2 * tied.size)))
 
 
 def _check_tolerance(certification_tol: float) -> None:

@@ -413,22 +413,81 @@ def tied_random_tables(count=200, seed=7, classes=(1, 9)):
                 values[p, :end] = values[0, :end]
             for q, end in enumerate(rng.integers(1, k, size=k)):
                 values[:end, q] = values[:end, 0]
-        tables.append(
-            CharacterTable(
-                group_hash="random",
-                values=values,
-                degrees=rng.integers(1, 3, size=k),
-                class_sizes=rng.integers(1, 3, size=k),
-                class_reps=np.zeros(k, dtype=np.int64),
-                inverse_class=np.arange(k),
-                identity_class=0,
-            )
-        )
+        tables.append(synthetic_table(values, rng.integers(1, 3, size=k), rng.integers(1, 3, size=k)))
     return tables
 
 
+def synthetic_table(values, degrees, sizes=None):
+    values = np.asarray(values, dtype=np.complex128)
+    k = values.shape[0]
+    return CharacterTable(
+        group_hash="synthetic",
+        values=values,
+        degrees=np.asarray(degrees, dtype=np.int64),
+        class_sizes=np.ones(k, dtype=np.int64) if sizes is None else np.asarray(sizes, dtype=np.int64),
+        class_reps=np.zeros(k, dtype=np.int64),
+        inverse_class=np.arange(k),
+        identity_class=0,
+    )
+
+
+def shuffled_rows(table, seed):
+    """The table with its rows in a seeded random order, so ordering them has work to do."""
+    rows = np.random.default_rng(seed).permutation(table.num_classes)
+    return synthetic_table(table.values[rows], table.degrees[rows], table.class_sizes)
+
+
+def longest_tie(table):
+    """The most leading columns two rows of equal primary agree on, by their sort keys."""
+    keys = sorted(value_key(d, row) for d, row in zip(table.degrees, table.values))
+    return max(
+        next((j for j, (x, y) in enumerate(zip(a[1:], b[1:])) if x != y), len(a) - 1)
+        for a, b in zip(keys, keys[1:])
+        if a[0] == b[0]
+    )
+
+
+def q8_z40():
+    return tensor_table(character_table(quaternion_group()), character_table(cyclic(40)))
+
+
+def long_tie_tables():
+    """Tables whose rows stay tied long, tie exactly, or differ only by rounding details, each
+    with its rows out of order."""
+    d10_z16 = tensor_table(character_table(dihedral(10)), character_table(cyclic(16)))
+    rng = np.random.default_rng(5)
+    last_column_only = np.ones((40, 40), dtype=np.complex128)  # one run through 39 columns
+    last_column_only[:, -1] = rng.permutation(40) - 1j * rng.permutation(40)
+    duplicated = rng.choice([1.0, -1.0, 0.5j], size=(4, 12))[rng.integers(0, 4, size=12)]
+    duplicated[:, :6] = 1.0  # at most 4 distinct rows in 12, all alike for 6 columns
+    zeros = np.array(  # equal up to the sign of zero for 2 columns, then in descending index order
+        [[0.0, 0.0, 1.0, 1.0],
+         [-0.0, complex(0.0, -0.0), 2.0, 1.0],
+         [complex(0.0, -0.0), -0.0, 3.0, 1.0],
+         [complex(-0.0, -0.0), 0.0, 4.0, 1.0]]
+    )
+    halfway = np.array([0.5e-9, -2.5e-9, 0.1234567885, -0.7777777775, 1.0000000005])
+    near = np.concatenate([np.nextafter(halfway, -np.inf), halfway, np.nextafter(halfway, np.inf)])
+    ulps = np.ones((near.size, near.size), dtype=np.complex128)
+    ulps[:, 0] = near + 1j * near[::-1]  # one ulp either side of 9-digit half-way points
+    ulps[:, 1] = np.arange(near.size)  # where rounding ties rows, ascending index order
+    tables = [q8_z40(), d10_z16, synthetic_table(last_column_only, np.ones(40))]
+    tables += [synthetic_table(v, np.ones(len(v))) for v in (duplicated, zeros, ulps, [[0.5 - 0.25j]])]
+    return [shuffled_rows(t, seed) for seed, t in enumerate(tables)]
+
+
+def test_long_tie_tables_tie_as_intended():
+    q8_z40_table, d10_z16, last_column_only, duplicated, zeros, ulps, _ = long_tie_tables()
+    assert longest_tie(q8_z40_table) == 120 and longest_tie(d10_z16) == 32  # past 64 and 16 columns
+    assert longest_tie(last_column_only) == 39
+    assert longest_tie(duplicated) == 12
+    assert longest_tie(zeros) == 2
+    assert longest_tie(ulps) == 1
+
+
 def test_canonical_orders_match_the_sort_key_oracle():
-    for t in zoo_tables() + tied_random_tables() + tied_random_tables(40, 8, classes=(9, 41)):
+    tables = zoo_tables() + long_tie_tables() + tied_random_tables() + tied_random_tables(40, 8, classes=(9, 41))
+    for t in tables:
         assert _canonical_row_order(t.values, t.degrees).tolist() == sort_key_row_order(
             t.values, t.degrees
         )
@@ -437,6 +496,18 @@ def test_canonical_orders_match_the_sort_key_oracle():
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tolist() == want[1].tolist()
         assert got[2].tolist() == want[2].tolist()
+
+
+def test_canonical_order_rounds_only_the_tied_rows(monkeypatch):
+    """Q8 (x) Z40's 160 rows from Q8's linear characters tie past the first 8 columns, some pairs
+    for 120; ordering them rounds fewer entries than one full-width pass (200 x 400 floats)."""
+    t = shuffled_rows(q8_z40(), 0)
+    rounded = []
+    real = characters._round_array
+    monkeypatch.setattr(characters, "_round_array", lambda x, ndigits: rounded.append(x.size) or real(x, ndigits))
+    order = _canonical_row_order(t.values, t.degrees)
+    assert order.tolist() == sort_key_row_order(t.values, t.degrees)
+    assert len(rounded) > 1 and sum(rounded) < 200 * 400
 
 
 @pytest.mark.parametrize("ndigits", [9, 12])
