@@ -1,12 +1,12 @@
 """Finite groups on integer indices, with the structure needed downstream.
 
 Elements of a group of order n are the indices 0..n-1.  A group is its
-identity, a few right-multiplication columns ``columns[i, x] = x*s_i`` for
-steps s_i that generate it, and a spanning tree over those steps: each element
-x other than the identity hangs off a tree edge x = w*s_i (Holt, Eick and
-O'Brien, *Handbook of Computational Group Theory*, ch. 4).  Left
-multiplication by any y is one pass down the tree, y*x = (y*w)*s_i, from
-y*e = y, so any rows of the Cayley table come from one pass batched over
+identity and a few right-multiplication columns ``columns[i, x] = x*s_i`` for
+steps s_i that generate it.  A breadth-first spanning tree over those steps,
+derived when the group is built, hangs each element x other than the
+identity off a tree edge x = w*s_i (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, ch. 4).  Left multiplication by any y is one pass down the tree,
+y*x = (y*w)*s_i, from y*e = y, so any rows of the Cayley table come from one pass batched over
 them, level by level; ``table`` is a read-only view built from those rows on
 demand.  Inverses follow the tree too (x^-1 = s_i^-1 * w^-1).  ``MAX_ORDER`` bounds every
 constructor, and ``MAX_TABLE_ORDER`` only that view.
@@ -17,9 +17,9 @@ the tree.  Every structural question reads one greedy generating set of at
 most log2(n) + 1 elements: the content hash, Light's associativity test, the
 semidirect laws, the classes (orbits of x -> g^-1*x*g) and quotients (its
 columns on cosets), so only the validation of a table from outside reads all
-n^2 entries.  Products compose their factors' columns and trees, and closures
-from permutations keep their breadth-first discovery order, so every
-downstream ordering is reproducible.
+n^2 entries.  Products compose their factors' columns, and closures from
+permutations keep their breadth-first discovery order, so every downstream
+ordering is reproducible.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ __all__ = [
 MAX_ORDER = 1_000_000
 # The most entries n*k of a group's k x n pair index (``characters._pair_classes``), checked once
 # the k classes are known and before the index is allocated.  The index and the class combination
-# built from it take about 32 bytes per entry (S9: 10.9 million entries, about 330 MiB), so an
-# index at the cap needs about 1 GB.
+# built from it take about 17 bytes per entry (S8: 887 040 entries, a 14.6 MB tracemalloc peak for
+# ``class_constants``), so an index at the cap needs about 570 MB.
 MAX_PAIR_ENTRIES = 1 << 25
 # The most elements of a group whose ``table`` view is built: 20 000^2 int32 entries are 1.6 GB.
 MAX_TABLE_ORDER = 20_000
@@ -129,31 +129,33 @@ def _check_order(order: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group on indices 0..order-1, given by right-multiplication columns and a spanning tree.
+    """A finite group on indices 0..order-1, given by its identity and right-multiplication columns.
 
     ``columns[i, x] = x*s_i`` for steps s_i = ``columns[i, identity]`` that
     generate the group, stored read-only as C-contiguous ``TABLE_DTYPE``.
-    ``tree`` is a read-only int64 array of shape (3, order): each element x
-    other than the identity is x = w*s_i with w = ``tree[0, x]`` and
-    i = ``tree[1, x]``, at depth ``tree[2, x]`` = depth of w + 1; the identity
-    is its own parent, with step -1 and depth 0.  ``order``, ``generators``,
-    ``inverses``, ``content_hash``, ``table`` and the conjugacy classes are
-    derived on first use, so none of them can go stale.
+    ``tree`` is derived at construction, which refuses steps that do not
+    reach every element; ``order``, ``generators``, ``inverses``,
+    ``content_hash``, ``table`` and the conjugacy classes on first use.  None
+    of them can disagree with the columns.
     """
 
     label: str
     identity: int
     columns: np.ndarray
-    tree: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "identity", int(self.identity))
         object.__setattr__(self, "columns", _read_only(np.ascontiguousarray(self.columns, dtype=TABLE_DTYPE)))
-        object.__setattr__(self, "tree", _read_only(np.ascontiguousarray(self.tree, dtype=np.int64)))
+        self.tree  # built with the group, so steps that do not generate it are refused here
 
     @property
     def order(self) -> int:
-        return self.tree.shape[1]
+        return self.columns.shape[1]
+
+    @cached_property
+    def tree(self) -> np.ndarray:
+        """The breadth-first spanning tree of ``_spanning_tree``, read-only int64 of shape (3, order)."""
+        return _read_only(_spanning_tree(self.columns, self.identity))
 
     @cached_property
     def _levels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -299,8 +301,11 @@ def _generating_set(column: Callable[[int], np.ndarray], n: int, identity: int) 
 
 
 def _spanning_tree(columns: np.ndarray, identity: int) -> np.ndarray:
-    """The ``FiniteGroup.tree`` of a breadth-first search from the identity over the steps."""
-    n = columns.shape[1]
+    """A breadth-first search from the identity over the steps: each element x other than the
+    identity is x = w*s_i with w = ``tree[0, x]`` and i = ``tree[1, x]``, at depth ``tree[2, x]`` =
+    depth of w + 1; the identity is its own parent, with step -1 and depth 0.  ValidationError
+    when the steps do not reach every element."""
+    columns, n = columns.astype(np.intp), columns.shape[1]  # gathers by intp: about 30 % faster than by int32
     tree = np.empty((3, n), dtype=np.int64)
     tree[:, identity] = (identity, -1, 0)
     reached = np.arange(n) == identity
@@ -316,6 +321,8 @@ def _spanning_tree(columns: np.ndarray, identity: int) -> np.ndarray:
         tree[0, x], tree[1, x], tree[2, x] = frontier[at % frontier.size], at // frontier.size, depth
         reached[x] = True
         frontier = x
+    if not reached.all():
+        raise ValidationError(f"the steps reach {np.count_nonzero(reached)} of {n} elements from the identity")
     return tree
 
 
@@ -330,8 +337,7 @@ def _from_columns(label: str, identity: int, generators: np.ndarray) -> FiniteGr
     n = generators.shape[1]
     seen = {identity}
     steps = [power for column in generators for power in _powers(column, identity, seen)]
-    columns = np.array(steps, dtype=np.int64).reshape(len(steps), n)
-    return FiniteGroup(label, identity, columns, _spanning_tree(columns, identity))
+    return FiniteGroup(label, identity, np.array(steps, dtype=np.int64).reshape(len(steps), n))
 
 
 def _validate_table(table: np.ndarray) -> tuple[int, np.ndarray]:
@@ -508,36 +514,23 @@ def quaternion_group() -> FiniteGroup:
 
 def _product(label: str, normal: FiniteGroup, acting: FiniteGroup, normal_columns: np.ndarray) -> FiniteGroup:
     """The product of N = ``normal`` and H = ``acting`` on index packing (a, h) -> a*|H| + h, given
-    the columns of its N-steps (s, e); each step t of H becomes (e, t) with column (a, h*t).
-
-    The tree reaches (a, h) from (a, e) along H's tree after reaching (a, e)
-    along N's, as (a, e)*(s, e) = (a*s, e) when H's identity acts trivially.
-    """
+    the columns of its N-steps (s, e); each step t of H becomes (e, t) with column (a, h*t)."""
     m = acting.order
     a, h = np.divmod(np.arange(normal.order * m), m)
     acting_columns = (a * m).astype(TABLE_DTYPE) + acting.columns[:, h]
     columns = np.concatenate([normal_columns, acting_columns], dtype=TABLE_DTYPE)
-    (n_parent, n_step, n_depth), (h_parent, h_step, h_depth) = normal.tree, acting.tree
-    along_h = h_step[h] >= 0
-    tree = np.stack(
-        [
-            np.where(along_h, a * m + h_parent[h], n_parent[a] * m + h),
-            np.where(along_h, normal.columns.shape[0] + h_step[h], n_step[a]),
-            n_depth[a] + h_depth[h],
-        ]
-    )
-    return FiniteGroup(label, normal.identity * m + acting.identity, columns, tree)
+    return FiniteGroup(label, normal.identity * m + acting.identity, columns)
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Direct product with index packing (a, b) -> a*|H| + b.
+def direct_product(g: FiniteGroup, h: FiniteGroup, label: str | None = None) -> FiniteGroup:
+    """Direct product with index packing (a, b) -> a*|H| + b, labelled ``label`` or GxH.
 
     Each step s of G becomes (s, e) with column (a*s)*|H| + b, and each step t
     of H becomes (e, t) with column a*|H| + b*t.
     """
     _check_order(g.order * h.order, f"the product of {g.label!r} and {h.label!r}")
     columns = g.columns[:, :, None] * h.order + np.arange(h.order, dtype=TABLE_DTYPE)
-    return _product(f"{g.label}x{h.label}", g, h, columns.reshape(-1, g.order * h.order))
+    return _product(label or f"{g.label}x{h.label}", g, h, columns.reshape(-1, g.order * h.order))
 
 
 def semidirect_product(

@@ -1,6 +1,7 @@
 """Quadrature experiments on two compact conjugacy-class hypergroups.
 
-Models (both on theta in [0, pi], Haar mass 1):
+Models (both on theta in [0, pi], Haar mass 1), each named by its label, from
+which ``HypergroupModel`` derives everything else:
 
 - SU(2) conjugacy classes: d(lambda) = (2/pi) sin^2(theta) dtheta with
   characters chi_k(theta) = sin((k+1) theta)/sin(theta) and dimension weight
@@ -10,13 +11,13 @@ Models (both on theta in [0, pi], Haar mass 1):
   d(lambda) = (1/pi) dtheta with characters cos(k theta) and dimension
   weight 1 for k = 0 and 2 for k >= 1.  Here
   integral cos^2(k theta) dlambda = 1/dimension_weight(k)
-  (character_sq_norm = 1/weight), the convention recorded per model.
+  (character_sq_norm = 1/dimension_weight), the convention of each model.
 
 Both character families come from one three-term recurrence,
-chi_0 = 1, chi_1 = a cos(theta), chi_{k+1} = 2 cos(theta) chi_k - chi_{k-1}:
-a = 2 gives the second-kind Chebyshev polynomials U_k(cos theta), which are
-the SU(2) characters (finite at theta in {0, pi}, where the sine ratio is
-0/0), and a = 1 gives cos(k theta).
+chi_0 = 1, chi_1 = (1 + sigma) cos(theta), chi_{k+1} = 2 cos(theta) chi_k - chi_{k-1}:
+sigma = 1 gives the second-kind Chebyshev polynomials U_k(cos theta), which
+are the SU(2) characters (finite at theta in {0, pi}, where the sine ratio is
+0/0), and sigma = 0 gives cos(k theta).
 
 Norms of kernels sum_k a(k,n) chi_k and of tensor diagonals
 sum_k coef(k,n) chi_k (x) chi_k are integrated with composite
@@ -67,7 +68,6 @@ __all__ = [
     "dirichlet_scheme",
     "fejer_smoothed_scheme",
     "fejer_scheme",
-    "model_by_name",
     "scheme_by_name",
     "haar_mass",
     "orthogonality_residual",
@@ -76,19 +76,42 @@ __all__ = [
     "su2_divergence_lower_bound",
     "divergence_bound_check",
     "character_decay_probe",
+    "experiment_bytes",
     "run_experiment",
 ]
 
 
 @dataclass(frozen=True)
 class HypergroupModel:
-    """A hypergroup on [0, pi] with chi_1 = chi1_scale cos(theta) and a weight even about pi/2."""
+    """One of the two hypergroups on [0, pi], named by its label, "su2" or "chebyshev".
+
+    ``sigma`` is 1 for SU(2) and 0 for Chebyshev: chi_1 = (1 + sigma) cos(theta), and
+    chi_k(theta) S(theta) is sin(l theta) or cos(l theta) with l = k + sigma (see the module
+    docstring).  The weight, dimension weights and character norms follow from the label.
+    """
 
     label: str
-    weight: Callable[[np.ndarray], np.ndarray]
-    chi1_scale: float
-    dimension_weight: Callable[[int], float]
-    character_sq_norm: Callable[[int], float]
+
+    def __post_init__(self) -> None:
+        if self.label not in ("su2", "chebyshev"):
+            raise ValueError(f"unknown hypergroup model {self.label!r}")
+
+    @property
+    def sigma(self) -> int:
+        return int(self.label == "su2")
+
+    def weight(self, theta: np.ndarray) -> np.ndarray:
+        """The Haar density: (2/pi) sin^2(theta) for SU(2), 1/pi for Chebyshev."""
+        if self.sigma:
+            return (2.0 / np.pi) * np.sin(theta) ** 2
+        return np.full_like(np.asarray(theta, dtype=np.float64), 1.0 / np.pi)
+
+    def dimension_weight(self, k: int) -> float:
+        return float(k + 1) if self.sigma else (1.0 if k == 0 else 2.0)
+
+    def character_sq_norm(self, k: int) -> float:
+        """The integral of chi_k^2 dlambda: 1 for SU(2), 1/dimension_weight(k) for Chebyshev."""
+        return 1.0 if self.sigma or k == 0 else 0.5
 
 
 @dataclass(frozen=True)
@@ -144,7 +167,7 @@ def _character_rows(model: HypergroupModel, kmax: int, theta: np.ndarray) -> np.
     if kmax == 0:
         return rows
     cos = np.cos(theta)
-    rows[1] = model.chi1_scale * cos
+    rows[1] = (1 + model.sigma) * cos
     two_cos = 2.0 * cos
     for k in range(1, kmax):
         np.multiply(two_cos, rows[k], out=rows[k + 1])
@@ -154,24 +177,12 @@ def _character_rows(model: HypergroupModel, kmax: int, theta: np.ndarray) -> np.
 
 def su2_model() -> HypergroupModel:
     """Conjugacy-class hypergroup of SU(2); orthonormal characters."""
-    return HypergroupModel(
-        label="su2",
-        weight=lambda theta: (2.0 / np.pi) * np.sin(theta) ** 2,
-        chi1_scale=2.0,
-        dimension_weight=lambda k: float(k + 1),
-        character_sq_norm=lambda k: 1.0,
-    )
+    return HypergroupModel("su2")
 
 
 def chebyshev_model() -> HypergroupModel:
     """The circle modulo inversion; integral of cos^2 is 1/dimension_weight."""
-    return HypergroupModel(
-        label="chebyshev",
-        weight=lambda theta: np.full_like(np.asarray(theta, dtype=np.float64), 1.0 / np.pi),
-        chi1_scale=1.0,
-        dimension_weight=lambda k: 1.0 if k == 0 else 2.0,
-        character_sq_norm=lambda k: 1.0 if k == 0 else 0.5,
-    )
+    return HypergroupModel("chebyshev")
 
 
 def dirichlet_scheme(model: HypergroupModel) -> CoefficientScheme:
@@ -367,6 +378,25 @@ def _diagonal(table: np.ndarray, folded: np.ndarray, sign: float, factors: tuple
     return total / 4.0
 
 
+def experiment_bytes(model: HypergroupModel, levels: list[int], quad: QuadratureConfig) -> int:
+    """The bytes of the arrays an experiment over ``levels`` holds at once, counted on the refined grid.
+
+    Its exponential table, built once at the top level n, has
+    (n + sigma)//2N' + 1 blocks of 2N' x m complex128 for N' panels of m
+    nodes.  The diagonal's fold products (the table's entries for a chunk of
+    nodes times the folded coefficients, and their transposed copy) are two
+    float64 arrays of at most the table's size each.  Every level keeps its
+    coefficients, two float64 vectors of n + 1, for both grids, and its
+    results and row (about 600 bytes by tracemalloc, counted as 1 KiB); the
+    top level's are built through a list of Python floats, 32 bytes an entry.
+    Workspace that does not grow with the levels (the grid, its rule, one
+    chunk's kernel tiles) is not counted.
+    """
+    period, top = 2 * quad.panels * quad.refinement_factor, max(levels)
+    table = 16 * ((top + model.sigma) // period + 1) * period * quad.nodes_per_panel
+    return 3 * table + 32 * (top + 1) + sum(16 * (n + 1) + 1024 for n in levels)
+
+
 def _bai(table: np.ndarray, folded: np.ndarray, sigma: int, v: np.ndarray) -> float:
     """sum_pa v[p,a] |B(t_pa)|, B(x) = sum_l c_l cos(l x) (sigma 0) or sin(l x) (sigma 1), by one fold and one FFT."""
     active, blocks = folded.shape
@@ -393,9 +423,7 @@ def _grid_norms(
     blocks, the same numbers as a table built at that level.  A level whose
     tensor is None gets no diagonal (nan).
     """
-    if model.chi1_scale not in (1.0, 2.0):
-        raise ValueError(f"no product-to-sum identity for chi1_scale {model.chi1_scale!r}")
-    sigma = int(model.chi1_scale == 2.0)  # SU(2): S = sin, l = k + 1 and sign -1; Chebyshev: S = 1
+    sigma = model.sigma  # SU(2): S = sin, l = k + 1 and sign -1; Chebyshev: S = 1
     sign = -1.0 if sigma else 1.0
     points, weights = _grid(panels, nodes_per_panel)
     u = weights * model.weight(points)
@@ -550,14 +578,6 @@ def character_decay_probe(
     )
 
 
-def model_by_name(name: str) -> HypergroupModel:
-    if name == "su2":
-        return su2_model()
-    if name == "chebyshev":
-        return chebyshev_model()
-    raise ValueError(f"unknown hypergroup model {name!r}")
-
-
 def run_experiment(spec: dict) -> list[dict]:
     """Run one experiment spec: a model, a scheme, and a list of levels.
 
@@ -565,7 +585,7 @@ def run_experiment(spec: dict) -> list[dict]:
     the diagonal norm, the kernel norm, the SU(2) lower bound where
     applicable, and reproducibility metadata.
     """
-    model = model_by_name(spec["model"])
+    model = HypergroupModel(spec["model"])
     scheme = scheme_by_name(model, spec["scheme"])
     quad = QuadratureConfig(**spec.get("quadrature", {}))
     levels = [int(n) for n in spec["n"]]

@@ -59,11 +59,11 @@ GROUP_FORMAT = "zamen-group"
 CHARTABLE_FORMAT = "zamen-chartable"
 EXPERIMENT_FORMAT = "zamen-experiment"
 FORMAT_VERSION = 1
-# The largest matrix of character rows an experiment level may need: 1.6e9 bytes.
+# The most bytes the arrays of one experiment may need (``hypergroups.experiment_bytes``): 1.6e9.
 MAX_LEVEL_BYTES = 1_600_000_000
 # The most points a refined quadrature grid may have.  The diagonal norm's time grows
-# as their square: at 2**16 points one level takes 3-5 s (n <= 64, one BLAS thread on a
-# 2-vCPU x86-64 VM), and the next doubling would take four times as long.
+# as their square: at 2**16 points of 16 nodes per panel one level takes 1.3-2.5 s (n <= 800,
+# one BLAS thread on a 2-vCPU x86-64 VM), and the next doubling would take four times as long.
 MAX_GRID_POINTS = 2**16
 
 
@@ -133,9 +133,9 @@ def _build_group(spec: dict, depth: int = 0) -> FiniteGroup:
         if not isinstance(factors, list) or len(factors) < 2:
             raise SpecError("product specs need at least two factors")
         group = _build_group(factors[0], depth + 1)
-        for factor in factors[1:]:
-            group = direct_product(group, _build_group(factor, depth + 1))
-        return replace(group, label=label) if label else group
+        for count, factor in enumerate(factors[1:], 2):  # the product of all the factors takes the label
+            group = direct_product(group, _build_group(factor, depth + 1), label if count == len(factors) else None)
+        return group
     if kind == "semidirect":
         normal = spec.get("normal")
         acting = spec.get("acting")
@@ -252,17 +252,18 @@ def load_experiment_spec(payload: dict) -> dict:
 
     Model and scheme names are resolved by ``zamen.hypergroups``; the
     quadrature settings must be accepted by ``QuadratureConfig``.  A refined
-    grid of more than ``MAX_GRID_POINTS`` points, and a level whose
-    character-row matrix would exceed ``MAX_LEVEL_BYTES`` (1.6 GB), are
-    refused before any work starts.
+    grid of more than ``MAX_GRID_POINTS`` points, and levels whose
+    exponential table, fold products and coefficients would together exceed
+    ``MAX_LEVEL_BYTES`` (1.6 GB), are refused before any work starts.
     """
-    from .hypergroups import QuadratureConfig, model_by_name, scheme_by_name
+    from .hypergroups import HypergroupModel, QuadratureConfig, experiment_bytes, scheme_by_name
 
     _check_header(payload, EXPERIMENT_FORMAT)
     model = payload.get("model")
     scheme = payload.get("scheme")
     try:
-        scheme_by_name(model_by_name(model), scheme)
+        hypergroup = HypergroupModel(model)
+        scheme_by_name(hypergroup, scheme)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
     levels = payload.get("n")
@@ -280,12 +281,12 @@ def load_experiment_spec(payload: dict) -> dict:
         quad = QuadratureConfig(**quadrature)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
-    # Level n fills an (n+1) x ceil(points/2) float64 matrix of character rows on the refined grid.
+    if (need := experiment_bytes(hypergroup, levels, quad)) > MAX_LEVEL_BYTES:
+        raise SpecError(
+            f"the levels (up to n = {max(levels)}, {len(levels)} in all) need {need} bytes for their "
+            f"exponential table, fold products and coefficients, above {MAX_LEVEL_BYTES}"
+        )
     points = quad.panels * quad.refinement_factor * quad.nodes_per_panel
-    half = (points + 1) // 2
-    for n in levels:
-        if 8 * (n + 1) * half > MAX_LEVEL_BYTES:
-            raise SpecError(f"level n = {n} needs a {n + 1} x {half} float64 matrix, above {MAX_LEVEL_BYTES} bytes")
     if points > MAX_GRID_POINTS:
         raise SpecError(f"the refined grid has {points} points, above {MAX_GRID_POINTS}")
     return {

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench.tracing import TRACED  # noqa: E402
+from perfbench.tracing import COUNTS, TRACED, Tracer  # noqa: E402
 
 
 @pytest.mark.parametrize(
@@ -43,11 +43,11 @@ def test_quadrature_config_keeps_the_grid_fields():
     assert {"panels", "nodes_per_panel", "refinement_factor"} <= names
 
 
-def test_benchmark_items_pass_their_own_checks_on_tiny_inputs(tmp_path):
+def tiny_items():
     from perfbench import workloads
 
     rng = random.Random(5)
-    items = [
+    return [
         workloads.group_item("S3", rng),
         workloads.group_item("Q8", rng),  # its document is built from the zoo group's ``table`` view
         workloads.group_item("S3xS3", rng),
@@ -56,6 +56,28 @@ def test_benchmark_items_pass_their_own_checks_on_tiny_inputs(tmp_path):
         workloads.experiment_item("su2", "dirichlet", (4,), rng),
         workloads.Tz2Item(3),
     ]
+
+
+def test_benchmark_items_pass_their_own_checks_on_tiny_inputs(tmp_path):
+    items = tiny_items()
     assert items[2].factor_docs and items[3].verify_diagonal
     for item in items:
         assert item.run(tmp_path).problems == [], item.name
+
+
+def test_a_traced_run_of_the_tiny_items_records_every_count(tmp_path):
+    # The count hooks read what the calls return (``g.table``, ``t.num_classes``, ``t.residual``,
+    # ``r.pairs_checked``, the rows' keys); a hook that raises fails its item.
+    with Tracer().installed() as tracer:
+        for item in tiny_items():
+            assert item.run(tmp_path).problems == [], item.name
+    hooked = [span for span in tracer.spans if span.name in COUNTS]
+    assert all(span.counts for span in hooked), [span.name for span in hooked if not span.counts]
+    assert {span.name for span in hooked} >= {
+        "specio.group_from_json",
+        "characters.character_table",
+        "cache.cached_character_table",
+        "specio.stable_json",
+        "hypergroups.run_experiment",
+        "tz2.verify_identity_measure",
+    }

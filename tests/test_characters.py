@@ -233,6 +233,23 @@ def test_degeneracy_retry_paths(monkeypatch):
         character_table(g)
 
 
+def test_degree_recovery_retry_path(monkeypatch):
+    # S3's classes are all real, so its combination is one real block.  Rotating two of its
+    # eigenvectors keeps them orthonormal and their eigenvalues apart, but the identity-class
+    # entries of the rotated pair are no longer degrees over sqrt(6).
+    eigh = np.linalg.eigh
+
+    def rotated(h):
+        values, vectors = eigh(h)
+        c, s = np.cos(0.3), np.sin(0.3)
+        vectors[:, :2] = vectors[:, :2] @ np.array([[c, s], [-s, c]])
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated)
+    with pytest.raises(CertificationError, match="degree recovery failed on attempt 5"):
+        character_table(symmetric(3))
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
 def test_tolerance_that_disables_certification_is_rejected(tol):
     with pytest.raises(ValueError, match="positive and finite"):

@@ -462,8 +462,14 @@ class TestHypergroupRun:
         spec = self.make_spec(tmp_path, n=[4, level])
         assert run_cli("hypergroup", "run", str(spec)) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: level n = {level} needs a {level + 1} x 256 float64 matrix")
+        assert captured.err.startswith(f"error: the levels (up to n = {level}, 2 in all) need ")
+        assert "bytes for their exponential table, fold products and coefficients, above 1600000000" in captured.err
         assert captured.out == ""
+
+    def test_an_unknown_model_exits_2(self, tmp_path, capsys):
+        spec = self.make_spec(tmp_path, model="so3", scheme="dirichlet")
+        assert run_cli("hypergroup", "run", str(spec)) == 2
+        assert capsys.readouterr().err.startswith("error: unknown hypergroup model 'so3'")
 
     def test_a_grid_too_fine_to_run_exits_2_at_once(self, tmp_path, capsys):
         # 3.2e6 refined points: the character rows fit, but the diagonal norm would take hours.

@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -352,13 +353,15 @@ def test_inverses_match_the_full_table_oracle(make_group):
     assert not g.inverses.flags.writeable
 
 
-def test_a_group_keeps_its_label_identity_columns_and_tree():
-    assert [f.name for f in dataclasses.fields(FiniteGroup)] == ["label", "identity", "columns", "tree"]
+def test_a_group_keeps_its_label_identity_and_columns():
+    assert [f.name for f in dataclasses.fields(FiniteGroup)] == ["label", "identity", "columns"]
     assert [f.name for f in dataclasses.fields(ConjugacyStructure)] == [
         "group_hash", "class_of", "inverse_class", "identity_class"
     ]
     with pytest.raises(TypeError):
         FiniteGroup(order=5, identity=0, label="Z3", table=cyclic(3).table)
+    with pytest.raises(TypeError):  # the tree is derived from the columns, never handed in
+        FiniteGroup("Z8", 0, cyclic(8).columns, cyclic(8).tree)
 
 
 def test_a_group_and_its_arrays_are_read_only():
@@ -368,8 +371,10 @@ def test_a_group_and_its_arrays_are_read_only():
             array[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.label = "other"
+    with pytest.raises(AttributeError):
+        g.tree = cyclic(6).tree
     renamed = dataclasses.replace(g, label="renamed")
-    assert renamed.columns is g.columns and renamed.tree is g.tree
+    assert renamed.columns is g.columns and np.array_equal(renamed.tree, g.tree)
 
 
 def test_a_table_handed_in_is_stored_read_only():
@@ -383,9 +388,15 @@ def test_a_table_handed_in_is_stored_read_only():
     for stored, dtype in ((g.columns, np.int32), (g.tree, np.int64)):
         assert stored.dtype == dtype and stored.flags.c_contiguous and not stored.flags.writeable
     assert (g.order, g.identity, g.inverses.tolist()) == (4, 0, [0, 3, 2, 1])
-    copy = FiniteGroup("Z4", np.int64(0), g.columns.astype(np.int64), g.tree.astype(np.int32))
-    assert copy.columns.dtype == np.int32 and copy.tree.dtype == np.int64 and type(copy.identity) is int
-    assert np.array_equal(copy.table, cyclic(4).table)
+    copy = FiniteGroup("Z4", np.int64(0), g.columns.astype(np.int64))
+    assert copy.columns.dtype == np.int32 and type(copy.identity) is int
+    assert np.array_equal(copy.tree, g.tree) and np.array_equal(copy.table, cyclic(4).table)
+
+
+def test_a_tree_that_misses_an_element_is_refused():
+    # Z6's step 2 and its square 4 reach only the even elements from 0.
+    with pytest.raises(ValidationError, match="reach 3 of 6 elements"):
+        FiniteGroup("Z6?", 0, [(np.arange(6) + 2) % 6, (np.arange(6) + 4) % 6])
 
 
 def test_a_table_that_commutes_on_its_first_rows_is_not_abelian():
@@ -581,6 +592,25 @@ def test_closure_cap():
     assert time.perf_counter() - begin < 0.1
     with pytest.raises(SizeLimitError, match="above the cap"):
         cyclic(MAX_ORDER + 1)
+
+
+def test_a_closure_that_passes_the_cap_is_stopped_there(monkeypatch):
+    # S5's generators have orders 2 and 5, so only the closure itself meets a cap of 100.
+    monkeypatch.setattr(groups, "MAX_ORDER", 100)
+    with pytest.raises(SizeLimitError, match="closure of 'S5' exceeded the cap of 100 elements"):
+        from_permutation_generators(["(1 2)", "(1 2 3 4 5)"], label="S5")
+
+
+def test_a_table_above_its_cap_is_refused_before_it_is_allocated():
+    g = cyclic(MAX_TABLE_ORDER + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=r"the Cayley table of 'Z20001' has 20001\^2 entries"):
+            g.table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the table would be 1.6 GB
 
 
 def test_quotient_s3_by_a3():
@@ -826,6 +856,9 @@ def test_content_hash_ignores_labels():
     b = from_cayley_table(a.table, label="renamed")
     assert a.content_hash == b.content_hash
     assert a.content_hash != cyclic(7).content_hash
+    named = direct_product(cyclic(2), cyclic(3), label="Z6")
+    assert (named.label, direct_product(cyclic(2), cyclic(3)).label) == ("Z6", "Z2xZ3")
+    assert named.content_hash == direct_product(cyclic(2), cyclic(3)).content_hash
 
 
 def test_random_cayley_relabelling_is_still_a_group():

@@ -20,6 +20,7 @@ Oracles:
   singularities) and cos(k theta) are the closed-form oracles.
 """
 
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -29,6 +30,7 @@ import pytest
 
 from zamen.hypergroups import (
     CoefficientScheme,
+    HypergroupModel,
     QuadratureConfig,
     _character_rows,
     _grid,
@@ -38,10 +40,10 @@ from zamen.hypergroups import (
     diagonal_norm,
     dirichlet_scheme,
     divergence_bound_check,
+    experiment_bytes,
     fejer_scheme,
     fejer_smoothed_scheme,
     haar_mass,
-    model_by_name,
     orthogonality_residual,
     run_experiment,
     scheme_by_name,
@@ -199,6 +201,23 @@ class TestModels:
         assert [su2.dimension_weight(k) for k in range(4)] == [1, 2, 3, 4]
         assert [cheb.dimension_weight(k) for k in range(4)] == [1, 2, 2, 2]
 
+    def test_a_model_is_its_label(self):
+        assert [f.name for f in dataclasses.fields(HypergroupModel)] == ["label"]
+        assert (su2_model(), chebyshev_model()) == (HypergroupModel("su2"), HypergroupModel("chebyshev"))
+        assert (su2_model().sigma, chebyshev_model().sigma) == (1, 0)
+        theta = np.linspace(0.0, np.pi, 7)
+        assert np.array_equal(su2_model().weight(theta), (2.0 / np.pi) * np.sin(theta) ** 2)
+        assert np.array_equal(chebyshev_model().weight(theta), np.full(7, 1.0 / np.pi))
+        assert [chebyshev_model().character_sq_norm(k) for k in range(3)] == [1.0, 0.5, 0.5]
+        assert [su2_model().character_sq_norm(k) for k in range(3)] == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("label", ["so3", "SU2", "", None])
+    def test_an_unknown_label_is_refused(self, label):
+        with pytest.raises(ValueError, match="unknown hypergroup model"):
+            HypergroupModel(label)
+        with pytest.raises(ValueError, match="unknown hypergroup model"):
+            dataclasses.replace(su2_model(), label=label)
+
 
 class TestGrid:
     @pytest.mark.parametrize("panels", [1, 3])
@@ -336,7 +355,7 @@ class TestParityFold:
     @pytest.mark.parametrize("quad", GRIDS, ids=GRID_IDS)
     @pytest.mark.parametrize("model_name,scheme", CASES, ids=lambda c: getattr(c, "name", c))
     def test_matches_full_grid_oracle(self, model_name, scheme, quad):
-        model = model_by_name(model_name)
+        model = HypergroupModel(model_name)
         if isinstance(scheme, str):
             scheme = scheme_by_name(model, scheme)
         for n in (0, 1, 7, 50, 200):
@@ -387,6 +406,16 @@ class TestParityFold:
         quad = QuadratureConfig(panels=512)
         peak = self.peak_bytes(lambda: diagonal_norm(model, dirichlet_scheme(model), 4, quad))
         assert peak < 32 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("levels", [[20_000], [60_000], [20_000] * 20], ids=["20000", "60000", "20000x20"])
+    def test_levels_peak_under_their_byte_count(self, levels):
+        # The count that specio caps: on the default refined grid the exponential table is
+        # 5.2 MB at n = 20000 and 15.4 MB at n = 60000, and with the fold products it is most of
+        # the peak; the count takes each fold product at the table's size.  Twenty copies of a
+        # level hold twenty sets of its coefficients, 320 kB each.
+        count = experiment_bytes(su2_model(), levels, QuadratureConfig())
+        peak = self.peak_bytes(lambda: run_experiment({"model": "su2", "scheme": "dirichlet", "n": levels}))
+        assert count / 2 < peak < count, (peak, count)
 
     def test_many_nodes_peak_memory(self):
         # One panel of 1024 nodes: a 12.5 MiB exponential table per grid (2 x 401 x 1024, then
@@ -521,7 +550,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("model_name,scheme", STUDIES)
     def test_shared_rows_match_one_level_calls_exactly(self, model_name, scheme):
         # A table built once at n = 800 and read up to each level gives the same numbers as one built at it.
-        model = model_by_name(model_name)
+        model = HypergroupModel(model_name)
         scheme_obj = scheme_by_name(model, scheme)
         levels = [200, 7, 50, 800, 7, 0]
         rows = run_experiment({"model": model_name, "scheme": scheme, "n": levels})

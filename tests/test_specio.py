@@ -252,14 +252,26 @@ class TestExperimentSpecs:
             load_experiment_spec({**base, "n": [2, True]})
 
     def test_rejects_a_level_whose_character_rows_exceed_the_size_cap(self):
-        # The default refined grid has 2048 points, so a level holds (n+1) x 1024 float64 values;
-        # 20000^2 int32 entries (1.6e9 bytes) admit n = 195311 and not one more.
+        # The default refined grid has 2N' = 256 panel offsets of 16 nodes, so SU(2) level n holds
+        # (n + 1)//256 + 1 blocks of 256 x 16 complex128 three times over, plus 48 (n + 1) bytes of
+        # coefficients and 1 KiB of results; 1.6e9 bytes admit n = 1960702 and not one more.
         base = {"format": "zamen-experiment", "version": 1, "model": "su2", "scheme": "dirichlet"}
-        assert load_experiment_spec({**base, "n": [195_311]})["n"] == [195_311]
-        with pytest.raises(SpecError, match=r"level n = 195312 needs a 195313 x 1024 float64 matrix"):
-            load_experiment_spec({**base, "n": [2, 195_312]})
-        with pytest.raises(SpecError, match="level n = 0 needs a 1 x 400000000 float64 matrix"):
+        assert load_experiment_spec({**base, "n": [1_960_702]})["n"] == [1_960_702]
+        with pytest.raises(SpecError, match=r"the levels \(up to n = 1960703, 2 in all\) need 1600133168 bytes"):
+            load_experiment_spec({**base, "n": [2, 1_960_703]})
+        with pytest.raises(SpecError, match=r"\(up to n = 0, 1 in all\) need 76800001072 bytes for their exponential"):
             load_experiment_spec({**base, "n": [0], "quadrature": {"panels": 25_000_000}})
+
+    def test_rejects_many_copies_of_an_admitted_level(self):
+        # Every level keeps its 16 (n + 1) bytes of coefficients for both grids: at n = 1e6 the
+        # table and fold products take 786 MB once and each copy of the level 16 MB more.  A level
+        # of n = 0 counts 1040 bytes, mostly for its results and row.
+        base = {"format": "zamen-experiment", "version": 1, "model": "su2", "scheme": "dirichlet"}
+        assert len(load_experiment_spec({**base, "n": [1_000_000] * 49})["n"]) == 49
+        with pytest.raises(SpecError, match=r"\(up to n = 1000000, 50 in all\) need 1600199488 bytes"):
+            load_experiment_spec({**base, "n": [1_000_000] * 50})
+        with pytest.raises(SpecError, match=r"\(up to n = 0, 1538273 in all\)"):
+            load_experiment_spec({**base, "n": [0] * 1_538_273})
 
     def test_rejects_a_refined_grid_above_the_point_cap(self):
         # 2048 panels x 2 x 16 nodes is 2**16 points, the most allowed.
@@ -442,8 +454,9 @@ class TestCache:
         conjugacy_structure(s3)
         cached_character_table(s3, cache_dir=tmp_path)
         z6 = cyclic(6)
-        z6 = dataclasses.replace(s3, identity=z6.identity, columns=z6.columns, tree=z6.tree, label="Z6")
+        z6 = dataclasses.replace(s3, identity=z6.identity, columns=z6.columns, label="Z6")
         assert z6.content_hash == cyclic(6).content_hash != s3.content_hash
+        assert np.array_equal(z6.tree, cyclic(6).tree) and np.array_equal(z6.table, cyclic(6).table)
         assert conjugacy_structure(z6).num_classes == 6
         table, hit = cached_character_table(z6, cache_dir=tmp_path)
         assert not hit
