@@ -7,7 +7,8 @@ and its amenability constant is the L1(G x G) norm of that element:
     c(C,C') = sum_pi d_pi^2 conj(chi_pi(C)) chi_pi(C').
 
 In the table's ``pair_basis`` A + iB, c = Q S Q^H for the real Gram
-S = (dA)^T (dA) when B = 0; AM reads |c| off S without the upper classes' rows.
+S = (dA)^T (dA) when B = 0 (``CharacterTable.diagonal_gram``, formed once per
+table); AM reads |c| off S without the upper classes' rows.
 ``diagonal`` returns c as a bare k x k matrix; it conjugates the left leg,
 matching the norm formula above.  As a function on G x G the diagonal expands
 over indicator products with coefficients c(Cbar, C') instead (reindex the
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import CharacterTable, _gram, _in_classes, character_table, tensor_table
+from .characters import CharacterTable, _in_classes, character_table, tensor_table
 from .groups import FiniteGroup, quotient_group
 
 __all__ = [
@@ -68,19 +69,12 @@ class AmenabilityConstant:
         return self.value
 
 
-def _diagonal_gram(table: CharacterTable) -> np.ndarray:
-    """S = (dA + idB)^H (dA + idB) for the table's ``pair_basis`` A + iB and degrees d: c = Q S Q^H."""
-    _, _, a, b = table.pair_basis
-    d = table.degrees.astype(np.float64)[:, None]
-    return _gram(a * d, None if b is None else b * d)
-
-
 def diagonal(table: CharacterTable) -> np.ndarray:
     """Coefficient matrix of the unique diagonal of ZL1(G): the k x k array
     c[C, C'] = sum_pi d_pi^2 conj(chi_pi(C)) chi_pi(C'), assembled from the pair basis."""
     order, s, _, _ = table.pair_basis
     c = np.empty((table.num_classes,) * 2, dtype=np.complex128)
-    c[np.ix_(order, order)] = _in_classes(_diagonal_gram(table).astype(np.complex128), s)
+    c[np.ix_(order, order)] = _in_classes(table.diagonal_gram.astype(np.complex128), s)
     return c
 
 
@@ -96,7 +90,7 @@ def _am_value(table: CharacterTable) -> float:
     """AM(ZL1(G)) as a float, evaluated from the character table and its own diagonal."""
     order, s, _, _ = table.pair_basis
     sizes = table.class_sizes[order].astype(np.float64)
-    c = np.abs(_in_classes(_diagonal_gram(table), s))
+    c = np.abs(_in_classes(table.diagonal_gram, s))
     if c.shape[0] < sizes.size:  # the upper classes' rows, left out, repeat the lower ones'
         c[s:] *= 2.0
     total = float(sizes[: c.shape[0]] @ c @ sizes)

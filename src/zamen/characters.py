@@ -62,8 +62,8 @@ SEED = 0
 COLLISION_TOL = 1e-6
 # The arrays a table is stored as, in the order they are written.
 TABLE_ARRAYS = ("values", "degrees", "class_sizes", "class_reps", "inverse_class")
-# About how many float64 one round of the canonical order rounds at once (64 KiB): numpy's
-# temporaries for larger blocks cost about twice as much per entry.
+# About how many float64 ``_round_array`` rounds at once, and one round of the canonical order
+# keys (64 KiB): numpy's temporaries for larger blocks cost about twice as much per entry.
 ROUND_BLOCK = 1 << 13
 
 
@@ -152,6 +152,17 @@ class CharacterTable:
             low *= r
             np.multiply(odd, complex(0.0, -r), out=high)
         return order, s, values.real.copy(), (values.imag.copy() if values.imag.any() else None)
+
+    @cached_property
+    def diagonal_gram(self) -> np.ndarray:
+        """S = (dA + idB)^H (dA + idB) for the ``pair_basis`` A + iB and the degrees d, made on first use.
+
+        The diagonal's coefficients are Q S Q^H, so AM, the gap check and ``amenability.diagonal``
+        all read this one Gram.
+        """
+        _, _, a, b = self.pair_basis
+        d = self.degrees.astype(np.float64)[:, None]
+        return _gram(a * d, None if b is None else b * d)
 
     @cached_property
     def residual(self) -> float:
@@ -323,7 +334,7 @@ def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
 
 
 def _round_array(x: np.ndarray, ndigits: int) -> np.ndarray:
-    """Python's ``round(v, ndigits)`` applied to every entry of a float array.
+    """Python's ``round(v, ndigits)`` applied to every entry of a float array, ``ROUND_BLOCK`` at a time.
 
     rint(x * 10^ndigits) / 10^ndigits agrees with ``round`` except where the
     scaled product's own rounding error may cross a half-integer, or where the
@@ -331,15 +342,18 @@ def _round_array(x: np.ndarray, ndigits: int) -> np.ndarray:
     go through ``round`` itself.
     """
     x = np.asarray(x, dtype=np.float64)
-    scale = 10.0**ndigits
+    out, scale = np.empty(x.shape), 10.0**ndigits
+    flat, flat_out = x.ravel(), out.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = x * scale
-        out = np.rint(y, out=np.empty_like(x))
-        out /= scale
-        ay = np.abs(y)
-        risky = ~(ay < 2.0**52) | (np.abs(ay - np.floor(ay) - 0.5) <= 4 * np.spacing(ay))
-    for i in np.flatnonzero(risky):
-        out.flat[i] = round(float(x.flat[i]), ndigits)
+        for start in range(0, flat.size, ROUND_BLOCK):
+            part, into = flat[start : start + ROUND_BLOCK], flat_out[start : start + ROUND_BLOCK]
+            y = part * scale
+            np.rint(y, out=into)
+            into /= scale
+            ay = np.abs(y)
+            risky = ~(ay < 2.0**52) | (np.abs(ay - np.floor(ay) - 0.5) <= 4 * np.spacing(ay))
+            for i in np.flatnonzero(risky):
+                into[i] = round(float(part[i]), ndigits)
     return out
 
 

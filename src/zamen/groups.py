@@ -8,8 +8,9 @@ identity off a tree edge x = w*s_i (Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, ch. 4).  Left multiplication by any y is one pass down the tree,
 y*x = (y*w)*s_i, from y*e = y, so any rows of the Cayley table come from one pass batched over
 them, level by level; ``table`` is a read-only view built from those rows on
-demand.  Inverses follow the tree too (x^-1 = s_i^-1 * w^-1).  ``MAX_ORDER`` bounds every
-constructor, and ``MAX_TABLE_ORDER`` only that view.
+demand.  Inverses walk the tree upwards, x^-1 = s_d^-1 * ... * s_1^-1 for the path
+x = s_1*...*s_d, for every element at once.  ``MAX_ORDER`` bounds every constructor, and
+``MAX_TABLE_ORDER`` only that view.
 
 The steps are the constructor's generators and their repeated squares g, g^2,
 g^4, ..., so the tree stays shallow even along a long cycle; they only drive
@@ -19,7 +20,8 @@ semidirect laws, the classes (orbits of x -> g^-1*x*g) and quotients (its
 columns on cosets), so only the validation of a table from outside reads all
 n^2 entries.  Products compose their factors' columns, and closures from
 permutations keep their breadth-first discovery order, so every downstream
-ordering is reproducible.
+ordering is reproducible; the closure is one loop of ``bytes.translate`` and
+``dict.get`` per product up to 256 points.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ __all__ = [
 ]
 
 # The most elements a group may have.  Near the cap, building and classing AGL(1, 997) (993 012
-# elements) peaks at about 900 MiB RSS, most of it the greedy generating set's closure for the hash,
-# and takes about 2.5 s on a 2-vCPU x86-64 VM; S9 (362 880 elements) builds in about 1 s at 150 MiB.
+# elements) peaks at about 650 MiB RSS and takes about 3 s on a 2-vCPU x86-64 VM; S9 (362 880
+# elements) builds in about 0.4-0.5 s at 180 MiB, most of it the closure's dictionary of elements.
 MAX_ORDER = 1_000_000
 # The most entries n*k of a group's k x n pair index (``characters._pair_classes``), checked once
 # the k classes are known and before the index is allocated.  The index and the class combination
@@ -227,14 +229,18 @@ class FiniteGroup:
 
     @cached_property
     def inverses(self) -> np.ndarray:
-        """x^-1 = s_i^-1 * w^-1 for each tree edge x = w*s_i, one level at a time; read-only int64."""
-        left = self.rows(np.argmax(self.columns == self.identity, axis=1)).T  # left[x, i] = s_i^-1 * x
-        step = self.tree[1]
-        inverse = np.empty(self.order, dtype=np.int64)
-        inverse[self.identity] = self.identity
-        for x, w, _ in self._levels:
-            inverse[x] = left[inverse[w], step[x]]
-        return _read_only(inverse)
+        """x^-1 = s_d^-1 * ... * s_1^-1 for the tree path x = s_1*...*s_d, from every walk up the tree
+        at once through the steps' inverse columns; read-only int64."""
+        n, (parent, step, depth) = self.order, self.tree
+        undo = np.empty((self.columns.shape[0] + 1, n), dtype=TABLE_DTYPE)  # undo[i, x*s_i] = x
+        undo[-1] = np.arange(n, dtype=TABLE_DTYPE)  # the row that the identity's step -1 reads: y*e = y
+        for back, column in zip(undo, self.columns):
+            back[column] = undo[-1]
+        offsets, at, inverse = step % undo.shape[0] * n, np.arange(n), np.full(n, self.identity)
+        for _ in range(depth.max()):  # y*s^-1 for the step s into each walk's element, then up to its parent
+            inverse = undo.ravel()[offsets[at] + inverse]
+            at = parent[at]
+        return _read_only(inverse.astype(np.int64, copy=False))
 
     @property
     def is_abelian(self) -> bool:
@@ -286,18 +292,18 @@ def _generating_set(column: Callable[[int], np.ndarray], n: int, identity: int) 
     closed in (breadth first) only when the caller resumes, so a caller may check it first.
     """
     inside = np.arange(n) == identity
-    steps = np.empty((0, n), dtype=np.int64)
+    steps: list[np.ndarray] = []  # each generator's powers, int32, one per row
     while not inside.all():
         g = int(np.argmin(inside))
         yield g, (g_column := np.asarray(column(g)))
-        new = np.array(_powers(g_column, identity, {identity}))
-        steps = np.concatenate([steps, new])  # the old steps keep the old subgroup
-        frontier, step = np.flatnonzero(inside), new
+        # The powers are taken by intp gathers, which are faster, and kept as int32 rows.
+        steps.append(np.array(_powers(g_column.astype(np.intp, copy=False), identity, {identity}), dtype=TABLE_DTYPE))
+        frontier, rounds = np.flatnonzero(inside), steps[-1:]  # the old steps keep the old subgroup
         while frontier.size:
-            reached = np.bincount(step[:, frontier].ravel(), minlength=n) > 0
-            frontier = np.flatnonzero(reached & ~inside)
-            inside |= reached
-            step = steps
+            reached = inside.copy()
+            for block in rounds:  # marked by scatter; an intp copy of the indices scatters faster than int32
+                reached[block[:, frontier].astype(np.intp)] = True
+            frontier, inside, rounds = np.flatnonzero(reached ^ inside), reached, steps
 
 
 def _spanning_tree(columns: np.ndarray, identity: int) -> np.ndarray:
@@ -308,21 +314,22 @@ def _spanning_tree(columns: np.ndarray, identity: int) -> np.ndarray:
     columns, n = columns.astype(np.intp), columns.shape[1]  # gathers by intp: about 30 % faster than by int32
     tree = np.empty((3, n), dtype=np.int64)
     tree[:, identity] = (identity, -1, 0)
-    reached = np.arange(n) == identity
+    unreached = np.arange(n) != identity
     edge = np.empty(n, dtype=np.int64)  # edge[x]: the position in ``found`` that x keeps
-    frontier, depth = np.array([identity]), 0
-    while frontier.size:
+    frontier, depth, count = np.array([identity]), 0, 1
+    while frontier.size and count < n:
         depth += 1
         found = columns[:, frontier].ravel()  # found[i*f + j] = frontier[j]*s_i
-        fresh = np.flatnonzero(~reached[found])
-        edge[found[fresh]] = fresh  # of the positions of a repeated x, one is stored: keep that one
-        at = fresh[edge[found[fresh]] == fresh]
-        x = found[at]
-        tree[0, x], tree[1, x], tree[2, x] = frontier[at % frontier.size], at // frontier.size, depth
-        reached[x] = True
-        frontier = x
-    if not reached.all():
-        raise ValidationError(f"the steps reach {np.count_nonzero(reached)} of {n} elements from the identity")
+        fresh = unreached[found].nonzero()[0]
+        found = found[fresh]  # only the fresh products, so the whole gather is freed here
+        edge[found] = fresh  # of the positions of a repeated x, one is stored: keep that one
+        keep = edge[found] == fresh
+        x, (i, j) = found[keep], np.divmod(fresh[keep], frontier.size)
+        tree[0, x], tree[1, x], tree[2, x] = frontier[j], i, depth
+        unreached[x] = False
+        frontier, count = x, count + x.size
+    if count < n:
+        raise ValidationError(f"the steps reach {count} of {n} elements from the identity")
     return tree
 
 
@@ -400,19 +407,18 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray, label: str = 
     return _from_columns(label, *_validate_table(arr))
 
 
-def _composer(gens: list[np.ndarray]) -> tuple[bytes, list, Callable[[bytes, object], bytes]]:
-    """The identity's bytes key, the generators in the form ``compose`` takes, and ``compose(p, g)``,
-    the bytes key of x -> p[g[x]] for the bytes key p of a permutation.
+def _composer(gens: list[np.ndarray]) -> tuple[bytes, list, bytes, Callable[[object, bytes], bytes]]:
+    """The identity's bytes key, the generators in the form ``compose`` takes, the ``tail`` that makes
+    the key p of a permutation its table p + tail, and ``compose(g, table)``, the key of x -> p[g[x]].
 
-    Up to 256 points a key holds one byte per point, and composing is
-    ``bytes.translate``; beyond that it is a 16- or 32-bit gather.
+    Up to 256 points a key holds one byte per point, its table is 256 bytes and composing is
+    ``bytes.translate``; beyond that the table is the key and composing a 16- or 32-bit gather.
     """
     degree = gens[0].size
     if degree <= 256:
-        tail = bytes(range(degree, 256))
-        return bytes(range(degree)), [bytes(g.tolist()) for g in gens], lambda p, g: g.translate(p + tail)
+        return bytes(range(degree)), [bytes(g.tolist()) for g in gens], bytes(range(degree, 256)), bytes.translate
     dtype = np.dtype(np.uint16 if degree <= 1 << 16 else np.uint32)
-    return np.arange(degree, dtype=dtype).tobytes(), gens, lambda p, g: np.frombuffer(p, dtype)[g].tobytes()
+    return np.arange(degree, dtype=dtype).tobytes(), gens, b"", lambda g, p: np.frombuffer(p, dtype)[g].tobytes()
 
 
 def _permutation_order(perm: np.ndarray) -> int:
@@ -426,38 +432,43 @@ def _permutation_order(perm: np.ndarray) -> int:
     return order
 
 
-def from_permutation_generators(generators: Sequence[Sequence[int] | str], label: str = "G") -> FiniteGroup:
+def from_permutation_generators(
+    generators: Sequence[Sequence[int] | str], label: str = "G", degree: int | None = None
+) -> FiniteGroup:
     """Close a set of permutations under composition, breadth first.
 
-    The element order is the BFS discovery order (identity first, then
-    products ``word * generator`` in word-then-generator order), which makes
-    every downstream ordering reproducible.  Raises SizeLimitError when the
-    closure exceeds ``MAX_ORDER`` elements, and before it starts when a
-    generator's order does.
+    Each generator is read by ``parse_permutation(g, degree)``.  The element
+    order is the BFS discovery order (identity first, then products
+    ``word * generator`` in word-then-generator order), which makes every
+    downstream ordering reproducible.  Raises SizeLimitError when the closure
+    exceeds ``MAX_ORDER`` elements, and before it starts when a generator's
+    order does.
 
     Looking up each product w*g_i gives the generators' columns R_i[w] = w*g_i
     as a by-product; they are all the group keeps of the permutations.
     """
     if not generators:
         raise ValidationError("at least one generator is required")
-    parsed = [parse_permutation(g) for g in generators]
+    parsed = [parse_permutation(g, degree) for g in generators]
     for i, perm in enumerate(parsed):  # a generator's order is at most the group's (Lagrange)
         _check_order(_permutation_order(perm), f"generator {i} of {label!r}")
-    degree = max(p.size for p in parsed)
-    identity, gens, compose = _composer([np.concatenate([p, np.arange(p.size, degree)]) for p in parsed])
+    size, cap = max(p.size for p in parsed), MAX_ORDER
+    identity, gens, tail, compose = _composer([np.concatenate([p, np.arange(p.size, size)]) for p in parsed])
 
-    elements = [identity]
-    index = {identity: 0}
+    elements, index = [identity], {identity: 0}
     columns: list[list[int]] = [[] for _ in gens]  # columns[i][w] = index of w * gens[i]
+    steps, get = [(g, column.append) for g, column in zip(gens, columns)], index.get
     for p in elements:  # a queue: each new element is appended behind those still to visit
-        for g, column in zip(gens, columns):
-            q = compose(p, g)
-            x = index.setdefault(q, len(elements))
-            if x == len(elements):
-                if x == MAX_ORDER:
+        table = p + tail
+        for g, append in steps:
+            q = compose(g, table)
+            x = get(q)
+            if x is None:
+                if (x := len(elements)) == cap:
                     raise SizeLimitError(f"closure of {label!r} exceeded the cap of {MAX_ORDER} elements")
+                index[q] = x
                 elements.append(q)
-            column.append(x)
+            append(x)
     return _from_columns(label, 0, np.array(columns, dtype=np.int64))
 
 

@@ -65,6 +65,9 @@ MAX_LEVEL_BYTES = 1_600_000_000
 # as their square: at 2**16 points of 16 nodes per panel one level takes 1.3-2.5 s (n <= 800,
 # one BLAS thread on a 2-vCPU x86-64 VM), and the next doubling would take four times as long.
 MAX_GRID_POINTS = 2**16
+# The most nodes a panel's Gauss-Legendre rule may have: numpy's ``leggauss(m)`` solves an m x m
+# companion matrix (8 m^2 bytes), 0.25 s and 8.5 MB at m = 1024, and 32 768 nodes would take 8.6 GB.
+MAX_NODES_PER_PANEL = 1024
 
 
 def _check_header(payload: dict, expected_format: str) -> None:
@@ -99,7 +102,6 @@ def _build_group(spec: dict, depth: int = 0) -> FiniteGroup:
         direct_product,
         from_cayley_table,
         from_permutation_generators,
-        parse_permutation,
         semidirect_product,
     )
 
@@ -118,11 +120,8 @@ def _build_group(spec: dict, depth: int = 0) -> FiniteGroup:
             raise SpecError("perm specs need an integer degree >= 1 and below 2**63")
         if not isinstance(generators, list) or not generators:
             raise SpecError("perm specs need a nonempty generators list")
-        parsed = [
-            parse_permutation(g if isinstance(g, str) else _int_list(g, "a generator"), degree).tolist()
-            for g in generators
-        ]
-        return from_permutation_generators(parsed, label=label or "G")
+        parsed = [g if isinstance(g, str) else _int_list(g, "a generator") for g in generators]
+        return from_permutation_generators(parsed, label=label or "G", degree=degree)
     if kind == "cayley":
         table = _int_rows(spec.get("table"), "a cayley table")
         if any(len(row) != len(table) for row in table):
@@ -252,9 +251,10 @@ def load_experiment_spec(payload: dict) -> dict:
 
     Model and scheme names are resolved by ``zamen.hypergroups``; the
     quadrature settings must be accepted by ``QuadratureConfig``.  A refined
-    grid of more than ``MAX_GRID_POINTS`` points, and levels whose
-    exponential table, fold products and coefficients would together exceed
-    ``MAX_LEVEL_BYTES`` (1.6 GB), are refused before any work starts.
+    grid of more than ``MAX_GRID_POINTS`` points, a panel rule of more than
+    ``MAX_NODES_PER_PANEL`` nodes, and levels whose exponential table, fold
+    products and coefficients would together exceed ``MAX_LEVEL_BYTES``
+    (1.6 GB), are refused before any work starts.
     """
     from .hypergroups import HypergroupModel, QuadratureConfig, experiment_bytes, scheme_by_name
 
@@ -289,6 +289,8 @@ def load_experiment_spec(payload: dict) -> dict:
     points = quad.panels * quad.refinement_factor * quad.nodes_per_panel
     if points > MAX_GRID_POINTS:
         raise SpecError(f"the refined grid has {points} points, above {MAX_GRID_POINTS}")
+    if quad.nodes_per_panel > MAX_NODES_PER_PANEL:
+        raise SpecError(f"quadrature nodes_per_panel is {quad.nodes_per_panel}, above {MAX_NODES_PER_PANEL}")
     return {
         "model": model,
         "scheme": scheme,

@@ -23,6 +23,7 @@ import pytest
 
 from oracles import indicator, outer_module_residuals, special_linear
 import zamen
+from zamen import characters
 from zamen.amenability import (
     NONABELIAN_GAP,
     amenability_constant,
@@ -145,6 +146,21 @@ def test_hermitian_symmetry_of_diagonal_matrix():
         assert np.abs(c - c.conj().T).max() < 1e-9
         d4 = (character_table(build(name)).degrees.astype(float) ** 4).sum()
         assert c[0, 0].real == pytest.approx(d4, abs=1e-8)
+
+
+@pytest.mark.parametrize("name", ["S4", "Z6", "A4"])  # real characters, a complex table, conjugate pairs
+def test_am_the_gap_check_and_the_diagonal_form_one_gram(name, monkeypatch):
+    t = character_table(build(name))
+    fresh = character_table(build(name))
+    t.residual  # certification forms its own row and column Grams
+    grams = []
+    real_gram = characters._gram
+    monkeypatch.setattr(characters, "_gram", lambda a, b: grams.append(a.shape) or real_gram(a, b))
+    am, gap, c = amenability_constant(t), nonabelian_gap_check(t), diagonal(t)
+    assert verify_diagonal(t).passed
+    assert len(grams) == 1
+    assert am.value == gap.am == amenability_constant(fresh).value  # the same bits as a table of its own
+    assert c.tobytes() == diagonal(fresh).tobytes()
 
 
 def test_verify_diagonal_passes():

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from oracles import complex_amenability_constant
-from zamen import amenability, cache
+from zamen import cache
 from zamen.amenability import snap_rational
+from zamen.characters import CharacterTable
 from zamen.cli import CSV_COLUMNS, main
 from zamen.groups import cyclic, dihedral, quaternion_group
 from zamen.specio import stable_json
@@ -321,9 +322,9 @@ class TestAmconst:
 
     def test_zoo_forms_one_diagonal_gram_per_group_and_keeps_its_constants(self, tmp_path, capsys, monkeypatch):
         # AM comes from the gap check alone; the complex class-basis formula gives the same constants.
-        grams = []
-        real_gram = amenability._diagonal_gram
-        monkeypatch.setattr(amenability, "_diagonal_gram", lambda table: grams.append(table) or real_gram(table))
+        grams = []  # an uncached stand-in for the table's Gram records every table that forms one
+        real_gram = CharacterTable.diagonal_gram.func
+        monkeypatch.setattr(CharacterTable, "diagonal_gram", property(lambda table: grams.append(table) or real_gram(table)))
         assert run_cli("group", "amconst", "--zoo", "--json", "--cache-dir", str(tmp_path)) == 0
         records = json.loads(capsys.readouterr().out)["results"]
         assert [r["group"] for r in records] == list(zoo_names()) and len(grams) == len(records)

@@ -8,6 +8,7 @@ Expected values here are frozen from independent brute-force computations
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import re
 import time
@@ -57,6 +58,7 @@ from zamen.groups import (
     semidirect_product,
     symmetric,
 )
+from zamen.specio import load_group_spec
 from zamen.zoo import build as zoo_build
 from zamen.zoo import zoo_names
 
@@ -188,6 +190,41 @@ def test_content_hash_is_pinned_a5xa5():
     # Order 3600, the largest pinned: 4 generators, so 14 400 of its 13 million entries are hashed.
     g = direct_product(alternating(5), alternating(5))
     assert g.content_hash == "e6e133a6dd3a8f8baf90bfaa06ff39850579cb79ba84f9620a6251d6976a1591"
+
+
+def z300_perm_spec_group():
+    """Z300 from two shifts on 300 points, past the 256 points that one byte per point holds."""
+    shifts = [[(i + step) % 300 for i in range(300)] for step in (7, 11)]
+    return load_group_spec({"format": "zamen-group", "version": 1, "kind": "perm", "degree": 300, "generators": shifts})
+
+
+PINNED_CLOSURES = {  # sha256 of the columns as <i4 in C order, and the content hash
+    "S7": (
+        lambda: symmetric(7),
+        "d2d779569637807893088482e774ea59f56ac3c409b84e989af7214e07b5ed79",
+        "5c5e548cd21f12108167af2f5a6b28a5da4f8d7e6405eebf8cb442897b90ae72",
+    ),
+    "S8": (
+        lambda: symmetric(8),
+        "799465b019030c2cde34638f0b32f779fa6b9b0b12f0353ebaf789a462adfef3",
+        "1186731b112f9f380317bf241472787862b343e26002385098f3c5ea8313965f",
+    ),
+    "Z300": (
+        z300_perm_spec_group,
+        "1b1d3c6f4262e7768bc32a57c318c07f7131b17d9740e8f4ca8968e1c27b3684",
+        "cc28fd194ea18e271767d64faa4ad2040a72a5ce7ab523ea27bbff0c6cc8f1b6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CLOSURES)
+def test_closures_from_permutations_are_pinned(name):
+    # The breadth-first discovery order numbers the elements, so the columns and every hash and
+    # class order downstream depend on it; S7 and S8 close on one byte per point, Z300 on two.
+    make, columns_digest, content_hash = PINNED_CLOSURES[name]
+    g = make()
+    assert hashlib.sha256(np.ascontiguousarray(g.columns, dtype="<i4")).hexdigest() == columns_digest
+    assert g.content_hash == content_hash
 
 
 def test_content_hash_is_the_group_v3_formula():
@@ -782,6 +819,24 @@ def test_affine_groups_have_am_5_minus_8_over_p(p):
     g = affine(p)
     assert (g.order, conjugacy_structure(g).num_classes) == (p * (p - 1), p)
     assert amenability_constant(character_table(g)).rational == Fraction(5 * p - 8, p)
+
+
+def test_agl_1_499_hashes_and_inverts_in_bounded_memory():
+    # Order 248 502 with 18 steps.  The greedy closure keeps each generator's powers as int32 rows
+    # and marks what they reach by scatter, and the inverses walk the tree through int32 inverse
+    # columns: about 71 and 27 MiB of tracemalloc peak, where an int64 closure concatenated per
+    # generator took 167 MiB and an (n, 18) intp array of step-inverse rows 62 MiB.
+    g = affine(499)
+    peaks = {}
+    for name in ("content_hash", "inverses"):
+        tracemalloc.start()
+        try:
+            getattr(g, name)
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert peaks["content_hash"] <= 84 and peaks["inverses"] <= 31, peaks
+    assert np.array_equal(g.inverses[g.inverses], np.arange(g.order))
 
 
 def test_agl_1_211_builds_with_211_classes_within_a_second():

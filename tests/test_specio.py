@@ -7,7 +7,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from zamen import cache, specio
+from zamen import cache, characters, cli, specio
 from zamen.amenability import amenability_constant
 from zamen.cache import CACHE_ENV_VAR, cached_character_table, resolve_cache_dir
 from zamen.characters import character_table, tensor_table, verify_orthogonality
@@ -207,6 +207,15 @@ class TestCharacterTableDocuments:
         assert stable_json(d4["canonical"]) == stable_json(q8["canonical"])
         assert d4["group_hash"] != q8["group_hash"]
 
+    def test_rounding_in_blocks_writes_the_unblocked_document(self, monkeypatch):
+        # Z120's 14 400 values a part are rounded in ROUND_BLOCK (8192) chunks; one chunk for the
+        # whole array gives the same bytes.
+        table = character_table(cyclic(120))
+        assert table.values.size > characters.ROUND_BLOCK
+        blocked = stable_json(character_table_payload(table))
+        monkeypatch.setattr(characters, "ROUND_BLOCK", 1 << 40)
+        assert stable_json(character_table_payload(dataclasses.replace(table))) == blocked
+
     def test_negative_zero_is_normalized(self):
         payload = character_table_payload(character_table(build("Z4")))
         for row in payload["rows"]:
@@ -281,6 +290,20 @@ class TestExperimentSpecs:
             load_experiment_spec({**base, "quadrature": {"panels": 1, "nodes_per_panel": 32769}})
         with pytest.raises(SpecError, match="the refined grid has 98304 points, above 65536"):
             load_experiment_spec({**base, "quadrature": {"panels": 2048, "refinement_factor": 3}})
+
+    def test_rejects_a_panel_rule_that_cannot_be_built(self, tmp_path, capsys):
+        # leggauss(m) solves an m x m companion matrix: 32 768 nodes in one panel, a grid of
+        # 65 536 points, would allocate about 8.6 GB before any level runs.
+        base = {"format": "zamen-experiment", "version": 1, "model": "su2", "scheme": "dirichlet", "n": [4]}
+        one = {"panels": 1, "refinement_factor": 2}
+        assert load_experiment_spec({**base, "quadrature": {**one, "nodes_per_panel": 1024}})
+        for nodes in (1025, 32768):
+            with pytest.raises(SpecError, match=f"quadrature nodes_per_panel is {nodes}, above 1024"):
+                load_experiment_spec({**base, "quadrature": {**one, "nodes_per_panel": nodes}})
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps({**base, "quadrature": {**one, "nodes_per_panel": 32768}}))
+        assert cli.main(["hypergroup", "run", str(path)]) == 2
+        assert "nodes_per_panel is 32768, above 1024" in capsys.readouterr().err
 
 
 ENTRY_ARRAYS = ("values", "degrees", "class_sizes", "class_reps", "inverse_class")
