@@ -19,8 +19,8 @@ most log2(n) + 1 elements: the content hash, Light's associativity test, the
 semidirect laws, the classes (orbits of x -> g^-1*x*g) and quotients (its
 columns on cosets), so only the validation of a table from outside reads all
 n^2 entries.  Products compose their factors' columns, and closures from
-permutations keep their breadth-first discovery order, so every downstream
-ordering is reproducible.
+permutations (to 256 points, one ``bytes.translate`` and ``dict.get`` per product) keep
+their breadth-first discovery order, so every downstream ordering is reproducible.
 """
 
 from __future__ import annotations
