@@ -10,20 +10,12 @@ approximate identities exist; two-variable (diagonal) control is what
 fails.
 """
 
-from zamen.hypergroups import (
-    bai_norm,
-    diagonal_norm,
-    dirichlet_scheme,
-    fejer_smoothed_scheme,
-    su2_divergence_lower_bound,
-    su2_model,
-)
+from zamen.hypergroups import HypergroupModel, bai_norm, diagonal_norm, su2_divergence_lower_bound
 
 
 def main():
-    model = su2_model()
-    sharp = dirichlet_scheme(model)
-    tapered = fejer_smoothed_scheme(model)
+    model = HypergroupModel("su2")
+    sharp, tapered = "dirichlet", "fejer-smoothed"
 
     print("sharp truncation (coefficients = dimension weights):")
     print(f"{'n':>4s} {'lower bound':>12s} {'diagonal norm':>14s}")

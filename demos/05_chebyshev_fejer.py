@@ -9,19 +9,12 @@ pointwise, unlike SU(2)'s, which is the structural difference behind the
 two outcomes.
 """
 
-from zamen.hypergroups import (
-    character_decay_probe,
-    chebyshev_model,
-    diagonal_norm,
-    fejer_scheme,
-    su2_model,
-)
+from zamen.hypergroups import HypergroupModel, character_decay_probe, diagonal_norm
 
 
 def main():
-    model = chebyshev_model()
-    classical = fejer_scheme()
-    signed = fejer_scheme(signed_taper=True)
+    model = HypergroupModel("chebyshev")
+    classical, signed = "fejer", "fejer-signed"
 
     print(f"{'n':>4s} {'classical taper':>16s} {'signed taper':>14s}")
     for n in (4, 8, 16, 32):
@@ -32,8 +25,8 @@ def main():
     print()
 
     thetas = [0.3, 1.0, 2.0]
-    su2 = character_decay_probe(su2_model(), thetas, kmax=40)
-    cheb = character_decay_probe(chebyshev_model(), thetas, kmax=40)
+    su2 = character_decay_probe(HypergroupModel("su2"), thetas, kmax=40)
+    cheb = character_decay_probe(model, thetas, kmax=40)
     print("normalized character decay away from the endpoints (kmax = 40):")
     print(f"  SU(2):          tail max {su2.tail_max:.4f} vs bound {su2.bound:.4f} "
           f"-> decays: {su2.satisfied}")

@@ -34,9 +34,8 @@ _EXPORTS = {
             "semidirect_product symmetric"
         ),
         "hypergroups": (
-            "CoefficientScheme HypergroupModel QuadratureConfig bai_norm character_decay_probe chebyshev_model "
-            "diagonal_norm dirichlet_scheme divergence_bound_check fejer_scheme fejer_smoothed_scheme "
-            "su2_divergence_lower_bound su2_model"
+            "HypergroupModel QuadratureConfig bai_norm character_decay_probe coefficients diagonal_norm "
+            "divergence_bound_check su2_divergence_lower_bound"
         ),
         "tz2": "verify_identity_measure",
         "zoo": "build zoo_names",

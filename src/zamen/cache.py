@@ -7,10 +7,13 @@ bytes, then the payload, the table's ``TABLE_ARRAYS`` in order: ``values`` as
 little-endian complex128 (k x k, row-major) and the four int64 rows
 ``degrees``, ``class_sizes``, ``class_reps`` and ``inverse_class``.  k is not
 stored; an entry must be exactly ``16 + 16k^2 + 32k`` bytes for the group's own
-k.  The arrays reload bit for bit.  ``CharacterTable.from_arrays``, the check
-that ``specio.load_character_table`` applies to documents too, binds them to the
-group's classes, which ``cached_character_table`` takes as ``cs`` or looks up;
-a ``cs`` of another group is refused.  No residual is stored, since a loaded
+k.  The arrays reload bit for bit, but they are only as reproducible as the
+computed table: a many-class table such as Z300's differs in its last bits with
+the BLAS thread count, so two thread settings write different entries for it.
+``CharacterTable.from_arrays``, the check that ``specio.load_character_table``
+applies to documents too, binds them to the group's classes, which
+``cached_character_table`` takes as ``cs`` or looks up; a ``cs`` of another
+group is refused.  No residual is stored, since a loaded
 table computes its own from its values.  ``.json`` and ``.npz`` entries, all of
 earlier versions, are never read.  The directory is an explicit argument, else
 ZAMEN_CACHE_DIR, else ``.zamen-cache`` in the current directory; a temp file and

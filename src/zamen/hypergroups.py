@@ -19,6 +19,9 @@ sigma = 1 gives the second-kind Chebyshev polynomials U_k(cos theta), which
 are the SU(2) characters (finite at theta in {0, pi}, where the sine ratio is
 0/0), and sigma = 0 gives cos(k theta).
 
+A coefficient scheme is a name too, "dirichlet", "fejer-smoothed", "fejer" or
+"fejer-signed", whose level-n coefficients ``coefficients`` gives, so a result's
+config hash (of model, scheme, level and grid) names everything that made it.
 Norms of kernels sum_k a(k,n) chi_k and of tensor diagonals
 sum_k coef(k,n) chi_k (x) chi_k are integrated with composite
 Gauss-Legendre rules.  The integrands carry absolute values and are only
@@ -50,7 +53,6 @@ first blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -59,16 +61,10 @@ from .base import sha256_hex, stable_json
 
 __all__ = [
     "HypergroupModel",
-    "CoefficientScheme",
     "QuadratureConfig",
     "QuadratureResult",
     "DecayProbe",
-    "su2_model",
-    "chebyshev_model",
-    "dirichlet_scheme",
-    "fejer_smoothed_scheme",
-    "fejer_scheme",
-    "scheme_by_name",
+    "coefficients",
     "haar_mass",
     "orthogonality_residual",
     "diagonal_norm",
@@ -106,30 +102,13 @@ class HypergroupModel:
             return (2.0 / np.pi) * np.sin(theta) ** 2
         return np.full_like(np.asarray(theta, dtype=np.float64), 1.0 / np.pi)
 
-    def dimension_weight(self, k: int) -> float:
-        return float(k + 1) if self.sigma else (1.0 if k == 0 else 2.0)
+    def dimension_weight(self, k):
+        """k + 1 for SU(2); 1 at k = 0 and 2 above for Chebyshev.  Elementwise over an array of k."""
+        return k + 1.0 if self.sigma else np.minimum(k + 1.0, 2.0)
 
     def character_sq_norm(self, k: int) -> float:
         """The integral of chi_k^2 dlambda: 1 for SU(2), 1/dimension_weight(k) for Chebyshev."""
         return 1.0 if self.sigma or k == 0 else 0.5
-
-
-@dataclass(frozen=True)
-class CoefficientScheme:
-    """Kernel coefficients a(k, n); zero above the truncation level n.
-
-    ``squared_in_diagonal`` records whether the tensor diagonal at level n
-    uses coef = a(k,n)^2 (the convention for the SU(2) schemes) or the plain
-    a(k,n) (the classical Fejer convention on the circle quotient).
-    """
-
-    name: str
-    coefficient: Callable[[int, int], float]
-    squared_in_diagonal: bool
-
-    def tensor_coefficient(self, k: int, n: int) -> float:
-        a = self.coefficient(k, n)
-        return a * a if self.squared_in_diagonal else a
 
 
 @dataclass(frozen=True)
@@ -175,68 +154,32 @@ def _character_rows(model: HypergroupModel, kmax: int, theta: np.ndarray) -> np.
     return rows
 
 
-def su2_model() -> HypergroupModel:
-    """Conjugacy-class hypergroup of SU(2); orthonormal characters."""
-    return HypergroupModel("su2")
+def coefficients(model: HypergroupModel, scheme: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level-n kernel's a(k, n) and the tensor diagonal's coef(k, n), for k = 0..n.
 
+    - ``dirichlet``, sharp truncation: a = dimension_weight(k);
+    - ``fejer-smoothed``, a linear taper: a = dimension_weight(k) (1 - k/(n+1));
+    - ``fejer`` (Chebyshev only), the classical weights a(0) = 1 and a(k) = 2 (1 - k/(n+1)), which
+      sum to the nonnegative Fejer kernel with L1 norm exactly 1;
+    - ``fejer-signed`` (Chebyshev only), a = 1 - 2k/(n+1), which goes negative for k > (n+1)/2,
+      so its kernel is not L1-normalized.
 
-def chebyshev_model() -> HypergroupModel:
-    """The circle modulo inversion; integral of cos^2 is 1/dimension_weight."""
-    return HypergroupModel("chebyshev")
-
-
-def dirichlet_scheme(model: HypergroupModel) -> CoefficientScheme:
-    """Sharp truncation: a(k, n) = dimension_weight(k) for k <= n."""
-    return CoefficientScheme(
-        name="dirichlet",
-        coefficient=lambda k, n: model.dimension_weight(k) if k <= n else 0.0,
-        squared_in_diagonal=True,
-    )
-
-
-def fejer_smoothed_scheme(model: HypergroupModel) -> CoefficientScheme:
-    """Linearly tapered truncation a(k, n) = dimension_weight(k) (1 - k/(n+1))."""
-    return CoefficientScheme(
-        name="fejer-smoothed",
-        coefficient=lambda k, n: model.dimension_weight(k) * (1.0 - k / (n + 1.0)) if k <= n else 0.0,
-        squared_in_diagonal=True,
-    )
-
-
-def fejer_scheme(signed_taper: bool = False) -> CoefficientScheme:
-    """Circle-quotient Fejer coefficients, used unsquared in the diagonal.
-
-    Classical weights a(0,n) = 1, a(k,n) = 2(1 - k/(n+1)) sum to the
-    nonnegative Fejer kernel with L1 norm exactly 1.  With
-    ``signed_taper=True`` the alternative string 1 - 2k/(n+1) is used
-    instead; its coefficients go negative for k > (n+1)/2 and the resulting
-    kernel is not L1-normalized, which is measurable via bai_norm and
-    diagonal_norm.
+    ``dirichlet`` and ``fejer-smoothed`` square a in the diagonal, coef = a^2; the circle-quotient
+    Fejer schemes use coef = a.  ValueError for any other scheme name, and for ``fejer`` or
+    ``fejer-signed`` on SU(2).
     """
-    if signed_taper:
-        def coeff(k: int, n: int) -> float:
-            return 1.0 - 2.0 * k / (n + 1.0) if k <= n else 0.0
-
-        return CoefficientScheme(name="fejer-signed", coefficient=coeff, squared_in_diagonal=False)
-
-    def coeff(k: int, n: int) -> float:
-        if k > n:
-            return 0.0
-        return 1.0 if k == 0 else 2.0 * (1.0 - k / (n + 1.0))
-
-    return CoefficientScheme(name="fejer", coefficient=coeff, squared_in_diagonal=False)
-
-
-def scheme_by_name(model: HypergroupModel, name: str) -> CoefficientScheme:
-    if name == "dirichlet":
-        return dirichlet_scheme(model)
-    if name == "fejer-smoothed":
-        return fejer_smoothed_scheme(model)
-    if name in ("fejer", "fejer-signed"):
-        if model.label != "chebyshev":
-            raise ValueError(f"scheme {name!r} is specific to the chebyshev model")
-        return fejer_scheme(signed_taper=name == "fejer-signed")
-    raise ValueError(f"unknown coefficient scheme {name!r}")
+    if scheme not in ("dirichlet", "fejer-smoothed", "fejer", "fejer-signed"):
+        raise ValueError(f"unknown coefficient scheme {scheme!r}")
+    if scheme in ("fejer", "fejer-signed") and model.sigma:
+        raise ValueError(f"scheme {scheme!r} is specific to the chebyshev model")
+    k = np.arange(n + 1, dtype=np.float64)
+    if scheme == "fejer-signed":
+        a = 1.0 - 2.0 * k / (n + 1.0)
+        return a, a
+    a = model.dimension_weight(k)
+    if scheme != "dirichlet":
+        a = a * (1.0 - k / (n + 1.0))  # fejer is Chebyshev-only: 1 at k = 0, 2 (1 - k/(n+1)) above
+    return a, (a if scheme == "fejer" else a * a)
 
 
 def _grid(panels: int, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,10 +192,10 @@ def _grid(panels: int, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
-def _config_hash(model: HypergroupModel, scheme_name: str, n: int, quad: QuadratureConfig) -> str:
+def _config_hash(model: HypergroupModel, scheme: str, n: int, quad: QuadratureConfig) -> str:
     config = {
         "model": model.label,
-        "scheme": scheme_name,
+        "scheme": scheme,
         "n": n,
         "panels": quad.panels,
         "nodes_per_panel": quad.nodes_per_panel,
@@ -444,7 +387,7 @@ def _grid_norms(
 
 def _norms(
     model: HypergroupModel,
-    scheme: CoefficientScheme,
+    scheme: str,
     levels: list[int],
     quad: QuadratureConfig,
     with_diagonal: bool = True,
@@ -458,19 +401,18 @@ def _norms(
     are nan.
     """
     if not levels:
+        coefficients(model, scheme, 0)  # an unknown scheme is refused with no levels too
         return []
-    coefs = [np.array([scheme.coefficient(k, n) for k in range(n + 1)]) for n in levels]
-    tensors = [
-        np.array([scheme.tensor_coefficient(k, n) for k in range(n + 1)]) if with_diagonal else None
-        for n in levels
-    ]
+    coefs, tensors = zip(*(coefficients(model, scheme, n) for n in levels))
+    if not with_diagonal:
+        tensors = [None] * len(levels)
     base, refined = (
         _grid_norms(model, levels, coefs, tensors, panels, quad.nodes_per_panel)
         for panels in (quad.panels, quad.panels * quad.refinement_factor)
     )
     results = []
     for n, base_pair, refined_pair in zip(levels, base, refined):
-        config_hash = _config_hash(model, scheme.name, n, quad)
+        config_hash = _config_hash(model, scheme, n, quad)
         pair = []
         for base_value, value in zip(base_pair, refined_pair):
             err = abs(value - base_value)
@@ -482,7 +424,7 @@ def _norms(
 
 def diagonal_norm(
     model: HypergroupModel,
-    scheme: CoefficientScheme,
+    scheme: str,
     n: int,
     quad: QuadratureConfig | None = None,
 ) -> QuadratureResult:
@@ -492,7 +434,7 @@ def diagonal_norm(
 
 def bai_norm(
     model: HypergroupModel,
-    scheme: CoefficientScheme,
+    scheme: str,
     n: int,
     quad: QuadratureConfig | None = None,
 ) -> QuadratureResult:
@@ -500,24 +442,21 @@ def bai_norm(
     return _norms(model, scheme, [n], quad or QuadratureConfig(), with_diagonal=False)[0][1]
 
 
-def su2_divergence_lower_bound(scheme: CoefficientScheme, n: int) -> float:
+def su2_divergence_lower_bound(scheme: str, n: int) -> float:
     """Closed-form lower bound for the SU(2) diagonal norm at level n.
 
     (2/pi)^2 sum over odd k = 2j+1 <= n of (a(k,n) (k+1) / (k (k+2)))^2.
     Each term is the squared pairing of the kernel against the sign-type
     test function supported on half the interval.  At n = 0 no odd k is
-    left, so the bound is the empty sum 0.0.
+    left, so the bound is the empty sum 0.0.  Terms are squared by pow, as
+    ``** 2`` on a float is (x * x can differ in the last bit), and summed in order.
     """
     if n < 0:
         raise ValueError(f"divergence bound needs n >= 0, got {n}")
-    total = 0.0
-    j = 0
-    while 2 * j + 1 <= n:
-        k = 2 * j + 1
-        a = scheme.coefficient(k, n)
-        total += (a * (k + 1) / (k * (k + 2))) ** 2
-        j += 1
-    return (2.0 / np.pi) ** 2 * total
+    a = coefficients(HypergroupModel("su2"), scheme, n)[0][1::2]
+    k = np.arange(1, n + 1, 2)
+    terms = np.float_power(a * (k + 1) / (k * (k + 2)), 2.0)
+    return (2.0 / np.pi) ** 2 * sum(terms.tolist(), 0.0)
 
 
 @dataclass(frozen=True)
@@ -527,16 +466,11 @@ class DivergenceCheck:
     passed: bool
 
 
-def divergence_bound_check(
-    model: HypergroupModel,
-    scheme: CoefficientScheme,
-    n: int,
-    quad: QuadratureConfig | None = None,
-) -> DivergenceCheck:
-    """Assert diagonal_norm >= su2_divergence_lower_bound - tolerance."""
+def divergence_bound_check(scheme: str, n: int, quad: QuadratureConfig | None = None) -> DivergenceCheck:
+    """Check SU(2)'s diagonal_norm >= su2_divergence_lower_bound - tolerance."""
     quad = quad or QuadratureConfig()
     bound = su2_divergence_lower_bound(scheme, n)
-    norm = diagonal_norm(model, scheme, n, quad)
+    norm = diagonal_norm(HypergroupModel("su2"), scheme, n, quad)
     return DivergenceCheck(
         bound=bound, norm=norm, passed=norm.value >= bound - max(quad.tolerance, norm.error_estimate)
     )
@@ -563,13 +497,14 @@ def character_decay_probe(
     normalized characters do not decay (the circle quotient) fail the check,
     which the probe reports rather than raises.
     """
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 1 or thetas.size == 0:
         raise ValueError("thetas must be a nonempty 1-d array")
     if (thetas < 1e-3).any() or (thetas > np.pi - 1e-3).any():
         raise ValueError("theta values must stay 1e-3 away from 0 and pi")
-    dims = np.array([model.dimension_weight(k) for k in range(kmax + 1)])
-    values = np.abs(_character_rows(model, kmax, thetas)).T / dims
+    values = np.abs(_character_rows(model, kmax, thetas)).T / model.dimension_weight(np.arange(kmax + 1))
     half = kmax // 2
     tail_max = float(values[:, half:].max())
     bound = 2.0 / ((half + 1) * np.sin(thetas.min()))
@@ -585,8 +520,7 @@ def run_experiment(spec: dict) -> list[dict]:
     the diagonal norm, the kernel norm, the SU(2) lower bound where
     applicable, and reproducibility metadata.
     """
-    model = HypergroupModel(spec["model"])
-    scheme = scheme_by_name(model, spec["scheme"])
+    model, scheme = HypergroupModel(spec["model"]), spec["scheme"]
     quad = QuadratureConfig(**spec.get("quadrature", {}))
     levels = [int(n) for n in spec["n"]]
     rows = []
@@ -594,7 +528,7 @@ def run_experiment(spec: dict) -> list[dict]:
         rows.append(
             {
                 "model": model.label,
-                "scheme": scheme.name,
+                "scheme": scheme,
                 "n": n,
                 "diagonal_norm": dn.value,
                 "diagonal_error_estimate": dn.error_estimate,

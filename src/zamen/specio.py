@@ -17,9 +17,10 @@ normalized, so re-serializing a loaded document is byte-stable.  A document's
 ``residual`` is that of the rounded values it holds, and a loaded table
 recomputes it from them rather than trusting the field; it ignores ``order``
 too.  ``CharacterTable.from_arrays`` checks a loaded document exactly as it
-checks a cache entry.  Exports are stable only for a fixed code version: the
-last decimals of a table good to about 1e-11 move when its floating-point sums
-are reordered.
+checks a cache entry.  Exports are stable only for a fixed code version and
+BLAS thread count: the last decimals of a table good to about 1e-11 move when
+its floating-point sums are reordered, and BLAS splits its sums by thread (a
+many-class table such as Z300's differs between one and two threads).
 
 Each reader imports the layer it builds with when it runs, so validating an
 experiment spec loads no finite-group layer and a group spec no hypergroups.
@@ -256,14 +257,14 @@ def load_experiment_spec(payload: dict) -> dict:
     products and coefficients would together exceed ``MAX_LEVEL_BYTES``
     (1.6 GB), are refused before any work starts.
     """
-    from .hypergroups import HypergroupModel, QuadratureConfig, experiment_bytes, scheme_by_name
+    from .hypergroups import HypergroupModel, QuadratureConfig, coefficients, experiment_bytes
 
     _check_header(payload, EXPERIMENT_FORMAT)
     model = payload.get("model")
     scheme = payload.get("scheme")
     try:
         hypergroup = HypergroupModel(model)
-        scheme_by_name(hypergroup, scheme)
+        coefficients(hypergroup, scheme, 0)
     except ValueError as exc:
         raise SpecError(str(exc)) from None
     levels = payload.get("n")

@@ -24,17 +24,7 @@ from oracles import convolve_direct
 from zamen.central import ClassFunction, convolve, gelfand_transform, inverse_gelfand
 from zamen.characters import canonical_form, character_table, verify_orthogonality
 from zamen.groups import center, conjugacy_structure, direct_product, quotient_group
-from zamen.hypergroups import (
-    QuadratureConfig,
-    bai_norm,
-    chebyshev_model,
-    diagonal_norm,
-    dirichlet_scheme,
-    fejer_scheme,
-    fejer_smoothed_scheme,
-    su2_divergence_lower_bound,
-    su2_model,
-)
+from zamen.hypergroups import HypergroupModel, QuadratureConfig, bai_norm, diagonal_norm, su2_divergence_lower_bound
 from zamen.tz2 import verify_identity_measure
 from zamen.zoo import abelian_zoo_names, build, nonabelian_zoo_names, zoo_names
 
@@ -177,8 +167,8 @@ def test_criterion_07_hilbert_schmidt_bound():
 
 def test_criterion_08_fejer_unit_norms():
     clock = _Clock(budget=60.0)
-    model = chebyshev_model()
-    scheme = fejer_scheme()
+    model = HypergroupModel("chebyshev")
+    scheme = "fejer"
     worst = 0.0
     for n in (4, 8, 16, 32):
         result = diagonal_norm(model, scheme, n)
@@ -189,10 +179,10 @@ def test_criterion_08_fejer_unit_norms():
 
 def test_criterion_09_su2_divergence():
     clock = _Clock(budget=300.0)
-    model = su2_model()
+    model = HypergroupModel("su2")
     quad = QuadratureConfig()
 
-    dirichlet = dirichlet_scheme(model)
+    dirichlet = "dirichlet"
     crossing = next(
         (n for n in range(1, 101) if su2_divergence_lower_bound(dirichlet, n) > 5.0), None
     )
@@ -204,7 +194,7 @@ def test_criterion_09_su2_divergence():
         tol = max(quad.tolerance, result.error_estimate)
         assert result.value >= bound - tol, (n, result.value, bound)
 
-    smoothed = fejer_smoothed_scheme(model)
+    smoothed = "fejer-smoothed"
     norms = {}
     for n in (8, 16, 32):
         norms[n] = diagonal_norm(model, smoothed, n, quad).value
