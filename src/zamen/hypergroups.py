@@ -165,13 +165,15 @@ def coefficients(model: HypergroupModel, scheme: str, n: int) -> tuple[np.ndarra
       so its kernel is not L1-normalized.
 
     ``dirichlet`` and ``fejer-smoothed`` square a in the diagonal, coef = a^2; the circle-quotient
-    Fejer schemes use coef = a.  ValueError for any other scheme name, and for ``fejer`` or
-    ``fejer-signed`` on SU(2).
+    Fejer schemes use coef = a.  ValueError for any other scheme name, for ``fejer`` or
+    ``fejer-signed`` on SU(2), and for a negative level.
     """
     if scheme not in ("dirichlet", "fejer-smoothed", "fejer", "fejer-signed"):
         raise ValueError(f"unknown coefficient scheme {scheme!r}")
     if scheme in ("fejer", "fejer-signed") and model.sigma:
         raise ValueError(f"scheme {scheme!r} is specific to the chebyshev model")
+    if n < 0:
+        raise ValueError(f"the level needs n >= 0, got {n}")
     k = np.arange(n + 1, dtype=np.float64)
     if scheme == "fejer-signed":
         a = 1.0 - 2.0 * k / (n + 1.0)
@@ -451,8 +453,6 @@ def su2_divergence_lower_bound(scheme: str, n: int) -> float:
     left, so the bound is the empty sum 0.0.  Terms are squared by pow, as
     ``** 2`` on a float is (x * x can differ in the last bit), and summed in order.
     """
-    if n < 0:
-        raise ValueError(f"divergence bound needs n >= 0, got {n}")
     a = coefficients(HypergroupModel("su2"), scheme, n)[0][1::2]
     k = np.arange(1, n + 1, 2)
     terms = np.float_power(a * (k + 1) / (k * (k + 2)), 2.0)

@@ -240,15 +240,16 @@ class TestGrid:
 def per_k_coefficients(model, scheme, n):
     """(a(k, n), coef(k, n)) for k = 0..n, one Python float at a time, by the formula of each scheme."""
     def a(k):
+        dimension = float(k + 1) if model.label == "su2" else (1.0 if k == 0 else 2.0)
         if scheme == "dirichlet":
-            return model.dimension_weight(k)
+            return dimension
         if scheme == "fejer-smoothed":
-            return model.dimension_weight(k) * (1.0 - k / (n + 1.0))
+            return dimension * (1.0 - k / (n + 1.0))
         if scheme == "fejer":
             return 1.0 if k == 0 else 2.0 * (1.0 - k / (n + 1.0))
         return 1.0 - 2.0 * k / (n + 1.0)
 
-    kernel = [float(a(k)) for k in range(n + 1)]
+    kernel = [a(k) for k in range(n + 1)]
     squared = scheme in ("dirichlet", "fejer-smoothed")
     return kernel, [x * x if squared else x for x in kernel]
 
@@ -292,6 +293,18 @@ class TestSchemes:
         for scheme in ("nope", "Dirichlet", "", None, 3, ["fejer"]):
             with pytest.raises(ValueError, match="unknown coefficient scheme"):
                 coefficients(SU2, scheme, 3)
+
+    def test_a_negative_level_is_refused_everywhere(self):
+        # Level -1 has no coefficients; a norm of it would be a converged 0.0 with a config hash.
+        for call in (
+            lambda: coefficients(CHEB, "fejer", -1),
+            lambda: diagonal_norm(SU2, "dirichlet", -1),
+            lambda: bai_norm(CHEB, "fejer-signed", -1),
+            lambda: run_experiment({"model": "su2", "scheme": "dirichlet", "n": [4, -1]}),
+            lambda: su2_divergence_lower_bound("fejer-smoothed", -2),
+        ):
+            with pytest.raises(ValueError, match="n >= 0"):
+                call()
 
     @pytest.mark.parametrize("model_name,scheme", SCHEMES)
     def test_coefficients_match_the_per_k_formulas(self, model_name, scheme):
@@ -579,7 +592,8 @@ class TestDivergenceBound:
     @pytest.mark.parametrize("scheme", ["dirichlet", "fejer-smoothed"])
     def test_bound_is_the_per_k_sum_exactly(self, scheme):
         # The sum over odd k in order, each term squared by Python's ** 2, as a loop over k gives it.
-        for n in [*range(0, 120), 801, 5000]:
+        # At fejer-smoothed levels 398 and 1009, squaring by x * x instead moves the bound's last bit.
+        for n in [*range(0, 120), 398, 801, 1009, 5000]:
             a, _ = per_k_coefficients(SU2, scheme, n)
             total = 0.0
             for k in range(1, n + 1, 2):
