@@ -8,7 +8,9 @@ and its amenability constant is the L1(G x G) norm of that element:
 
 In the table's ``pair_basis`` A + iB, c = Q S Q^H for the real Gram
 S = (dA)^T (dA) when B = 0 (``CharacterTable.diagonal_gram``, formed once per
-table); AM reads |c| off S without the upper classes' rows.
+table); AM reads |c| off S without the upper classes' rows.  The
+Hilbert-Schmidt lower bound is the C = C' part of AM's sum,
+sum_C (|C|/|G|)^2 c(C,C), and reads S's diagonal alone.
 ``diagonal`` returns c as a bare k x k matrix; it conjugates the left leg,
 matching the norm formula above.  As a function on G x G the diagonal expands
 over indicator products with coefficients c(Cbar, C') instead (reindex the
@@ -104,15 +106,16 @@ def amenability_constant(table: CharacterTable) -> AmenabilityConstant:
 
 
 def hilbert_schmidt_lower_bound(table: CharacterTable) -> float:
-    """(1/|G|) || diag(d) U diag(sqrt(|C|)) ||_HS^2, always <= AM(ZL1(G)).
+    """sum_C (|C|/|G|)^2 c(C,C), the diagonal terms of AM's sum, so always <= AM(ZL1(G)).
 
-    U is the unitary sqrt(|C|/|G|) chi_pi(C), so the bound expands to
-    (1/|G|) sum_{pi,C} d_pi^2 (|C|/|G|) |chi_pi(C)|^2 |C|.
+    c(C,C) = sum_pi d_pi^2 |chi_pi(C)|^2, so this is (1/|G|) || diag(d) U diag(sqrt(|C|)) ||_HS^2 for
+    the unitary U = sqrt(|C|/|G|) chi_pi(C).  With c = Q S Q^H in the ``pair_basis``, c(C,C) = S_CC on
+    a self-inverse class, and over a pair C, C^-1 (of one size) the cross terms cancel:
+    c(C,C) + c(C^-1,C^-1) = S_jj + S_j'j' for the pair's two columns j, j'.
     """
-    sizes = table.class_sizes.astype(np.float64)
-    d2 = table.degrees.astype(np.float64) ** 2
-    weights = np.abs(table.values) ** 2 * (sizes / table.order)[None, :] * sizes[None, :]
-    return float((d2[:, None] * weights).sum() / table.order)
+    order = table.pair_basis[0]
+    weights = (table.class_sizes[order] / table.order) ** 2
+    return float(weights @ table.diagonal_gram.diagonal().real)
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .base import DEFAULT_CERT_TOL, CertificationError, SizeLimitError, sha256_hex
-from .groups import MAX_PAIR_ENTRIES, ConjugacyStructure, FiniteGroup, conjugacy_structure
+from .groups import ConjugacyStructure, FiniteGroup, conjugacy_structure
 
 __all__ = [
     "CertificationError",
@@ -62,6 +62,11 @@ SEED = 0
 COLLISION_TOL = 1e-6
 # The arrays a table is stored as, in the order they are written.
 TABLE_ARRAYS = ("values", "degrees", "class_sizes", "class_reps", "inverse_class")
+# The most entries n*k of a group's k x n pair index (``_pair_classes``), checked once the k classes
+# are known and before the index is allocated.  The index and the class combination built from it
+# take about 17 bytes per entry (S8: 887 040 entries, a 14.6 MB tracemalloc peak for
+# ``class_constants``), so an index at the cap needs about 570 MB.
+MAX_PAIR_ENTRIES = 1 << 25
 # About how many float64 ``_round_array`` rounds at once, and one round of the canonical order
 # keys (64 KiB): numpy's temporaries for larger blocks cost about twice as much per entry.
 ROUND_BLOCK = 1 << 13
@@ -118,19 +123,10 @@ class CharacterTable:
         return int(self.class_sizes.size)
 
     @property
-    def normalized_values(self) -> np.ndarray:
-        """chi_p(C) / d_p, the characters of the underlying hypergroup."""
-        return self.values / self.degrees[:, None]
-
-    @property
-    def unitary_matrix(self) -> np.ndarray:
-        """U[p, j] = sqrt(|C_j|/|G|) chi_p(C_j); unitary when the table is valid."""
-        return self.values * np.sqrt(self.class_sizes / self.order)[None, :]
-
-    @property
     def gelfand_matrix(self) -> np.ndarray:
-        """T[pi, C] = conj(psi_pi(C)) |C|/|G|, so T @ f is the Gelfand transform of f."""
-        return np.conj(self.normalized_values) * (self.class_sizes / self.order)[None, :]
+        """T[pi, C] = conj(psi_pi(C)) |C|/|G| for the hypergroup characters psi = chi / d, so T @ f is
+        the Gelfand transform of f."""
+        return np.conj(self.values / self.degrees[:, None]) * (self.class_sizes / self.order)[None, :]
 
     @cached_property
     def pair_basis(self) -> tuple[np.ndarray, int, np.ndarray, np.ndarray | None]:
@@ -223,25 +219,20 @@ def class_constants(group: FiniteGroup) -> np.ndarray:
     return np.bincount(index.ravel(), minlength=k**3).reshape(k, k, k)
 
 
-def _class_combination(group: FiniteGroup) -> Callable[[np.ndarray], np.ndarray]:
-    """a -> sum_i a[i] D^{-1/2} M_i D^{1/2}, without the structure-constant tensor.
+def _class_combination(group: FiniteGroup, a: np.ndarray) -> np.ndarray:
+    """sum_i a[i] D^{-1/2} M_i D^{1/2}, without the structure-constant tensor.
 
     (M_i)[j, m] = a[i, j, m] from ``class_constants`` and D = diag(sizes).  An
     element x of class i adds a[i] to entry (j, m) where j is the class of
-    x^{-1} z_m, so the pair index of ``_pair_classes`` turns each combination
-    into one bincount: O(k |G|) per call.
+    x^{-1} z_m, so the pair index of ``_pair_classes`` turns the combination
+    into one bincount: O(k |G|) per call.  The index is freed when the call returns.
     """
     cs = conjugacy_structure(group)
     k, n = cs.num_classes, group.order
-    index = (_pair_classes(group) * k + np.arange(k)[:, None]).ravel()
+    index = (_pair_classes(group) * k + np.arange(k)[:, None]).ravel()  # column-major: copied before w is made
+    w = np.broadcast_to(a[cs.class_of], (k, n)).ravel()
     root = np.sqrt(cs.sizes.astype(np.float64))
-    scale = root[None, :] / root[:, None]
-
-    def combine(a: np.ndarray) -> np.ndarray:
-        w = np.broadcast_to(a[cs.class_of], (k, n)).ravel()
-        return np.bincount(index, weights=w, minlength=k * k).reshape(k, k) * scale
-
-    return combine
+    return np.bincount(index, weights=w, minlength=k * k).reshape(k, k) * (root[None, :] / root[:, None])
 
 
 def _split_eigenvectors(h: np.ndarray, inverse_class: np.ndarray, attempt: int) -> tuple[np.ndarray | None, str]:
@@ -417,13 +408,13 @@ def character_table(group: FiniteGroup, *, certification_tol: float = DEFAULT_CE
     n = group.order
     k = cs.num_classes
     root_sizes = np.sqrt(n / cs.sizes.astype(np.float64))
-    combine = _class_combination(group)
 
     e_class = cs.identity_class
     reason = ""
     for attempt in range(MAX_RETRIES):
         z = np.random.default_rng([SEED, attempt]).standard_normal(k)
-        eigvecs, reason = _split_eigenvectors(combine(z + z[cs.inverse_class]), cs.inverse_class, attempt)
+        z += z[cs.inverse_class]
+        eigvecs, reason = _split_eigenvectors(_class_combination(group, z), cs.inverse_class, attempt)
         if eigvecs is None:
             continue
 
@@ -446,14 +437,10 @@ def character_table(group: FiniteGroup, *, certification_tol: float = DEFAULT_CE
 
         order_idx = _canonical_row_order(eigvecs.T, degrees)
         table = CharacterTable(
-            group_hash=group.content_hash,
-            values=eigvecs.T[order_idx],
-            degrees=degrees[order_idx],
-            class_sizes=cs.sizes,
-            class_reps=cs.reps,
-            inverse_class=cs.inverse_class,
-            identity_class=e_class,
+            group_hash=group.content_hash, values=eigvecs.T[order_idx], degrees=degrees[order_idx],
+            class_sizes=cs.sizes, class_reps=cs.reps, inverse_class=cs.inverse_class, identity_class=e_class,
         )
+        del eigvecs, pivot  # pivot is a view that would keep the eigenvectors through certification
         if table.residual > certification_tol:
             reason = (
                 f"certification residual {table.residual:.3e} "

@@ -9,8 +9,8 @@ Computational Group Theory*, ch. 4).  Left multiplication by any y is one pass d
 y*x = (y*w)*s_i, from y*e = y, so any rows of the Cayley table come from one pass batched over
 them, level by level; ``table`` is a read-only view built from those rows on
 demand.  Inverses walk the tree upwards, x^-1 = s_d^-1 * ... * s_1^-1 for the path
-x = s_1*...*s_d, for every element at once.  ``MAX_ORDER`` bounds every constructor, and
-``MAX_TABLE_ORDER`` only that view.
+x = s_1*...*s_d, for every element at once.  ``MAX_ORDER`` bounds every constructor,
+``MAX_DEGREE`` the points of a permutation, and ``MAX_TABLE_ORDER`` only that view.
 
 The steps are the constructor's generators and their repeated squares g, g^2,
 g^4, ..., so the tree stays shallow even along a long cycle; they only drive
@@ -60,11 +60,9 @@ __all__ = [
 # elements) peaks at about 650 MiB RSS and takes about 3 s on a 2-vCPU x86-64 VM; S9 (362 880
 # elements) builds in about 0.3-0.35 s at 123 MiB.
 MAX_ORDER = 1_000_000
-# The most entries n*k of a group's k x n pair index (``characters._pair_classes``), checked once
-# the k classes are known and before the index is allocated.  The index and the class combination
-# built from it take about 17 bytes per entry (S8: 887 040 entries, a 14.6 MB tracemalloc peak for
-# ``class_constants``), so an index at the cap needs about 570 MB.
-MAX_PAIR_ENTRIES = 1 << 25
+# The most points a permutation may act on, checked before anything of that size is allocated.
+# Past 256 points a closure keys each element by two bytes a point, which holds indices to 2**16.
+MAX_DEGREE = 1 << 16
 # The most elements of a group whose ``table`` view is built: 20 000^2 int32 entries are 1.6 GB.
 MAX_TABLE_ORDER = 20_000
 
@@ -80,7 +78,11 @@ def parse_permutation(spec: Sequence[int] | str, degree: int | None = None) -> n
     notation is a string such as ``"(1 2)(3 4 5)"`` on points 1..d (the usual
     textbook convention); points not mentioned are fixed and ``degree``, when
     given, is the total number of points and bounds the points mentioned.
+    SizeLimitError refuses a degree, or a largest point, above ``MAX_DEGREE``
+    before any array of that size is made.
     """
+    if degree is not None and degree > MAX_DEGREE:
+        raise SizeLimitError(f"degree {degree} is above the cap of {MAX_DEGREE} points")
     if isinstance(spec, str):
         text = spec.replace(",", " ")
         if text.count("(") != text.count(")"):
@@ -104,6 +106,8 @@ def parse_permutation(spec: Sequence[int] | str, degree: int | None = None) -> n
         top = (mentioned[-1] if mentioned else -1) + 1
         if degree is not None and top > degree:
             raise ValidationError(f"cycle point {top} exceeds the degree {degree}: {spec!r}")
+        if top > MAX_DEGREE:
+            raise SizeLimitError(f"cycle point {top} is above the cap of {MAX_DEGREE} points: {spec!r}")
         perm = np.arange(top if degree is None else degree, dtype=np.int64)
         for cyc in cycles:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -111,6 +115,8 @@ def parse_permutation(spec: Sequence[int] | str, degree: int | None = None) -> n
         return perm
 
     perm = np.asarray(list(spec), dtype=np.int64)
+    if perm.size > MAX_DEGREE:
+        raise SizeLimitError(f"one-line permutation of {perm.size} points is above the cap of {MAX_DEGREE}")
     if degree is not None and perm.size != degree:
         raise ValidationError(f"one-line permutation has {perm.size} entries, expected {degree}")
     if perm.size == 0 or sorted(perm.tolist()) != list(range(perm.size)):
@@ -423,18 +429,17 @@ def _closure(perms: list[np.ndarray], label: str) -> np.ndarray:
     """The columns R_i[w] = w*g_i of the permutations ``perms`` of one degree, one per row.
 
     Up to 256 points an element is a key of one byte per point, and each generator is composed
-    from its 256-byte translation table p + tail by ``bytes.translate``; beyond that by a 16- or
-    32-bit gather.  The keys (about 35 MiB on S9) are dropped before the tree is built.
+    from its 256-byte translation table p + tail by ``bytes.translate``; beyond that (to
+    ``MAX_DEGREE``) by a 16-bit gather.  The keys (about 35 MiB on S9) are dropped before the tree
+    is built.
     """
     degree, cap = perms[0].size, MAX_ORDER
     if degree <= 256:
         identity, tail, compose = bytes(range(degree)), bytes(range(degree, 256)), bytes.translate
         gens = [bytes(g.tolist()) for g in perms]
     else:
-        dtype = np.dtype(np.uint16 if degree <= 1 << 16 else np.uint32)
-        identity, gens, tail, compose = (
-            np.arange(degree, dtype=dtype).tobytes(), perms, b"", lambda g, p: np.frombuffer(p, dtype)[g].tobytes()
-        )
+        identity, gens, tail = np.arange(degree, dtype=np.uint16).tobytes(), perms, b""
+        compose = lambda g, p: np.frombuffer(p, np.uint16)[g].tobytes()
 
     elements, index = [identity], {identity: 0}
     columns: list[list[int]] = [[] for _ in gens]  # columns[i][w] = index of w * gens[i]

@@ -274,7 +274,8 @@ def _diagonal(table: np.ndarray, folded: np.ndarray, sign: float, factors: tuple
     period, width = 2 * panels, 2 * panels - 1
     table = table[:active, :blocks].view(np.float64)  # [r, j, (a, cos | sin)]
     minus_index = (panels - 1 - np.arange(width)) % period  # reversed: p - q = N - 1 - index
-    tile = np.empty(max(_TILE, panels))  # one row over (q, pair) at least
+    tile = np.empty(max(_TILE, panels) + 7)  # one row over (q, pair) at least
+    tile = tile[(-tile.ctypes.data % 64) // 8 :]  # from a 64-byte line: AVX-512 add and abs store 1.6x slower off one
     chunk = max(1, _TILE // (period * m))
     top = (m + 1) // 2  # a <= (m - 1) / 2
     total = 0.0

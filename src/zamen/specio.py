@@ -117,8 +117,8 @@ def _build_group(spec: dict, depth: int = 0) -> FiniteGroup:
     if kind == "perm":
         degree = spec.get("degree")
         generators = spec.get("generators")
-        if type(degree) is not int or not 1 <= degree < 2**63:
-            raise SpecError("perm specs need an integer degree >= 1 and below 2**63")
+        if type(degree) is not int or degree < 1:
+            raise SpecError("perm specs need an integer degree >= 1")
         if not isinstance(generators, list) or not generators:
             raise SpecError("perm specs need a nonempty generators list")
         parsed = [g if isinstance(g, str) else _int_list(g, "a generator") for g in generators]

@@ -40,11 +40,16 @@ with no shortcut that the package itself takes:
   combination's even and odd blocks instead;
 - ``outer_module_residuals``: the module residual of ``verify_diagonal`` one
   character at a time, from two ``np.outer`` products each;
+- ``unitary_matrix``: U = V diag(sqrt(|C|/|G|)), the table as a unitary
+  matrix;
 - ``complex_orthogonality``, ``formula_residual``, ``complex_diagonal`` and
   ``complex_amenability_constant``: the certificate, the diagonal
   c = V^H diag(d^2) V and AM(ZL1(G)) from complex k x k products in the class
   basis; the package forms them from real products in the basis that pairs
-  each class with its inverse.
+  each class with its inverse;
+- ``hilbert_schmidt_formula``: the Hilbert-Schmidt lower bound summed over
+  every character and class from |chi_pi(C)|^2; the package reads it off the
+  diagonal of the pair-basis Gram.
 """
 
 from __future__ import annotations
@@ -381,9 +386,14 @@ def hermitian_character_table(group: FiniteGroup) -> tuple[np.ndarray, np.ndarra
     raise AssertionError(f"no attempt of the Hermitian path separated the characters of {group.label!r}")
 
 
+def unitary_matrix(t) -> np.ndarray:
+    """U[p, j] = sqrt(|C_j|/|G|) chi_p(C_j); unitary when the table is valid."""
+    return t.values * np.sqrt(t.class_sizes / t.order)[None, :]
+
+
 def complex_orthogonality(t) -> tuple[float, float]:
     """(max |U U^H - I|, max |U^H U - I|) for U = V diag(sqrt(|C|/|G|)), both complex products."""
-    u = t.values * np.sqrt(t.class_sizes / t.order)[None, :]
+    u = unitary_matrix(t)
     eye = np.eye(t.num_classes)
     return float(np.abs(u @ u.conj().T - eye).max()), float(np.abs(u.conj().T @ u - eye).max())
 
@@ -406,6 +416,14 @@ def complex_amenability_constant(t) -> float:
     """|G|^-2 sum_{C,C'} |C| |C'| |c(C,C')| over the complex diagonal."""
     sizes = t.class_sizes.astype(np.float64)
     return float(sizes @ np.abs(complex_diagonal(t)) @ sizes) / float(t.order) ** 2
+
+
+def hilbert_schmidt_formula(t) -> float:
+    """(1/|G|) sum_{pi,C} d_pi^2 (|C|/|G|) |chi_pi(C)|^2 |C|, that is (1/|G|) ||diag(d) U diag(sqrt(|C|))||_HS^2."""
+    sizes = t.class_sizes.astype(np.float64)
+    d2 = t.degrees.astype(np.float64) ** 2
+    weights = np.abs(t.values) ** 2 * (sizes / t.order)[None, :] * sizes[None, :]
+    return float((d2[:, None] * weights).sum() / t.order)
 
 
 def outer_module_residuals(t, matrix) -> np.ndarray:

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,15 @@ class TestChartable:
         assert err.startswith("error:") and "pair index of 40960000 entries" in err
         assert "Traceback" not in err
 
+    def test_a_degree_above_the_cap_exits_2(self, tmp_path, capsys):
+        spec = {"format": "zamen-group", "version": 1, "kind": "perm", "degree": 2**16 + 1, "generators": ["(1 2)"]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli("group", "chartable", str(path), "--cache-dir", str(tmp_path / "c")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "degree 65537 is above the cap of 65536 points" in err
+        assert "Traceback" not in err
+
     def test_text_output(self, tmp_path, capsys):
         assert run_cli("group", "chartable", "S3", "--cache-dir", str(tmp_path)) == 0
         out = capsys.readouterr().out
@@ -321,10 +331,13 @@ class TestAmconst:
         assert doc["manifest"]["result_summary"]["all_gap_ok"] is True
 
     def test_zoo_forms_one_diagonal_gram_per_group_and_keeps_its_constants(self, tmp_path, capsys, monkeypatch):
-        # AM comes from the gap check alone; the complex class-basis formula gives the same constants.
-        grams = []  # an uncached stand-in for the table's Gram records every table that forms one
+        # AM comes from the gap check alone, and the Hilbert-Schmidt bound reads the same cached Gram;
+        # the complex class-basis formula gives the same constants.
+        grams = []  # a stand-in for the table's cached Gram records every table that forms one
         real_gram = CharacterTable.diagonal_gram.func
-        monkeypatch.setattr(CharacterTable, "diagonal_gram", property(lambda table: grams.append(table) or real_gram(table)))
+        recording = cached_property(lambda table: grams.append(table) or real_gram(table))
+        recording.__set_name__(CharacterTable, "diagonal_gram")
+        monkeypatch.setattr(CharacterTable, "diagonal_gram", recording)
         assert run_cli("group", "amconst", "--zoo", "--json", "--cache-dir", str(tmp_path)) == 0
         records = json.loads(capsys.readouterr().out)["results"]
         assert [r["group"] for r in records] == list(zoo_names()) and len(grams) == len(records)

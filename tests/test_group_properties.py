@@ -30,6 +30,10 @@ the pair index equals ``oracles.pair_classes_loop``.  Degree-7 closures of
 two permutations, mostly S7 and A7, are checked on sampled ``rows`` without
 their tables, and tracemalloc shows that building, keying and classing S7
 and A5xA5 allocates far less than one table.
+
+On the same closed, relabelled and product groups, the Hilbert-Schmidt lower
+bound is the C = C' part of AM's sum, sum_C (|C|/|G|)^2 c(C,C) over the
+diagonal's coefficients, and so at most AM.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ from oracles import (
     swap_intercalate,
     table_from_generator_columns,
 )
-from zamen.characters import _pair_classes
+from zamen.amenability import amenability_constant, diagonal, hilbert_schmidt_lower_bound
+from zamen.characters import _pair_classes, character_table
 from zamen.groups import (
     ValidationError,
     alternating,
@@ -323,3 +328,14 @@ def test_building_keying_and_classing_allocates_far_less_than_a_table(make_group
         tracemalloc.stop()
     assert "table" not in vars(group)
     assert peak < group.order**2 * 4 / 16, f"{group.label} peaked at {peak} bytes"
+
+
+@deterministic
+@given(gens=degree_3_to_6, shape=shapes, seed=st.integers(0, 2**32 - 1))
+def test_the_hilbert_schmidt_bound_is_the_diagonal_part_of_am(gens, shape, seed):
+    table = character_table(build(gens, shape, seed))
+    hs = hilbert_schmidt_lower_bound(table)
+    own = np.diagonal(diagonal(table))
+    want = float(((table.class_sizes / table.order) ** 2) @ own.real)
+    assert abs(hs - want) <= 1e-13 * want, (hs, want)
+    assert hs <= amenability_constant(table).value * (1.0 + 1e-13)

@@ -38,6 +38,7 @@ from zamen import cli, groups
 from zamen.amenability import amenability_constant, quotient_monotonicity_check
 from zamen.characters import character_table
 from zamen.groups import (
+    MAX_DEGREE,
     MAX_ORDER,
     MAX_TABLE_ORDER,
     ConjugacyStructure,
@@ -649,6 +650,40 @@ def test_a_table_above_its_cap_is_refused_before_it_is_allocated():
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # the table would be 1.6 GB
+
+
+def test_a_degree_above_the_cap_is_refused_before_anything_of_that_size_is_allocated():
+    # Degree 10^8 with "(1 2)" once built a group of order 2; each refusal here would otherwise
+    # allocate an array of the degree, or closure keys of two bytes a point.
+    top = MAX_DEGREE + 1
+    spec = {"format": "zamen-group", "version": 1, "kind": "perm", "degree": top, "generators": ["(1 2)"]}
+    refusals = {
+        f"degree {top} is above the cap of {MAX_DEGREE} points": lambda: load_group_spec(spec),
+        "degree 100000000 is above the cap": lambda: load_group_spec({**spec, "degree": 10**8}),
+        f"cycle point {top} is above the cap of {MAX_DEGREE} points": (
+            lambda: from_permutation_generators([f"(1 {top})"])
+        ),
+    }
+    for message, refuse in refusals.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match=re.escape(message)):
+                refuse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (message, peak)
+    with pytest.raises(SizeLimitError, match=f"one-line permutation of {top} points is above the cap"):
+        parse_permutation(np.roll(np.arange(top), 1))
+
+
+def test_a_degree_at_the_cap_builds():
+    # The largest point, 2^16 - 1 from 0, is the last one a two-byte closure key holds.
+    spec = {"format": "zamen-group", "version": 1, "kind": "perm", "degree": MAX_DEGREE,
+            "generators": [f"(1 {MAX_DEGREE})", "(2 3 4)"]}
+    for group in (load_group_spec(spec), from_permutation_generators([f"(1 {MAX_DEGREE})", "(2 3 4)"])):
+        assert group.order == 6 and group.is_abelian
+        assert conjugacy_structure(group).num_classes == 6
 
 
 def test_quotient_s3_by_a3():

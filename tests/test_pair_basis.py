@@ -1,13 +1,14 @@
-"""The certificate, the diagonal and AM in the pair basis, against the complex class-basis formulas.
+"""The certificate, the diagonal, AM and the HS bound in the pair basis, against the complex class-basis formulas.
 
 ``CharacterTable.pair_basis`` pairs each class with its inverse so that a
 table's values become real; ``residual``, ``verify_orthogonality``,
-``diagonal`` and ``amenability_constant`` are formed there from real products.
-The oracles in ``oracles.py`` are the same quantities as complex k x k
-products, so the two agree up to the rounding of a sum taken in another
-order: 16 k eps times max(1, oracle) for a residual.  Tables come from the
-zoo, the class ladder, tensor products, and mutated copies that take the
-B != 0 terms.
+``diagonal``, ``amenability_constant`` and ``hilbert_schmidt_lower_bound``
+are formed there from real products.  The oracles in ``oracles.py`` are the
+same quantities as complex k x k products or sums, so the two agree up to the
+rounding of a sum taken in another order: 16 k eps times max(1, oracle) for a
+residual.  The bound is also the C = C' part of AM's sum over ``diagonal``,
+and so at most AM.  Tables come from the zoo, both benchmark ladders, tensor
+products, and mutated copies that take the B != 0 terms.
 """
 
 from __future__ import annotations
@@ -18,10 +19,24 @@ from functools import cache, reduce
 import numpy as np
 import pytest
 
-from oracles import complex_amenability_constant, complex_diagonal, complex_orthogonality, formula_residual
-from zamen.amenability import amenability_constant, diagonal
+from oracles import (
+    complex_amenability_constant,
+    complex_diagonal,
+    complex_orthogonality,
+    formula_residual,
+    hilbert_schmidt_formula,
+)
+from zamen.amenability import amenability_constant, diagonal, hilbert_schmidt_lower_bound
 from zamen.characters import character_table, tensor_table, verify_orthogonality
-from zamen.groups import conjugacy_structure, cyclic, dihedral, direct_product, quaternion_group, symmetric
+from zamen.groups import (
+    alternating,
+    conjugacy_structure,
+    cyclic,
+    dihedral,
+    direct_product,
+    quaternion_group,
+    symmetric,
+)
 from zamen.specio import character_table_payload, load_character_table
 from zamen.zoo import build, zoo_names
 
@@ -36,7 +51,17 @@ LADDER = {
     "D60": lambda: dihedral(60),
     "D120": lambda: dihedral(120),
 }
-GROUPS = {**{name: (lambda name=name: build(name)) for name in zoo_names()}, **LADDER}
+ORDER_LADDER = {
+    "S5": lambda: symmetric(5),
+    "S6": lambda: symmetric(6),
+    "A6": lambda: alternating(6),
+    "A7": lambda: alternating(7),
+    "S7": lambda: symmetric(7),
+    "A5xA5": lambda: direct_product(alternating(5), alternating(5)),
+    "S5xS3": lambda: direct_product(symmetric(5), symmetric(3)),
+    "S4xS4-direct": lambda: direct_product(symmetric(4), symmetric(4)),  # "S4xS4" is the tensor table
+}
+GROUPS = {**{name: (lambda name=name: build(name)) for name in zoo_names()}, **LADDER, **ORDER_LADDER}
 TENSORS = {"S4xS4": (lambda: symmetric(4), lambda: symmetric(4)), "D8xQ8": (lambda: dihedral(8), quaternion_group)}
 
 @cache
@@ -107,6 +132,20 @@ def assert_matches_the_oracles(t):
     assert abs(amenability_constant(t).value - am) <= 1e-12 * am
     c = complex_diagonal(t)
     assert np.abs(diagonal(t) - c).max() <= 1e-12 * max(1.0, float(np.abs(c).max()))
+    hs, want = hilbert_schmidt_lower_bound(t), hilbert_schmidt_formula(t)
+    assert abs(hs - want) <= 1e-13 * want, (hs, want)
+    assert_hs_is_the_diagonal_part_of_am(t)
+
+
+def assert_hs_is_the_diagonal_part_of_am(t):
+    """HS = sum_C (|C|/|G|)^2 c(C,C) for c from ``amenability.diagonal``, and HS <= AM."""
+    hs = hilbert_schmidt_lower_bound(t)
+    weights = (t.class_sizes / t.order) ** 2
+    own = np.diagonal(diagonal(t))
+    want = float(weights @ own.real)
+    assert np.abs(own.imag).max() <= 1e-13 * max(1.0, float(np.abs(own).max()))
+    assert abs(hs - want) <= 1e-13 * want, (hs, want)
+    assert hs <= amenability_constant(t).value * (1.0 + 1e-13)
 
 
 @pytest.mark.parametrize("name", [*GROUPS, *TENSORS])
