@@ -41,8 +41,9 @@ e^{i l tau_a}, folded modulo 2N (one real product per residue) and an
 inverse real FFT of length 2N for each of t - p and t + p, in
 O(m^2 (n + N log N)) for m nodes per panel.
 The pair's N x N kernel is then a Toeplitz matrix in p - q plus a Hankel
-matrix in p + q, read through strided views and reduced in tiles of at
-most 512 KiB against the one or two factors of v over the panels.  Only pairs a <= b with a + b <= m - 1 are formed: the grid
+matrix in p + q, read through strided views and reduced, against the one
+or two factors of v over the panels, in one 512 KiB tile that each thread
+keeps between calls.  Only pairs a <= b with a + b <= m - 1 are formed: the grid
 and the weights are symmetric under theta -> pi - theta (tau_{m-1-a} =
 h - tau_a), which leaves the kernel unchanged, and the transpose gives the
 rest.  The kernel norm is the same fold and FFT per node.  A study builds
@@ -52,6 +53,8 @@ first blocks.
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,9 +187,17 @@ def coefficients(model: HypergroupModel, scheme: str, n: int) -> tuple[np.ndarra
     return a, (a if scheme == "fejer" else a * a)
 
 
+@functools.lru_cache(maxsize=4)
+def _rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's Gauss-Legendre nodes and weights on [-1, 1], read-only: solved once per node count, not per grid."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False  # every caller shares them
+    return x, w
+
+
 def _grid(panels: int, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre points and weights on [0, pi]."""
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x, w = _rule(nodes_per_panel)
     width = np.pi / panels
     starts = np.arange(panels) * width
     points = (starts[:, None] + (x[None, :] + 1.0) * (width / 2.0)).reshape(-1)
@@ -227,8 +238,22 @@ def orthogonality_residual(
 
 
 # A kernel tile holds at most _TILE float64 (512 KiB, within one core's L2 cache), and a chunk
-# of fold products about 4 _TILE, for one node row at least.
+# of fold products about 4 _TILE, for one node row at least.  Each thread keeps its tile between
+# calls, so that its pages are not faulted in again for every level of every grid.
 _TILE = 1 << 16
+_tiles = threading.local()
+
+
+def _tile(size: int) -> np.ndarray:
+    """This thread's kernel tile of at least ``size`` float64, from a 64-byte line, grown when too small.
+
+    AVX-512 add and abs store into a tile off a 64-byte line about 1.6x slower.
+    """
+    tile = getattr(_tiles, "tile", None)
+    if tile is None or tile.size < size:
+        raw = np.empty(size + 7)
+        tile = _tiles.tile = raw[(-raw.ctypes.data % 64) // 8 :][:size]
+    return tile
 
 
 def _exponential_table(tau: np.ndarray, lmax: int, period: int) -> np.ndarray:
@@ -274,8 +299,7 @@ def _diagonal(table: np.ndarray, folded: np.ndarray, sign: float, factors: tuple
     period, width = 2 * panels, 2 * panels - 1
     table = table[:active, :blocks].view(np.float64)  # [r, j, (a, cos | sin)]
     minus_index = (panels - 1 - np.arange(width)) % period  # reversed: p - q = N - 1 - index
-    tile = np.empty(max(_TILE, panels) + 7)  # one row over (q, pair) at least
-    tile = tile[(-tile.ctypes.data % 64) // 8 :]  # from a 64-byte line: AVX-512 add and abs store 1.6x slower off one
+    tile = _tile(max(_TILE, panels))  # one row over (q, pair) at least
     chunk = max(1, _TILE // (period * m))
     top = (m + 1) // 2  # a <= (m - 1) / 2
     total = 0.0
@@ -335,8 +359,12 @@ def experiment_bytes(model: HypergroupModel, levels: list[int], quad: Quadrature
     coefficients, two float64 vectors of n + 1, for both grids, and its
     results and row (about 600 bytes by tracemalloc, counted as 1 KiB); the
     top level's are built through a list of Python floats, 32 bytes an entry.
-    Workspace that does not grow with the levels (the grid, its rule, one
-    chunk's kernel tiles) is not counted.
+    Workspace that does not grow with the levels is not counted: the grid,
+    one chunk's spectra and offsets, the kernel tile that each thread keeps between
+    calls (512 KiB, or 8 bytes a panel of the
+    largest grid above 65 536 panels it ran) and the
+    Gauss-Legendre rule kept for each of the last four node counts (16
+    bytes a node).
     """
     period, top = 2 * quad.panels * quad.refinement_factor, max(levels)
     table = 16 * ((top + model.sigma) // period + 1) * period * quad.nodes_per_panel

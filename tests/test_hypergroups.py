@@ -23,18 +23,23 @@ Oracles:
 import dataclasses
 import inspect
 import json
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zamen.hypergroups import (
+    _TILE,
     HypergroupModel,
     QuadratureConfig,
     _character_rows,
     _grid,
     _grid_norms,
+    _rule,
+    _tile,
     bai_norm,
     character_decay_probe,
     coefficients,
@@ -133,13 +138,13 @@ STUDIES = [
     ("chebyshev", "fejer-signed"),
 ]
 BENCHMARK_LEVELS = [50, 100, 200, 400, 800]
+BENCHMARK_SPECS = [{"model": model, "scheme": scheme, "n": BENCHMARK_LEVELS} for model, scheme in STUDIES]
 
 
 @pytest.fixture(scope="module")
 def benchmark_rows():
     """The four studies at the benchmark's levels on the default grid."""
-    specs = [{"model": model, "scheme": scheme, "n": BENCHMARK_LEVELS} for model, scheme in STUDIES]
-    return [row for spec in specs for row in run_experiment(spec)]
+    return [row for spec in BENCHMARK_SPECS for row in run_experiment(spec)]
 
 
 class TestModels:
@@ -235,6 +240,26 @@ class TestGrid:
         for j in range(2 * m):
             exact = np.pi ** (j + 1) / (j + 1)
             assert abs(weights @ points**j - exact) <= 1e-12 * exact, j
+
+    @pytest.mark.parametrize("m", [1, 5, 16])
+    def test_the_rule_is_numpys_read_only(self, m):
+        x, w = _rule(m)
+        expected = np.polynomial.legendre.leggauss(m)
+        assert np.array_equal(x, expected[0]) and np.array_equal(w, expected[1])
+        for array in (x, w):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_two_grids_solve_the_rule_once(self, monkeypatch):
+        calls = []
+        solve = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda m: calls.append(m) or solve(m))
+        _rule.cache_clear()
+        spec = {"model": "su2", "scheme": "dirichlet", "n": [4, 9], "quadrature": {"panels": 6, "nodes_per_panel": 7}}
+        run_experiment(spec)
+        run_experiment(spec)
+        assert calls == [7]
 
 
 def per_k_coefficients(model, scheme, n):
@@ -690,6 +715,31 @@ class TestRunExperiment:
             assert (row["diagonal_norm"], row["diagonal_error_estimate"]) == (dn.value, dn.error_estimate)
             assert (row["bai_norm"], row["bai_error_estimate"]) == (bn.value, bn.error_estimate)
             assert (row["diagonal_converged"], row["config_hash"]) == (dn.converged, dn.config_hash)
+
+    def test_threads_give_the_serial_rows_bit_for_bit(self, benchmark_rows):
+        # Each thread reduces in its own kernel tile: one tile shared by the threads gave wrong rows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run_experiment, spec) for spec in BENCHMARK_SPECS * 2]
+                rows = [row for future in futures for row in future.result(timeout=300)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert repr(rows) == repr(benchmark_rows * 2)
+
+    def test_each_thread_keeps_one_aligned_tile(self):
+        def tiles():
+            return _tile(_TILE), _tile(_TILE + 8), _tile(_TILE)
+
+        first, second = tiles(), tiles()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            other = pool.submit(tiles).result(timeout=60)
+        for kept, grown, again in (first, other):
+            assert kept.size >= _TILE and grown.size >= _TILE + 8 and again is grown
+            assert kept.ctypes.data % 64 == grown.ctypes.data % 64 == 0
+        assert second[0] is second[1] is second[2] is first[1]
+        assert not np.shares_memory(other[1], first[1])
 
     def test_no_levels_give_no_rows(self):
         assert run_experiment({"model": "su2", "scheme": "dirichlet", "n": []}) == []
